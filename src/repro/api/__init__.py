@@ -16,9 +16,8 @@
   DataSynth are pre-registered, and the serving layer routes through the
   same registry.
 
-Older entry points (``Hydra(schema).build_summary``, ``DataSynth.generate``,
-``python -m repro.service``) keep working but delegate here; see
-``docs/API.md`` for the migration mapping.
+Older entry points (``Hydra(schema).build_summary``, ``DataSynth.generate``)
+keep working; see ``docs/API.md`` for the migration mapping.
 """
 
 from repro.api.backends import (

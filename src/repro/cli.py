@@ -6,7 +6,7 @@ deterministic TPC-DS-like benchmark environment (``--scale``, ``--queries``,
 passing the same flags compute the same store fingerprint):
 
 * ``summarize``  — build the benchmark workload's summary into the store
-  (one process pays the LP solves; replaces ``repro.service warm``);
+  (one process pays the LP solves);
 * ``resummarize`` — incrementally re-summarize a drifted workload against
   the warm ``--base-queries`` epoch: only the constraint-graph components
   the drift touched are solved, the rest reuse cached solutions verbatim,
@@ -24,12 +24,12 @@ passing the same flags compute the same store fingerprint):
   already stored — before binding the socket in ``--listen`` mode — the
   CI smoke job's cross-process zero-solve assertion);
 * ``stats``      — print store counters (``--entries`` lists the stored
-  summaries, replacing ``repro.service inspect``; ``--tenants`` adds the
-  per-tenant admission telemetry note; ``--metrics``/``--prometheus``/
-  ``--json`` export the full :mod:`repro.obs` metrics registry as a flat
-  snapshot, Prometheus text exposition, or machine-readable JSON;
-  ``--url http://host:port`` fetches ``/v1/stats`` / ``/metrics`` from a
-  running server instead of opening a directory);
+  summaries; ``--tenants`` adds the per-tenant admission telemetry note;
+  ``--metrics``/``--prometheus``/``--json`` export the full
+  :mod:`repro.obs` metrics registry as a flat snapshot, Prometheus text
+  exposition, or machine-readable JSON; ``--url http://host:port``
+  fetches ``/v1/stats`` / ``/metrics`` from a running server instead of
+  opening a directory);
 * ``store``      — the replicated store fleet (see ``docs/CLUSTER.md``):
   ``store serve`` runs a directory as a replication *leader*
   (:class:`repro.cluster.StoreServer`), ``store replicate`` tails a leader
@@ -40,9 +40,6 @@ passing the same flags compute the same store fingerprint):
   ``--output``), ready for :func:`repro.obs.build_tree`;
 * ``gc``         — one store GC pass: TTL expiration plus LRU eviction
   down to ``--max-store-bytes`` / ``--max-entries`` caps.
-
-``python -m repro.service`` remains as a deprecated alias that delegates
-here.
 """
 
 from __future__ import annotations
@@ -263,8 +260,6 @@ def _parse_listen(spec: str) -> Tuple[str, int]:
 
 def _cmd_serve_listen(args: argparse.Namespace) -> int:
     """``serve --listen``: run the HTTP front-end until SIGTERM/SIGINT."""
-    import signal
-
     from repro.server import RegenerationServer
 
     host, port = _parse_listen(args.listen)
@@ -296,25 +291,11 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
             require_warm=args.require_warm,
             default_batch_size=args.batch_size,
         )
-        # serve_forever() occupies this thread, and httpd.shutdown() blocks
-        # until that loop exits — so the signal handler must trigger the
-        # drain from a helper thread or it would deadlock the process.
-        shutdown_threads: List[threading.Thread] = []
-
-        def _handle_signal(signum: int, frame: object) -> None:
-            thread = threading.Thread(target=server.shutdown,
-                                      name="repro-http-shutdown", daemon=True)
-            shutdown_threads.append(thread)
-            thread.start()
-
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        print(f"listening on http://{server.host}:{server.port}"
-              f" fingerprint={fingerprint} warm={warm}"
-              f" require_warm={args.require_warm}", flush=True)
-        server.serve_forever()
-        for thread in shutdown_threads:
-            thread.join()
+        _run_until_signal(
+            f"listening on http://{server.host}:{server.port}"
+            f" fingerprint={fingerprint} warm={warm}"
+            f" require_warm={args.require_warm}",
+            server.shutdown, server.serve_forever)
         _print_stats(service)
         _print_tenants(service)
     return 0
@@ -480,26 +461,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_until_signal(on_signal: "Callable[[], None]",
+def _run_until_signal(banner: str, on_signal: "Callable[[], None]",
                       run: "Callable[[], None]") -> None:
-    """Run a blocking loop, draining via ``on_signal`` on SIGTERM/SIGINT.
+    """Print ``banner``, then ``run()`` until SIGTERM/SIGINT drains it via
+    ``on_signal``.
 
     The drain runs on a helper thread because shutdown calls block until
     the serving loop exits — triggering them inside the handler would
-    deadlock the process (same pattern as ``serve --listen``).
+    deadlock the process.  The banner goes out only once the handlers are
+    installed, so a supervisor may signal as soon as it has read it.
     """
     import signal
 
     threads: List[threading.Thread] = []
 
     def _handle(signum: int, frame: object) -> None:
-        thread = threading.Thread(target=on_signal,
-                                  name="repro-store-shutdown", daemon=True)
+        thread = threading.Thread(target=on_signal, name="repro-shutdown",
+                                  daemon=True)
         threads.append(thread)
         thread.start()
 
     signal.signal(signal.SIGTERM, _handle)
     signal.signal(signal.SIGINT, _handle)
+    print(banner, flush=True)
     run()
     for thread in threads:
         thread.join()
@@ -514,10 +498,10 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
     store = SummaryStore(args.store)
     server = StoreServer(store, host or "127.0.0.1", port,
                          max_request_bytes=args.max_request_bytes)
-    print(f"listening on {server.url} role=leader root={args.store}"
-          f" log_id={server.log.log_id} last_offset={server.log.last_offset}",
-          flush=True)
-    _run_until_signal(server.shutdown, server.serve_forever)
+    _run_until_signal(
+        f"listening on {server.url} role=leader root={args.store}"
+        f" log_id={server.log.log_id} last_offset={server.log.last_offset}",
+        server.shutdown, server.serve_forever)
     print(f"closed last_offset={server.log.last_offset}")
     return 0
 
@@ -538,9 +522,8 @@ def _cmd_store_replicate(args: argparse.Namespace) -> int:
     replica = ReplicatedStore(args.url, args.store,
                               poll_interval=args.poll_interval)
     stop = threading.Event()
-    print(f"replicating url={args.url} store={args.store}"
-          f" offset={replica.applied_offset}", flush=True)
-    _run_until_signal(stop.set, stop.wait)
+    _run_until_signal(f"replicating url={args.url} store={args.store}"
+                      f" offset={replica.applied_offset}", stop.set, stop.wait)
     replica.close()
     print(f"closed offset={replica.applied_offset}")
     return 0

@@ -7,7 +7,8 @@ appended to an :class:`~repro.cluster.log.ChangeLog` (fsynced ``log.jsonl``
 segments under ``<root>/changelog/``) before the request is acknowledged,
 and followers tail that log over ``GET /v1/log``.
 
-Endpoints (threaded stdlib HTTP, same idioms as :mod:`repro.server.http`):
+Endpoints (a route table on :mod:`repro.server.kernel`, which owns the
+listener, body limits, reply writers and error → status mapping):
 
 * ``GET /v1/entry/<kind>/<key>`` / ``PUT`` / ``DELETE`` — one entry's raw
   store payload (``kind`` is ``summaries`` or ``components``); a ``PUT``
@@ -32,20 +33,14 @@ by the same ``max_request_bytes`` cap as the serving front-end (oversized →
 
 from __future__ import annotations
 
-import json
-import socket
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cluster.log import ChangeLog
 from repro.errors import ClusterError, ServiceError, SummaryStoreError
 from repro.obs.logging import get_logger
 from repro.obs.trace import span as trace_span
-from repro.server.http import MAX_BODY_BYTES, read_json_body
-from repro.server.wire import RequestTooLargeError, WireFormatError
+from repro.server.kernel import MAX_BODY_BYTES, HTTPKernel, Request
+from repro.server.wire import WireFormatError
 from repro.service.store import SummaryStore
 
 logger = get_logger("cluster.server")
@@ -59,16 +54,7 @@ MAX_LOG_BATCH = 500
 _KINDS = ("summaries", "components")
 
 
-class _StoreHTTPServer(ThreadingHTTPServer):
-    """One thread per connection; never blocks process exit on stragglers."""
-
-    daemon_threads = True
-    block_on_close = False
-    allow_reuse_address = True
-    app: "StoreServer"
-
-
-class StoreServer:
+class StoreServer(HTTPKernel):
     """Leader HTTP server over one disk-backed store + its change log.
 
     Parameters
@@ -97,18 +83,14 @@ class StoreServer:
         self.registry = store.registry
         self.max_request_bytes = max_request_bytes
         self.log = ChangeLog(store.root / "changelog", registry=self.registry)
-        self._requests_total = self.registry.counter(
-            "repro_cluster_server_requests_total",
-            "Store-server HTTP requests, by endpoint and status code",
-            labelnames=("endpoint", "code"))
-        self._lock = threading.Lock()
-        self._serve_thread: Optional[threading.Thread] = None
-        self._closed = False
         self._bootstrap_log()
         store.attach_journal(self.log)
-        self._httpd = _StoreHTTPServer((host, port), _StoreHandler)
-        self._httpd.app = self
-        self.host, self.port = self._httpd.server_address[:2]
+        super().__init__(
+            _StoreHandler, host, port,
+            self.registry.counter(
+                "repro_cluster_server_requests_total",
+                "Store-server HTTP requests, by endpoint and status code",
+                labelnames=("endpoint", "code")))
         logger.info("store server bound on %s:%d (root=%s, last_offset=%d)",
                     self.host, self.port, store.root, self.log.last_offset)
 
@@ -121,9 +103,7 @@ class StoreServer:
             return
         seeded = 0
         for kind in _KINDS:
-            keys = (self.store.summary_fingerprints() if kind == "summaries"
-                    else self.store.component_keys())
-            for key in keys:
+            for key in _list_keys(self.store, kind):
                 try:
                     payload = self.store.entry_payload(kind, key)
                 except SummaryStoreError as error:
@@ -136,160 +116,41 @@ class StoreServer:
             logger.info("bootstrapped change log with %d existing entries",
                         seeded)
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def url(self) -> str:
-        """Base URL of the bound listener."""
-        return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` is called (blocking)."""
-        self._httpd.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "StoreServer":
-        """Serve on a background thread; returns ``self``."""
-        if self._serve_thread is None:
-            self._serve_thread = threading.Thread(
-                target=self.serve_forever, name="repro-store-http", daemon=True)
-            self._serve_thread.start()
-        return self
-
     def shutdown(self) -> None:
         """Stop the listener, detach the journal and close the log."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
+        if not super().shutdown():
+            return
         self.store.attach_journal(None)
         self.log.close()
         logger.info("store server on %s:%d closed", self.host, self.port)
 
-    def __enter__(self) -> "StoreServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    def _observe(self, endpoint: str, code: int) -> None:
-        self._requests_total.labels(endpoint=endpoint, code=str(code)).inc()
+    def metrics_text(self) -> str:
+        # Refresh occupancy gauges before the scrape, like /v1/stats does.
+        self.store.counters()
+        return super().metrics_text()
 
 
-class _StoreHandler(BaseHTTPRequestHandler):
-    """Routes one connection's requests onto the owning store server."""
+def _list_keys(store: SummaryStore, kind: str) -> List[str]:
+    return (store.summary_fingerprints() if kind == "summaries"
+            else store.component_keys())
 
-    protocol_version = "HTTP/1.1"
+
+class _StoreHandler(Request):
+    """The store leader's endpoints; every JSON reply and request body
+    carries the ``"version"`` envelope."""
+
     server_version = "repro-store"
 
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("%s %s", self.address_string(), format % args)
+    #: A store that rejects a payload or a knob is the client's error.
+    statuses = (*Request.statuses, (SummaryStoreError, 400))
 
-    # -------------------------------------------------------------- #
-    # routing
-    # -------------------------------------------------------------- #
-    def do_GET(self) -> None:
-        self._route("GET")
-
-    def do_PUT(self) -> None:
-        self._route("PUT")
-
-    def do_POST(self) -> None:
-        self._route("POST")
-
-    def do_DELETE(self) -> None:
-        self._route("DELETE")
-
-    def _route(self, method: str) -> None:
-        app: StoreServer = self.server.app
-        parsed = urlsplit(self.path)
-        segments = [unquote(s) for s in parsed.path.split("/") if s]
-        query = parse_qs(parsed.query)
-        endpoint, handler = self._dispatch(method, segments)
-        try:
-            code = handler(segments, query)
-        except RequestTooLargeError as error:
-            code = self._error(413, str(error))
-        except WireFormatError as error:
-            code = self._error(400, str(error))
-        except SummaryStoreError as error:
-            code = self._error(400, str(error))
-        except (BrokenPipeError, ConnectionResetError, socket.timeout):
-            code = 499
-            self.close_connection = True
-            logger.info("client disconnected during %s", endpoint)
-        except Exception as error:  # last-resort 500, connection kept sane
-            code = 500
-            self.close_connection = True
-            logger.error("unhandled error serving %s: %s", endpoint, error)
-        app._observe(endpoint, code)
-
-    def _dispatch(self, method: str, segments: list) -> Tuple[str, object]:
-        if segments == ["healthz"] and method == "GET":
-            return "healthz", self._do_healthz
-        if segments == ["metrics"] and method == "GET":
-            return "metrics", self._do_metrics
-        if segments == ["v1", "stats"] and method == "GET":
-            return "stats", self._do_stats
-        if segments == ["v1", "log"] and method == "GET":
-            return "log", self._do_log
-        if len(segments) == 3 and segments[:2] == ["v1", "keys"] \
-                and method == "GET":
-            return "keys", self._do_keys
-        if len(segments) == 4 and segments[:2] == ["v1", "entry"]:
-            if method == "GET":
-                return "entry_get", self._do_entry_get
-            if method == "PUT":
-                return "entry_put", self._do_entry_put
-            if method == "DELETE":
-                return "entry_delete", self._do_entry_delete
-        if segments == ["v1", "compact"] and method == "POST":
-            return "compact", self._do_compact
-        if len(segments) == 3 and segments[0] == "v1" \
-                and segments[1] in ("pin", "unpin") and method == "POST":
-            return segments[1], self._do_pin
-        return "unknown", self._do_unknown
-
-    # -------------------------------------------------------------- #
-    # response plumbing
-    # -------------------------------------------------------------- #
-    def _send_json(self, code: int, payload: Dict[str, object]) -> int:
+    def send_json(self, code: int, payload: Dict[str, object],
+                  extra: Iterable[Tuple[str, str]] = ()) -> int:
         payload.setdefault("version", STORE_WIRE_VERSION)
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return code
-
-    def _send_text(self, code: int, text: str, content_type: str) -> int:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return code
-
-    def _error(self, code: int, message: str, **extra: object) -> int:
-        payload: Dict[str, object] = {"error": message}
-        payload.update(extra)
-        return self._send_json(code, payload)
-
-    def _kind(self, segments: list) -> str:
-        kind = segments[2]
-        if kind not in _KINDS:
-            raise WireFormatError(
-                f"entry kind must be one of {', '.join(_KINDS)}, got {kind!r}")
-        return kind
+        return super().send_json(code, payload, extra)
 
     def _read_body(self) -> Dict[str, object]:
-        body = read_json_body(self, self.server.app.max_request_bytes)
+        body = self.read_json()
         version = body.get("version", STORE_WIRE_VERSION)
         if version != STORE_WIRE_VERSION:
             raise WireFormatError(
@@ -297,31 +158,28 @@ class _StoreHandler(BaseHTTPRequestHandler):
                 f" (this server speaks {STORE_WIRE_VERSION})")
         return body
 
+    def _kind(self) -> str:
+        kind = self.segments[2]
+        if kind not in _KINDS:
+            raise WireFormatError(
+                f"entry kind must be one of {', '.join(_KINDS)}, got {kind!r}")
+        return kind
+
     # -------------------------------------------------------------- #
     # endpoints
     # -------------------------------------------------------------- #
-    def _do_unknown(self, segments: list, query: Dict[str, list]) -> int:
-        return self._error(404, f"no route for {self.command}"
-                                f" /{'/'.join(segments)}")
-
-    def _do_healthz(self, segments: list, query: Dict[str, list]) -> int:
+    def _healthz(self) -> int:
         app = self.server.app
-        return self._send_json(200, {
+        return self.send_json(200, {
             "status": "ok",
             "role": "leader",
             "log_id": app.log.log_id,
             "last_offset": app.log.last_offset,
         })
 
-    def _do_metrics(self, segments: list, query: Dict[str, list]) -> int:
-        # Refresh occupancy gauges before the scrape, like /v1/stats does.
-        self.server.app.store.counters()
-        text = self.server.app.registry.to_prometheus()
-        return self._send_text(200, text, "text/plain; version=0.0.4")
-
-    def _do_stats(self, segments: list, query: Dict[str, list]) -> int:
+    def _stats(self) -> int:
         app = self.server.app
-        return self._send_json(200, {
+        return self.send_json(200, {
             "role": "leader",
             "root": str(app.store.root),
             "log_id": app.log.log_id,
@@ -330,17 +188,17 @@ class _StoreHandler(BaseHTTPRequestHandler):
             "counters": app.store.counters(),
         })
 
-    def _do_log(self, segments: list, query: Dict[str, list]) -> int:
-        app = self.server.app
-        log = app.log
+    def _log(self) -> int:
+        log = self.server.app.log
+        query = self.query
         try:
             start = int(query.get("from", ["1"])[0])
             limit = min(MAX_LOG_BATCH,
                         int(query.get("max", [str(MAX_LOG_BATCH)])[0]))
         except ValueError:
-            return self._error(400, "from/max must be integers")
+            return self.error(400, "from/max must be integers")
         if start < 1 or limit < 1:
-            return self._error(400, "from and max must be positive")
+            return self.error(400, "from and max must be positive")
         base = {
             "log_id": log.log_id,
             "first_offset": log.first_offset,
@@ -350,55 +208,50 @@ class _StoreHandler(BaseHTTPRequestHandler):
         # lineage changed) or behind its retained window cannot tail — it
         # must resync from the full listings instead.
         if start > log.last_offset + 1:
-            return self._send_json(200, dict(base, resync=True, records=[]))
+            return self.send_json(200, dict(base, resync=True, records=[]))
         try:
             records = log.read(start, limit)
         except ClusterError:
-            return self._send_json(200, dict(base, resync=True, records=[]))
-        return self._send_json(200, dict(base, resync=False, records=records))
+            return self.send_json(200, dict(base, resync=True, records=[]))
+        return self.send_json(200, dict(base, resync=False, records=records))
 
-    def _do_keys(self, segments: list, query: Dict[str, list]) -> int:
-        kind = self._kind(segments)
-        store = self.server.app.store
-        keys = (store.summary_fingerprints() if kind == "summaries"
-                else store.component_keys())
-        return self._send_json(200, {"kind": kind, "keys": keys})
+    def _keys(self) -> int:
+        kind = self._kind()
+        return self.send_json(200, {
+            "kind": kind, "keys": _list_keys(self.server.app.store, kind)})
 
-    def _do_entry_get(self, segments: list, query: Dict[str, list]) -> int:
-        kind, key = self._kind(segments), segments[3]
+    def _entry_get(self) -> int:
+        kind, key = self._kind(), self.segments[3]
         try:
             payload = self.server.app.store.entry_payload(kind, key)
         except SummaryStoreError as error:
-            return self._error(404, str(error), kind=kind, key=key)
-        return self._send_json(200, {"kind": kind, "key": key,
-                                     "payload": payload})
+            return self.error(404, str(error), kind=kind, key=key)
+        return self.send_json(200, {"kind": kind, "key": key,
+                                    "payload": payload})
 
-    def _do_entry_put(self, segments: list, query: Dict[str, list]) -> int:
-        kind, key = self._kind(segments), segments[3]
+    def _entry_put(self) -> int:
+        kind, key = self._kind(), self.segments[3]
         app = self.server.app
-        body = self._read_body()
-        payload = body.get("payload")
-        try:
-            with trace_span("store.replicate", op="put", kind=kind):
-                app.store.apply_entry(kind, key, payload)
-        except SummaryStoreError as error:
-            return self._error(400, str(error), kind=kind, key=key)
+        payload = self._read_body().get("payload")
+        self.error_fields.update(kind=kind, key=key)
+        with trace_span("store.replicate", op="put", kind=kind):
+            app.store.apply_entry(kind, key, payload)
         # apply_entry journals under the store lock, so by the time it
         # returns the record's offset is <= log.last_offset; acknowledging
         # the current tail is always safe (followers catch up at least
         # that far before a read-your-writes client proceeds).
-        return self._send_json(200, {"kind": kind, "key": key,
-                                     "offset": app.log.last_offset})
+        return self.send_json(200, {"kind": kind, "key": key,
+                                    "offset": app.log.last_offset})
 
-    def _do_entry_delete(self, segments: list, query: Dict[str, list]) -> int:
-        kind, key = self._kind(segments), segments[3]
+    def _entry_delete(self) -> int:
+        kind, key = self._kind(), self.segments[3]
         app = self.server.app
         deleted = app.store.delete_entry(kind, key)
-        return self._send_json(200, {"kind": kind, "key": key,
-                                     "deleted": deleted,
-                                     "offset": app.log.last_offset})
+        return self.send_json(200, {"kind": kind, "key": key,
+                                    "deleted": deleted,
+                                    "offset": app.log.last_offset})
 
-    def _do_compact(self, segments: list, query: Dict[str, list]) -> int:
+    def _compact(self) -> int:
         app = self.server.app
         body = self._read_body() if self.headers.get("Content-Length") else {}
         kwargs: Dict[str, object] = {}
@@ -406,17 +259,30 @@ class _StoreHandler(BaseHTTPRequestHandler):
             if knob in body:
                 kwargs[knob] = body[knob]
         report = app.store.compact(**kwargs)
-        return self._send_json(200, {"report": report,
-                                     "offset": app.log.last_offset})
+        return self.send_json(200, {"report": report,
+                                    "offset": app.log.last_offset})
 
-    def _do_pin(self, segments: list, query: Dict[str, list]) -> int:
-        app = self.server.app
-        fingerprint = segments[2]
-        if segments[1] == "pin":
-            app.store.pin(fingerprint)
+    def _pin(self) -> int:
+        store = self.server.app.store
+        op, fingerprint = self.segments[1:]
+        if op == "pin":
+            store.pin(fingerprint)
         else:
-            app.store.unpin(fingerprint)
-        return self._send_json(200, {
+            store.unpin(fingerprint)
+        return self.send_json(200, {
             "fingerprint": fingerprint,
-            "pins": app.store.pin_count(fingerprint),
+            "pins": store.pin_count(fingerprint),
         })
+
+    routes = {
+        ("GET", "/healthz"): ("healthz", _healthz),
+        ("GET", "/v1/stats"): ("stats", _stats),
+        ("GET", "/v1/log"): ("log", _log),
+        ("GET", "/v1/keys/*"): ("keys", _keys),
+        ("GET", "/v1/entry/*/*"): ("entry_get", _entry_get),
+        ("PUT", "/v1/entry/*/*"): ("entry_put", _entry_put),
+        ("DELETE", "/v1/entry/*/*"): ("entry_delete", _entry_delete),
+        ("POST", "/v1/compact"): ("compact", _compact),
+        ("POST", "/v1/pin/*"): ("pin", _pin),
+        ("POST", "/v1/unpin/*"): ("unpin", _pin),
+    }

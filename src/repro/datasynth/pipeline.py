@@ -110,20 +110,7 @@ class DataSynth:
     """
 
     def __init__(self, schema: Schema, config: Optional[DataSynthConfig] = None,
-                 store: Optional["SummaryStore"] = None, **knobs: object) -> None:
-        if knobs:
-            # Deprecated loose-kwargs call path, mirroring Hydra's shim.
-            import warnings
-
-            warnings.warn(
-                "passing tuning knobs as keyword arguments to DataSynth() is"
-                " deprecated; use DataSynth(schema, config=DataSynthConfig(...))"
-                " or repro.api.Session(schema, config=RegenConfig(...))",
-                DeprecationWarning, stacklevel=2,
-            )
-            if config is not None:
-                raise TypeError("pass either config= or loose knobs, not both")
-            config = DataSynthConfig(**knobs)  # type: ignore[arg-type]
+                 store: Optional["SummaryStore"] = None) -> None:
         self.schema = schema
         self.config = config or DataSynthConfig()
         self.store = store

@@ -173,22 +173,7 @@ class Hydra:
     """
 
     def __init__(self, schema: Schema, config: Optional[HydraConfig] = None,
-                 store: Optional["SummaryStore"] = None, **knobs: object) -> None:
-        if knobs:
-            # Deprecated loose-kwargs call path (``Hydra(schema, workers=4)``);
-            # the supported spellings are an explicit HydraConfig or the
-            # repro.api Session facade.
-            import warnings
-
-            warnings.warn(
-                "passing tuning knobs as keyword arguments to Hydra() is"
-                " deprecated; use Hydra(schema, config=HydraConfig(...)) or"
-                " repro.api.Session(schema, config=RegenConfig(...))",
-                DeprecationWarning, stacklevel=2,
-            )
-            if config is not None:
-                raise TypeError("pass either config= or loose knobs, not both")
-            config = HydraConfig(**knobs)  # type: ignore[arg-type]
+                 store: Optional["SummaryStore"] = None) -> None:
         self.schema = schema
         self.config = config or HydraConfig()
         self.store = store

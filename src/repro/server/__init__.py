@@ -1,10 +1,12 @@
 """HTTP serving front-end: :class:`RegenerationServer` over a real socket.
 
-The package splits into the server proper (:mod:`repro.server.http`) and
-the wire formats it speaks (:mod:`repro.server.wire`): the JSON workload
-encoding whose round trip is fingerprint-exact, and the per-row NDJSON
-tuple encoding whose sharded concatenation is byte-identical to the whole
-relation.  ``python -m repro serve --listen HOST:PORT`` is the CLI door.
+The package splits into the request kernel every repro HTTP server is
+mounted on (:mod:`repro.server.kernel`), the serving front-end's routes and
+endpoints (:mod:`repro.server.http`) and the wire formats it speaks
+(:mod:`repro.server.wire`): the JSON workload encoding whose round trip is
+fingerprint-exact, and the per-row NDJSON tuple encoding whose sharded
+concatenation is byte-identical to the whole relation.
+``python -m repro serve --listen HOST:PORT`` is the CLI door.
 """
 
 from repro.server.http import (

@@ -35,25 +35,25 @@ its ``server.request`` span — and every service/store/solver span nested
 under it — in that trace, so one trace id follows a request across the
 socket.  The response echoes the header either way.
 
-Shutdown is graceful: :meth:`RegenerationServer.shutdown` stops accepting
-connections, refuses new work with 503, waits for in-flight requests —
-streams included — to drain, and only then closes the listener; stream
-cursors release their store pins on the way out (abrupt client disconnects
-release them immediately, and the service's idle-cursor reaper backstops
-readers that die without closing the socket).
+Shutdown is graceful: :meth:`RegenerationServer.shutdown` refuses new work
+with 503, closes the listener and waits for in-flight requests — streams
+included — to drain; stream cursors release their store pins on the way out
+(abrupt client disconnects release them immediately, and the service's
+idle-cursor reaper backstops readers that die without closing the socket).
+
+The HTTP mechanics — listener lifecycle, routing, body limits, reply
+writers, error → status mapping — are :mod:`repro.server.kernel`'s; this
+module is the route table, the endpoints and what only this server does.
 """
 
 from __future__ import annotations
 
-import json
-import socket
+import math
 import threading
-import time
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterable, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.constraints.workload import ConstraintSet
 from repro.errors import (
     ReproError,
     ServiceClosedError,
@@ -63,8 +63,8 @@ from repro.errors import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.trace import Span, get_tracer
+from repro.server.kernel import MAX_BODY_BYTES, Endpoint, HTTPKernel, Request
 from repro.server.wire import (
-    RequestTooLargeError,
     WireFormatError,
     constraint_set_from_wire,
     ndjson_batch,
@@ -85,57 +85,8 @@ PARENT_SPAN_HEADER = "X-Repro-Parent-Span"
 #: NDJSON content type of the streaming endpoint.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
-#: Default cap on request bodies (64 MiB — a wire workload is a few KB;
-#: anything near this bound is a client bug).  Override per server with the
-#: ``max_request_bytes`` knob; oversized bodies answer **413**.
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
-
-def read_json_body(handler: BaseHTTPRequestHandler,
-                   max_bytes: int = MAX_BODY_BYTES) -> Dict[str, object]:
-    """Read one JSON object request body, bounded by ``max_bytes``.
-
-    Shared by the serving front-end and the cluster's ``StoreServer`` so
-    every repro HTTP endpoint enforces the same body cap.  Raises
-    :class:`RequestTooLargeError` (→ 413) when the declared length exceeds
-    the cap and :class:`WireFormatError` (→ 400) on everything else.  The
-    read itself is bounded by the *declared* length, so a client that lies
-    short simply fails JSON parsing — it can never make the server buffer
-    more than ``max_bytes``.
-    """
-    length_header = handler.headers.get("Content-Length")
-    if length_header is None:
-        raise WireFormatError("a Content-Length request body is required")
-    try:
-        length = int(length_header)
-    except ValueError:
-        raise WireFormatError("bad Content-Length") from None
-    if length < 0:
-        raise WireFormatError("bad Content-Length")
-    if length > max_bytes:
-        raise RequestTooLargeError(
-            f"request body of {length} bytes exceeds the"
-            f" {max_bytes}-byte limit")
-    raw = handler.rfile.read(length)
-    try:
-        body = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireFormatError(f"request body is not JSON: {error}") from None
-    if not isinstance(body, dict):
-        raise WireFormatError("request body must be a JSON object")
-    return body
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    """One thread per connection; never blocks process exit on stragglers."""
-
-    daemon_threads = True
-    block_on_close = False
-    allow_reuse_address = True
-    app: "RegenerationServer"
-
-
-class RegenerationServer:
+class RegenerationServer(HTTPKernel):
     """Threaded HTTP front-end over one :class:`RegenerationService`.
 
     Parameters
@@ -185,21 +136,15 @@ class RegenerationServer:
         if max_request_bytes < 1:
             raise ServiceError("max_request_bytes must be at least 1")
         self.service = service
+        self.registry = registry = service.registry
         self.require_warm = require_warm
-        self.request_timeout = float(request_timeout)
+        self.request_timeout = self.socket_timeout = float(request_timeout)
         self.max_connections = max_connections
         self.default_batch_size = default_batch_size
         self.max_request_bytes = max_request_bytes
         self._state = threading.Condition()
         self._active = 0
         self._draining = False
-        self._closed = False
-        self._serve_thread: Optional[threading.Thread] = None
-        registry = service.registry
-        self._requests_total = registry.counter(
-            "repro_server_requests_total",
-            "HTTP requests served, by endpoint and status code",
-            labelnames=("endpoint", "code"))
         self._g_active = registry.gauge(
             "repro_server_active_requests",
             "HTTP requests currently in flight (streams for their whole"
@@ -214,20 +159,18 @@ class RegenerationServer:
         self._bytes_sent = registry.counter(
             "repro_server_bytes_sent_total",
             "Response body bytes written (JSON and NDJSON)")
-        self._httpd = _HTTPServer((host, port), _Handler)
-        self._httpd.app = self
-        self.host, self.port = self._httpd.server_address[:2]
+        super().__init__(
+            _Handler, host, port,
+            registry.counter(
+                "repro_server_requests_total",
+                "HTTP requests served, by endpoint and status code",
+                labelnames=("endpoint", "code")))
         logger.info("http server bound on %s:%d (require_warm=%s)",
                     self.host, self.port, require_warm)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def url(self) -> str:
-        """Base URL of the bound listener."""
-        return f"http://{self.host}:{self.port}"
-
     @property
     def draining(self) -> bool:
         """``True`` once shutdown started (new work is refused with 503)."""
@@ -239,20 +182,8 @@ class RegenerationServer:
         with self._state:
             return self._active
 
-    def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` is called (blocking)."""
-        self._httpd.serve_forever(poll_interval=0.1)
-
-    def start(self) -> "RegenerationServer":
-        """Serve on a background thread; returns ``self``."""
-        if self._serve_thread is None:
-            self._serve_thread = threading.Thread(
-                target=self.serve_forever, name="repro-http", daemon=True)
-            self._serve_thread.start()
-        return self
-
     def shutdown(self, drain_timeout: Optional[float] = None) -> None:
-        """Graceful stop: refuse new work, drain in-flight requests, close.
+        """Graceful stop: refuse new work, close, drain in-flight requests.
 
         In-flight streams run to completion (bounded by ``drain_timeout``,
         defaulting to ``request_timeout``); their cursors release the store
@@ -260,28 +191,17 @@ class RegenerationServer:
         one inside :meth:`serve_forever`.
         """
         with self._state:
-            if self._closed:
-                return
             self._draining = True
-        self._httpd.shutdown()  # stop accepting; returns when the loop exits
+        if not super().shutdown():
+            return
         limit = self.request_timeout if drain_timeout is None else drain_timeout
         with self._state:
             drained = self._state.wait_for(lambda: self._active == 0, limit)
-            self._closed = True
         if not drained:  # pragma: no cover - only on pathological streams
             logger.warning("shutdown proceeded with %d requests still in"
                            " flight after %.1fs drain", self.active_requests(),
                            limit)
-        self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
         logger.info("http server on %s:%d closed", self.host, self.port)
-
-    def __enter__(self) -> "RegenerationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------ #
     # request accounting (called from handler threads)
@@ -303,210 +223,136 @@ class RegenerationServer:
             self._state.notify_all()
         self._g_active.dec()
 
-    def _observe(self, endpoint: str, code: int, seconds: float) -> None:
-        self._requests_total.labels(endpoint=endpoint, code=str(code)).inc()
+    def observe(self, endpoint: str, code: int, seconds: float) -> None:
+        super().observe(endpoint, code, seconds)
         self._h_request.labels(endpoint=endpoint).observe(seconds)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one connection's requests onto the owning server's service."""
+class _Handler(Request):
+    """The serving front-end's endpoints, and what wraps every one of them:
+    admission + drain accounting, the ``server.request`` span, byte counts
+    and ``Retry-After``."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
 
-    # Set per-connection from the server knob before the socket is used.
-    def setup(self) -> None:
-        self.timeout = self.server.app.request_timeout
-        super().setup()
-        self._trace_id: Optional[str] = None
-
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("%s %s", self.address_string(), format % args)
-
-    # -------------------------------------------------------------- #
-    # routing
-    # -------------------------------------------------------------- #
-    def do_GET(self) -> None:
-        self._route("GET")
-
-    def do_POST(self) -> None:
-        self._route("POST")
-
-    def _route(self, method: str) -> None:
+    def invoke(self, endpoint: str, function: Endpoint) -> int:
         app: RegenerationServer = self.server.app
-        parsed = urlsplit(self.path)
-        segments = [unquote(s) for s in parsed.path.split("/") if s]
-        query = parse_qs(parsed.query)
-        endpoint, handler = self._dispatch(method, segments)
-        started = time.perf_counter()
-
         # `/healthz` stays ungated so load balancers see "draining" rather
         # than a connection refusal mid-shutdown.
-        if endpoint != "healthz":
-            admission = app._begin_request()
-            if admission != "ok":
-                code = 503
-                body = {"error": "server is draining" if admission == "draining"
-                        else f"{app.max_connections} requests already in"
-                        " flight", "status": admission}
-                self._send_json(code, body, extra=(("Retry-After", "1"),))
-                app._observe(endpoint, code, time.perf_counter() - started)
-                return
+        if endpoint == "healthz":
+            return self._traced(endpoint, function)
+        admission = app._begin_request()
+        if admission != "ok":
+            return self.error(
+                503, "server is draining" if admission == "draining"
+                else f"{app.max_connections} requests already in flight",
+                status=admission)
         try:
-            code = self._traced(endpoint, handler, segments, query)
-        except (BrokenPipeError, ConnectionResetError, socket.timeout):
-            # The client went away mid-response; nothing left to send.
-            code = 499
-            self.close_connection = True
-            logger.info("client disconnected during %s", endpoint)
-        except Exception as error:  # last-resort 500, connection kept sane
-            code = 500
-            self.close_connection = True
-            logger.error("unhandled error serving %s: %s", endpoint, error)
+            return self._traced(endpoint, function)
         finally:
-            if endpoint != "healthz":
-                app._end_request()
-            app._observe(endpoint, code, time.perf_counter() - started)
+            app._end_request()
 
-    def _dispatch(self, method: str, segments: list) -> Tuple[str, object]:
-        if segments == ["healthz"] and method == "GET":
-            return "healthz", self._do_healthz
-        if segments == ["metrics"] and method == "GET":
-            return "metrics", self._do_metrics
-        if segments == ["v1", "stats"] and method == "GET":
-            return "stats", self._do_stats
-        if segments == ["v1", "summarize"] and method == "POST":
-            return "summarize", self._do_summarize
-        if segments == ["v1", "resummarize"] and method == "POST":
-            return "resummarize", self._do_resummarize
-        if (len(segments) == 4 and segments[:2] == ["v1", "stream"]
-                and method == "GET"):
-            return "stream", self._do_stream
-        return "unknown", self._do_unknown
-
-    def _traced(self, endpoint: str, handler: object, segments: list,
-                query: Dict[str, list]) -> int:
-        """Run one routed request inside a ``server.request`` span.
+    def _traced(self, endpoint: str, function: Endpoint) -> int:
+        """Run one admitted request inside a ``server.request`` span.
 
         A client-supplied ``X-Repro-Trace-Id`` forces recording into that
         trace (the client already made the sampling decision); otherwise the
         process tracer's own sampling applies.  The span is *current* while
-        the handler runs, so service/store/solver spans nest under it and
-        the whole tree shares the client's trace id.
+        the endpoint runs, so service/store/solver spans nest under it and
+        the whole tree shares the client's trace id, which the reply echoes.
         """
         tracer = get_tracer()
-        incoming = self.headers.get(TRACE_HEADER)
-        if incoming:
-            span = Span(tracer, "server.request", incoming,
+        trace_id = self.headers.get(TRACE_HEADER)
+        if trace_id:
+            span = Span(tracer, "server.request", trace_id,
                         self.headers.get(PARENT_SPAN_HEADER) or None,
                         {"endpoint": endpoint, "method": self.command})
-            self._trace_id = incoming
         else:
             span = tracer.start_span("server.request", endpoint=endpoint,
                                      method=self.command)
-            self._trace_id = getattr(span, "trace_id", None)
+            trace_id = getattr(span, "trace_id", None)
+        if trace_id:
+            self.reply_headers.append((TRACE_HEADER, trace_id))
         with span:
-            code = handler(segments, query)
+            code = super().invoke(endpoint, function)
             span.set_attribute("status", code)
         return code
 
-    # -------------------------------------------------------------- #
-    # response plumbing
-    # -------------------------------------------------------------- #
-    def _std_headers(self) -> None:
-        if self._trace_id:
-            self.send_header(TRACE_HEADER, self._trace_id)
-
-    def _send_json(self, code: int, payload: Dict[str, object],
-                   extra: Iterable[Tuple[str, str]] = ()) -> int:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra:
-            self.send_header(name, value)
-        self._std_headers()
-        self.end_headers()
-        self.wfile.write(body)
+    def send(self, code: int, headers: Iterable[Tuple[str, str]],
+             body: bytes = b"") -> int:
+        super().send(code, headers, body)
         self.server.app._bytes_sent.inc(len(body))
         return code
 
-    def _send_text(self, code: int, text: str, content_type: str) -> int:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self._std_headers()
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.app._bytes_sent.inc(len(body))
-        return code
-
-    def _error(self, code: int, message: str, **extra_fields: object) -> int:
-        payload: Dict[str, object] = {"error": message}
-        payload.update(extra_fields)
-        headers = (("Retry-After", "1"),) if code in (429, 503) else ()
-        return self._send_json(code, payload, extra=headers)
+    def error(self, code: int, message: str, **fields: object) -> int:
+        retry = (("Retry-After", "1"),) if code in (429, 503) else ()
+        return self.send_json(code, {"error": message, **fields}, retry)
 
     # -------------------------------------------------------------- #
     # endpoints
     # -------------------------------------------------------------- #
-    def _do_unknown(self, segments: list, query: Dict[str, list]) -> int:
-        return self._error(404, f"no route for {self.command}"
-                                f" /{'/'.join(segments)}")
-
-    def _do_healthz(self, segments: list, query: Dict[str, list]) -> int:
+    def _healthz(self) -> int:
         app = self.server.app
         draining = app.draining
-        payload = {
+        return self.send_json(503 if draining else 200, {
             "status": "draining" if draining else "ok",
             "engine": app.service.engine,
             "active_requests": app.active_requests(),
             "require_warm": app.require_warm,
-        }
-        return self._send_json(503 if draining else 200, payload)
+        })
 
-    def _do_metrics(self, segments: list, query: Dict[str, list]) -> int:
-        text = self.server.app.service.registry.to_prometheus()
-        return self._send_text(200, text, "text/plain; version=0.0.4")
-
-    def _do_stats(self, segments: list, query: Dict[str, list]) -> int:
+    def _stats(self) -> int:
         stats = self.server.app.service.service_stats()
-        payload = {
+        return self.send_json(200, {
             "counters": stats.counters,
             "queue_depth": stats.queue_depth,
             "tenants": [asdict(row) for row in stats.tenants],
-        }
-        return self._send_json(200, payload)
+        })
 
-    def _do_summarize(self, segments: list, query: Dict[str, list]) -> int:
+    def _submission(self, body: Dict[str, object]) -> Tuple[
+            ConstraintSet, Optional[List[str]], str, float, str]:
+        """The fields ``/v1/summarize`` and ``/v1/resummarize`` share —
+        ``(workload, relations, tenant, timeout, fingerprint)`` — or a 400.
+        Every later error body names the fingerprint."""
+        workload = constraint_set_from_wire(body.get("workload"))
+        relations = body.get("relations")
+        if relations is not None and not isinstance(relations, list):
+            raise WireFormatError("'relations' must be a list or null")
+        tenant = str(body.get("tenant", DEFAULT_TENANT))
+        try:
+            timeout = float(body.get("timeout",
+                                     self.server.app.request_timeout))
+        except (TypeError, ValueError):
+            timeout = math.nan
+        if not math.isfinite(timeout):
+            raise WireFormatError("'timeout' must be a finite number of"
+                                  " seconds")
+        fingerprint = self.server.app.service.fingerprint(workload, relations)
+        self.error_fields["fingerprint"] = fingerprint
+        return workload, relations, tenant, timeout, fingerprint
+
+    def _build_failed(self, error: ReproError, timeout: float) -> int:
+        """An admitted build gave no summary: 504 on the wait bound, else
+        the pipeline's own error as a 500."""
+        if isinstance(error, ServiceError):
+            return self.error(504, f"build did not finish within {timeout}s:"
+                                   f" {error}", **self.error_fields)
+        return self.error(500, f"{type(error).__name__}: {error}",
+                          **self.error_fields)
+
+    def _summarize(self) -> int:
         app = self.server.app
         service = app.service
-        try:
-            body = self._read_json_body()
-            workload = constraint_set_from_wire(body.get("workload"))
-            relations = body.get("relations")
-            if relations is not None and not isinstance(relations, list):
-                raise WireFormatError("'relations' must be a list or null")
-            tenant = str(body.get("tenant", DEFAULT_TENANT))
-            wait = bool(body.get("wait", True))
-            timeout = float(body.get("timeout", app.request_timeout))
-        except RequestTooLargeError as error:
-            return self._error(413, str(error))
-        except WireFormatError as error:
-            return self._error(400, str(error))
-        fingerprint = service.fingerprint(workload, relations)
+        body = self.read_json()
+        workload, relations, tenant, timeout, fingerprint = \
+            self._submission(body)
+        wait = bool(body.get("wait", True))
         if app.require_warm and not service.store.has_summary(fingerprint):
-            return self._error(
+            return self.error(
                 409, "fingerprint is not in the store and this server refuses"
                      " to run the pipeline (require_warm)",
                 fingerprint=fingerprint)
-        try:
-            ticket = service.submit(workload, relations, tenant=tenant)
-        except ServiceOverloadedError as error:
-            return self._error(429, str(error), fingerprint=fingerprint)
-        except ServiceClosedError as error:
-            return self._error(503, str(error), fingerprint=fingerprint)
+        ticket = service.submit(workload, relations, tenant=tenant)
         payload: Dict[str, object] = {
             "fingerprint": ticket.fingerprint,
             "warm": ticket.warm,
@@ -515,15 +361,11 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if not wait:
             payload["status"] = "done" if ticket.done() else "building"
-            return self._send_json(202, payload)
+            return self.send_json(202, payload)
         try:
             summary = ticket.result(timeout)
-        except ServiceError as error:
-            return self._error(504, f"build did not finish within {timeout}s:"
-                                    f" {error}", fingerprint=fingerprint)
         except ReproError as error:
-            return self._error(500, f"{type(error).__name__}: {error}",
-                               fingerprint=fingerprint)
+            return self._build_failed(error, timeout)
         payload.update({
             "status": "done",
             "total_rows": int(summary.total_rows()),
@@ -531,36 +373,26 @@ class _Handler(BaseHTTPRequestHandler):
             "relations": {name: int(rel.total_rows())
                           for name, rel in sorted(summary.relations.items())},
         })
-        return self._send_json(200, payload)
+        return self.send_json(200, payload)
 
-    def _do_resummarize(self, segments: list, query: Dict[str, list]) -> int:
+    def _resummarize(self) -> int:
         app = self.server.app
         service = app.service
-        try:
-            body = self._read_json_body()
-            base_fingerprint = body.get("base_fingerprint")
-            if not isinstance(base_fingerprint, str) or not base_fingerprint:
-                raise WireFormatError(
-                    "'base_fingerprint' must be a non-empty string")
-            workload = constraint_set_from_wire(body.get("workload"))
-            relations = body.get("relations")
-            if relations is not None and not isinstance(relations, list):
-                raise WireFormatError("'relations' must be a list or null")
-            tenant = str(body.get("tenant", DEFAULT_TENANT))
-            timeout = float(body.get("timeout", app.request_timeout))
-        except RequestTooLargeError as error:
-            return self._error(413, str(error))
-        except WireFormatError as error:
-            return self._error(400, str(error))
+        body = self.read_json()
+        base_fingerprint = body.get("base_fingerprint")
+        if not isinstance(base_fingerprint, str) or not base_fingerprint:
+            raise WireFormatError(
+                "'base_fingerprint' must be a non-empty string")
+        workload, relations, tenant, timeout, fingerprint = \
+            self._submission(body)
         if not service.store.has_summary(base_fingerprint):
             # Resummarize never cold-builds the base epoch: an unknown base
             # is the same 404 an unknown stream fingerprint answers.
-            return self._error(404, "base fingerprint is not in the store;"
-                                    " summarize the base workload first",
-                               base_fingerprint=base_fingerprint)
-        fingerprint = service.fingerprint(workload, relations)
+            return self.error(404, "base fingerprint is not in the store;"
+                                   " summarize the base workload first",
+                              base_fingerprint=base_fingerprint)
         if app.require_warm and not service.store.has_summary(fingerprint):
-            return self._error(
+            return self.error(
                 409, "drifted fingerprint is not in the store and this server"
                      " refuses to run the pipeline (require_warm)",
                 fingerprint=fingerprint, base_fingerprint=base_fingerprint)
@@ -568,16 +400,10 @@ class _Handler(BaseHTTPRequestHandler):
             report = service.resummarize(base_fingerprint, workload,
                                          relations, tenant=tenant,
                                          timeout=timeout)
-        except ServiceOverloadedError as error:
-            return self._error(429, str(error), fingerprint=fingerprint)
-        except ServiceClosedError as error:
-            return self._error(503, str(error), fingerprint=fingerprint)
-        except ServiceError as error:
-            return self._error(504, f"build did not finish within {timeout}s:"
-                                    f" {error}", fingerprint=fingerprint)
+        except (ServiceOverloadedError, ServiceClosedError):
+            raise  # the kernel's 429 / 503
         except ReproError as error:
-            return self._error(500, f"{type(error).__name__}: {error}",
-                               fingerprint=fingerprint)
+            return self._build_failed(error, timeout)
         summary = report.summary
         payload: Dict[str, object] = {
             "status": "done",
@@ -596,22 +422,23 @@ class _Handler(BaseHTTPRequestHandler):
             "relations": {name: int(rel.total_rows())
                           for name, rel in sorted(summary.relations.items())},
         }
-        return self._send_json(200, payload)
+        return self.send_json(200, payload)
 
-    def _do_stream(self, segments: list, query: Dict[str, list]) -> int:
+    def _stream(self) -> int:
         app = self.server.app
         service = app.service
-        fingerprint, relation = segments[2], segments[3]
+        fingerprint, relation = self.segments[2:]
+        query = self.query
         try:
             shard_index, shard_count = parse_shard(
                 query.get("shard", ["1/1"])[0])
             batch_size = int(query.get("batch_size",
                                        [app.default_batch_size])[0])
-            if batch_size < 1:
-                raise WireFormatError("batch_size must be at least 1")
-            tenant = query.get("tenant", [DEFAULT_TENANT])[0]
-        except (WireFormatError, ValueError) as error:
-            return self._error(400, str(error))
+        except ValueError as error:
+            raise WireFormatError(str(error)) from None
+        if batch_size < 1:
+            raise WireFormatError("batch_size must be at least 1")
+        tenant = query.get("tenant", [DEFAULT_TENANT])[0]
         try:
             total_rows = service.total_rows(fingerprint, relation)
             start_row, stop_row = shard_bounds(total_rows, shard_index,
@@ -622,27 +449,24 @@ class _Handler(BaseHTTPRequestHandler):
                                     tenant=tenant)
         except (SummaryError, ServiceError) as error:
             # Unknown fingerprint (store-only resolution) or unknown relation.
-            return self._error(404, str(error), fingerprint=fingerprint,
-                               relation=relation)
+            return self.error(404, str(error), fingerprint=fingerprint,
+                              relation=relation)
         shard_rows = max(0, (stop_row or 0) - start_row + 1)
         try:
-            self.send_response(200)
-            self.send_header("Content-Type", NDJSON_CONTENT_TYPE)
-            self.send_header("Transfer-Encoding", "chunked")
-            self.send_header("X-Repro-Total-Rows", str(total_rows))
-            self.send_header("X-Repro-Shard-Rows", str(shard_rows))
-            self.send_header("X-Repro-Shard",
-                             f"{shard_index}/{shard_count}")
-            self._std_headers()
-            self.end_headers()
+            self.send(200, (
+                ("Content-Type", NDJSON_CONTENT_TYPE),
+                ("Transfer-Encoding", "chunked"),
+                ("X-Repro-Total-Rows", str(total_rows)),
+                ("X-Repro-Shard-Rows", str(shard_rows)),
+                ("X-Repro-Shard", f"{shard_index}/{shard_count}")))
             sent = 0
             for batch in cursor:
                 payload = ndjson_batch(batch)
                 if payload:
-                    self._write_chunk(payload)
+                    self.write_chunk(payload)
                     sent += len(payload)
                     app._rows_streamed.inc(batch.num_rows)
-            self.wfile.write(b"0\r\n\r\n")
+            self.write_chunk(b"")
             app._bytes_sent.inc(sent)
             return 200
         finally:
@@ -650,13 +474,10 @@ class _Handler(BaseHTTPRequestHandler):
             # disconnect/error paths (and is a no-op otherwise).
             cursor.close()
 
-    # -------------------------------------------------------------- #
-    # helpers
-    # -------------------------------------------------------------- #
-    def _write_chunk(self, payload: bytes) -> None:
-        self.wfile.write(f"{len(payload):x}\r\n".encode("ascii"))
-        self.wfile.write(payload)
-        self.wfile.write(b"\r\n")
-
-    def _read_json_body(self) -> Dict[str, object]:
-        return read_json_body(self, self.server.app.max_request_bytes)
+    routes = {
+        ("GET", "/healthz"): ("healthz", _healthz),
+        ("GET", "/v1/stats"): ("stats", _stats),
+        ("POST", "/v1/summarize"): ("summarize", _summarize),
+        ("POST", "/v1/resummarize"): ("resummarize", _resummarize),
+        ("GET", "/v1/stream/*/*"): ("stream", _stream),
+    }

@@ -17,9 +17,9 @@ one-shot pipeline into a reusable serving system:
   without touching the LP solver, admits cold builds through a weighted-fair
   per-tenant queue (global ``max_pending`` plus ``max_pending_per_tenant``
   caps), optionally GCs the store from a background thread and routes cold
-  builds through the :mod:`repro.api.backends` registry;
-* :mod:`repro.service.cli` — deprecated alias of the unified
-  ``python -m repro`` CLI (see :mod:`repro.cli`).
+  builds through the :mod:`repro.api.backends` registry.
+
+The CLI door is the unified ``python -m repro`` (see :mod:`repro.cli`).
 """
 
 from repro.service.fingerprint import (

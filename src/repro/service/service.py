@@ -418,8 +418,8 @@ class RegenerationService:
             # plain SummaryStore) is used as-is.
             self.store = store
         else:
-            # Lazy import: repro.cluster imports repro.server.http, which
-            # imports this module — deferring keeps the import DAG acyclic.
+            # Lazy import: repro.cluster imports the repro.server package,
+            # which imports this module — deferring keeps the DAG acyclic.
             from repro.cluster.factory import open_store
 
             self.store = open_store(store, config=self.config,

@@ -7,14 +7,13 @@ Covers the acceptance bar of the facade redesign:
   entry points, for both engines, property-tested across batch sizes;
 * ``RegenConfig`` consolidates the knobs, derives the legacy configs
   loss-lessly and namespaces store fingerprints (result-affecting knobs
-  split the store, performance knobs never do, old-style and new-style
-  spellings of the same config collide on the same fingerprint);
+  split the store, performance knobs never do, ``HydraConfig`` and
+  ``RegenConfig`` spellings of the same config collide on the same
+  fingerprint);
 * the backend registry routes both ``Session`` and ``RegenerationService``,
   including user-registered engines;
 * ``max_pending`` backpressure rejects cold submissions with
-  ``ServiceOverloadedError`` while warm/deduped requests stay admitted;
-* the deprecation shims (``Hydra(schema, workers=...)``, ``repro.service``
-  CLI) warn once and produce results equal to the new path.
+  ``ServiceOverloadedError`` while warm/deduped requests stay admitted.
 """
 
 from __future__ import annotations
@@ -284,13 +283,6 @@ class TestFingerprintIntegration:
         session = Session(schema, config=RegenConfig(milp_variable_limit=2_000))
         assert legacy.request_fingerprint(constraints) == session.fingerprint(constraints)
 
-    def test_old_kwargs_spelling_hits_the_same_fingerprint(self, env):
-        schema, _, _, constraints = env
-        with pytest.warns(DeprecationWarning):
-            legacy = Hydra(schema, milp_variable_limit=2_000)
-        session = Session(schema, config=RegenConfig(milp_variable_limit=2_000))
-        assert legacy.request_fingerprint(constraints) == session.fingerprint(constraints)
-
     def test_result_affecting_knobs_never_share_store_entries(self, env, tmp_path):
         schema, _, _, constraints = env
         store = SummaryStore(tmp_path / "store")
@@ -458,45 +450,7 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------- #
-# deprecation shims
-# ---------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_hydra_kwargs_warn_and_match_config_path(self, env):
-        schema, _, _, constraints = env
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            shimmed = Hydra(schema, workers=1, cache_size=8)
-        assert shimmed.config == HydraConfig(workers=1, cache_size=8)
-        reference = Hydra(schema, HydraConfig(workers=1, cache_size=8))
-        assert (_relations_json(shimmed.build_summary(constraints).summary)
-                == _relations_json(reference.build_summary(constraints).summary))
-
-    def test_hydra_rejects_config_plus_kwargs(self, env):
-        schema = env[0]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                Hydra(schema, HydraConfig(), workers=2)
-
-    def test_datasynth_kwargs_warn_and_match_config_path(self, env):
-        schema, _, _, constraints = env
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            shimmed = DataSynth(schema, seed=13)
-        assert shimmed.config == DataSynthConfig(seed=13)
-
-    def test_service_cli_warns_and_delegates(self, tmp_path, capsys):
-        from repro.cli import main as unified_main
-        from repro.service import cli as legacy_cli
-
-        store = str(tmp_path / "store")
-        SummaryStore(store)  # create an empty store
-        with pytest.warns(DeprecationWarning, match="python -m repro"):
-            assert legacy_cli.main(["stats", "--store", store]) == 0
-        legacy_out = capsys.readouterr().out
-        assert unified_main(["stats", "--store", store]) == 0
-        assert capsys.readouterr().out == legacy_out
-
-
-# ---------------------------------------------------------------------- #
-# unified CLI round trip against a store warmed by the legacy CLI
+# unified CLI round trip: one process warms the store, the next serves it
 # ---------------------------------------------------------------------- #
 class TestUnifiedCLIRoundTrip:
     @staticmethod
@@ -517,10 +471,12 @@ class TestUnifiedCLIRoundTrip:
         )
 
     def test_unified_serve_round_trips_legacy_warm(self, tmp_path):
+        # The id predates the removal of the `python -m repro.service warm`
+        # alias; the store is now warmed by `python -m repro summarize`.
         store = str(tmp_path / "store")
         flags = ["--store", store, "--scale", "0.0002", "--queries", "5"]
 
-        warm = self.run_cli("repro.service", "warm", *flags)
+        warm = self.run_cli("repro", "summarize", *flags)
         assert warm.returncode == 0, warm.stderr
         fingerprint = warm.stdout.splitlines()[0].split("=", 1)[1]
 

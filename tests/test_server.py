@@ -356,9 +356,24 @@ class TestTracePropagation:
 # error mapping
 # ---------------------------------------------------------------------- #
 class TestErrorContracts:
+    # The statuses every kernel-mounted server answers alike (unknown route,
+    # body cap, body shape, last-resort 500) are in tests/test_http_kernel.py;
+    # these are the ones this server's route table and endpoints decide.
     def test_unknown_route_404(self, server):
-        assert http_get(server, "/v2/nope").status == 404
+        # a routed path under a method it is not routed for
         assert http_post_json(server, "/healthz", {}).status == 404
+        for method, path in (("PUT", "/v1/summarize"),
+                             ("DELETE", f"/v1/stream/{'0' * 64}/S")):
+            request = urllib.request.Request(server.url + path, data=b"{}",
+                                             method=method)
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30)
+            assert info.value.code == 404
+            assert json.loads(info.value.read())["error"] == \
+                f"no route for {method} {path}"
+        wait_until(lambda: server.registry.snapshot().get(
+            'repro_server_requests_total{endpoint="unknown",code="404"}',
+            0) >= 3, message="unrouted requests counted as unknown")
 
     def test_unknown_fingerprint_404(self, server):
         response = http_get(server, f"/v1/stream/{'0' * 64}/S")
@@ -383,11 +398,25 @@ class TestErrorContracts:
         assert http_post_json(server, "/v1/summarize", payload).status == 400
 
     def test_non_json_body_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/v1/summarize", data=b"\xff\xfenot json")
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=30)
-        assert info.value.code == 400
+        # both submission endpoints read their body through the same parser
+        for path in ("/v1/summarize", "/v1/resummarize"):
+            request = urllib.request.Request(
+                server.url + path, data=b"\xff\xfenot json")
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30)
+            assert info.value.code == 400
+
+    @pytest.mark.parametrize("endpoint", ["summarize", "resummarize"])
+    @pytest.mark.parametrize("timeout", ["abc", None, [], {"s": 1},
+                                         float("inf"), float("nan")])
+    def test_bad_timeout_400(self, server, warm_store, endpoint, timeout):
+        response = http_post_json(server, f"/v1/{endpoint}", {
+            "workload": constraint_set_to_wire(toy_ccs()),
+            "base_fingerprint": warm_store.fingerprint,
+            "timeout": timeout,
+        })
+        assert response.status == 400
+        assert "'timeout'" in as_json(response)["error"]
 
 
 # ---------------------------------------------------------------------- #

@@ -492,7 +492,7 @@ class TestServiceCLI:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         return subprocess.run(
-            [sys.executable, "-m", "repro.service", *argv],
+            [sys.executable, "-m", "repro", *argv],
             capture_output=True, text=True, env=env, cwd=repo, timeout=300,
         )
 
@@ -500,7 +500,7 @@ class TestServiceCLI:
         store = str(tmp_path / "store")
         flags = ["--store", store, "--scale", "0.0002", "--queries", "5"]
 
-        warm = self.run_cli("warm", *flags)
+        warm = self.run_cli("summarize", *flags)
         assert warm.returncode == 0, warm.stderr
         assert "pipeline_runs=1" in warm.stdout
 
@@ -511,7 +511,7 @@ class TestServiceCLI:
         assert "pipeline_runs=0" in serve.stdout
         assert "solver_components_solved=0" in serve.stdout
 
-        inspect = self.run_cli("inspect", "--store", store)
+        inspect = self.run_cli("stats", "--store", store, "--entries")
         assert inspect.returncode == 0 and "summaries=1" in inspect.stdout
 
     def test_serve_refuses_cold_request_when_warm_required(self, tmp_path):
