@@ -5,7 +5,9 @@ mounted on (:mod:`repro.server.kernel`), the serving front-end's routes and
 endpoints (:mod:`repro.server.http`) and the wire formats it speaks
 (:mod:`repro.server.wire`): the JSON workload encoding whose round trip is
 fingerprint-exact, and the per-row NDJSON tuple encoding whose sharded
-concatenation is byte-identical to the whole relation.
+concatenation is byte-identical to the whole relation (defined by a
+per-``Table`` reference encoder, produced on the stream path by
+``ndjson_encoder`` straight from the summary's runs).
 ``python -m repro serve --listen HOST:PORT`` is the CLI door.
 """
 
@@ -22,6 +24,7 @@ from repro.server.wire import (
     constraint_set_from_wire,
     constraint_set_to_wire,
     ndjson_batch,
+    ndjson_encoder,
     parse_shard,
     shard_bounds,
 )
@@ -37,6 +40,7 @@ __all__ = [
     "constraint_set_from_wire",
     "constraint_set_to_wire",
     "ndjson_batch",
+    "ndjson_encoder",
     "parse_shard",
     "shard_bounds",
 ]

@@ -20,8 +20,9 @@ paper's regenerate-on-demand loop works across a socket:
   *drifted* epoch — the same contracts as ``/v1/stream`` and
   ``/v1/summarize``;
 * ``GET /v1/stream/<fingerprint>/<relation>`` — the regenerated relation as
-  chunked NDJSON, one JSON object per tuple, produced batch-at-a-time by
-  :meth:`TupleGenerator.stream_range` so the tuple stream is never
+  chunked NDJSON, one JSON object per tuple, encoded batch-at-a-time
+  straight from the relation summary's runs
+  (:func:`repro.server.wire.ndjson_encoder`) so the tuples are never
   materialised on either side of the socket.  ``?shard=i/n`` hands parallel
   clients disjoint contiguous row ranges whose concatenation is
   byte-identical to the whole relation;
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -62,12 +64,12 @@ from repro.errors import (
     SummaryError,
 )
 from repro.obs.logging import get_logger
-from repro.obs.trace import Span, get_tracer
+from repro.obs.trace import Span, current_span, get_tracer
 from repro.server.kernel import MAX_BODY_BYTES, Endpoint, HTTPKernel, Request
 from repro.server.wire import (
     WireFormatError,
     constraint_set_from_wire,
-    ndjson_batch,
+    ndjson_encoder,
     parse_shard,
     shard_bounds,
 )
@@ -84,6 +86,10 @@ PARENT_SPAN_HEADER = "X-Repro-Parent-Span"
 
 #: NDJSON content type of the streaming endpoint.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
+
+#: Most tuples encoded into one stream chunk whatever ``?batch_size=`` asks
+#: for: server memory per stream stays O(this), not O(relation).
+MAX_STREAM_BATCH_ROWS = 1 << 16
 
 
 class RegenerationServer(HTTPKernel):
@@ -159,6 +165,10 @@ class RegenerationServer(HTTPKernel):
         self._bytes_sent = registry.counter(
             "repro_server_bytes_sent_total",
             "Response body bytes written (JSON and NDJSON)")
+        self._h_stream_encode = registry.histogram(
+            "repro_server_stream_encode_seconds",
+            "Time one NDJSON stream spent producing its chunks (generation"
+            " + wire encoding), socket writes excluded")
         super().__init__(
             _Handler, host, port,
             registry.counter(
@@ -438,20 +448,25 @@ class _Handler(Request):
             raise WireFormatError(str(error)) from None
         if batch_size < 1:
             raise WireFormatError("batch_size must be at least 1")
+        # Batching is not part of the contract (the body is the same bytes
+        # at any batch size), so an oversized request is served, in capped
+        # chunks, rather than refused.
+        batch_size = min(batch_size, MAX_STREAM_BATCH_ROWS)
         tenant = query.get("tenant", [DEFAULT_TENANT])[0]
         try:
             total_rows = service.total_rows(fingerprint, relation)
             start_row, stop_row = shard_bounds(total_rows, shard_index,
                                                shard_count)
-            cursor = service.stream(fingerprint, relation,
-                                    batch_size=batch_size,
-                                    start_row=start_row, stop_row=stop_row,
-                                    tenant=tenant)
+            cursor = service.stream_encoded(
+                fingerprint, relation, ndjson_encoder, batch_size=batch_size,
+                start_row=start_row, stop_row=stop_row, tenant=tenant)
         except (SummaryError, ServiceError) as error:
             # Unknown fingerprint (store-only resolution) or unknown relation.
             return self.error(404, str(error), fingerprint=fingerprint,
                               relation=relation)
         shard_rows = max(0, (stop_row or 0) - start_row + 1)
+        rows = sent = 0
+        encode_s = write_s = 0.0
         try:
             self.send(200, (
                 ("Content-Type", NDJSON_CONTENT_TYPE),
@@ -459,20 +474,31 @@ class _Handler(Request):
                 ("X-Repro-Total-Rows", str(total_rows)),
                 ("X-Repro-Shard-Rows", str(shard_rows)),
                 ("X-Repro-Shard", f"{shard_index}/{shard_count}")))
-            sent = 0
-            for batch in cursor:
-                payload = ndjson_batch(batch)
-                if payload:
-                    self.write_chunk(payload)
-                    sent += len(payload)
-                    app._rows_streamed.inc(batch.num_rows)
+            mark = time.perf_counter()
+            for payload in cursor:
+                encoded = time.perf_counter()
+                self.write_chunk(payload)
+                sent += len(payload)
+                rows += min(batch_size, shard_rows - rows)
+                encode_s += encoded - mark
+                mark = time.perf_counter()
+                write_s += mark - encoded
             self.write_chunk(b"")
-            app._bytes_sent.inc(sent)
             return 200
         finally:
             # Exhausted cursors already released their pin; this covers the
-            # disconnect/error paths (and is a no-op otherwise).
+            # disconnect/error paths (and is a no-op otherwise).  What was
+            # written before a disconnect was still written: count it.
             cursor.close()
+            app._rows_streamed.inc(rows)
+            app._bytes_sent.inc(sent)
+            app._h_stream_encode.observe(encode_s)
+            span = current_span()
+            if span is not None:  # the request span, when it is recorded
+                span.set_attribute("rows", rows)
+                span.set_attribute("bytes", sent)
+                span.set_attribute("encode_s", round(encode_s, 6))
+                span.set_attribute("write_s", round(write_s, 6))
 
     routes = {
         ("GET", "/healthz"): ("healthz", _healthz),

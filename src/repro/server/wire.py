@@ -14,13 +14,15 @@ Two encodings live here, both deliberately boring JSON so any HTTP client
   one object per tuple, keys in column order, compact separators.  The
   encoding is strictly *per-row*, so the concatenation of any sharding of a
   relation is byte-identical to the encoding of the materialised whole —
-  the contract the protocol test suite locks down.
+  the contract the protocol test suite locks down.  :func:`ndjson_batch`
+  *defines* the format; :func:`ndjson_encoder` is what the stream endpoint
+  *runs*: the same bytes, produced from the relation summary's runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
@@ -29,6 +31,7 @@ from repro.errors import ServiceError
 from repro.predicates.conjunct import Conjunct
 from repro.predicates.dnf import DNFPredicate
 from repro.predicates.interval import Interval, IntervalSet
+from repro.tuplegen.generator import TupleGenerator
 
 #: Version tag of the workload wire form; bump on incompatible changes.
 WIRE_VERSION = 1
@@ -164,6 +167,46 @@ def ndjson_batch(table: Table) -> bytes:
     lines = [json.dumps(dict(zip(names, row)), separators=(",", ":"))
              for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def ndjson_encoder(generator: TupleGenerator) -> Callable[[int, int], bytes]:
+    """:func:`ndjson_batch` of a generated relation, encoded from its summary.
+
+    A generated tuple's line is ``{"<pk>":`` + its row number + text that
+    depends only on its summary row (``,"c1":v1,…}\n``).  Both pieces are
+    encoded here, once per relation — names through ``json.dumps``, so
+    escaping is the reference encoder's — and the returned ``batch(start,
+    stop)`` is then, for each run of :meth:`TupleGenerator.run_window`, the
+    run's row numbers joined by ``suffix + prefix``: work proportional to the
+    digits written plus the summary rows touched, with no :class:`Table` and
+    no per-tuple object.  ``batch(start, stop)`` equals the reference
+    encoding of ``generator._batch(start, stop)`` byte for byte (``start..
+    stop`` 1-based, inclusive, within the relation); the property suite
+    holds it to that.
+    """
+    summary = generator.summary
+    run_window = generator.run_window
+    prefix = "{" + json.dumps(summary.primary_key) + ":"
+    names = ["," + json.dumps(column) + ":" for column in summary.columns]
+    suffixes = [
+        "".join(name + str(int(value)) for name, value in zip(names, values))
+        + "}\n"
+        for values, _ in summary.rows]
+    joints = [suffix + prefix for suffix in suffixes]
+
+    def batch(start: int, stop: int) -> bytes:
+        first, repeats = run_window(start, stop)
+        parts: List[str] = []
+        key = start
+        for row, count in enumerate(repeats.tolist(), first):
+            if count:
+                parts += (prefix,
+                          joints[row].join(map(str, range(key, key + count))),
+                          suffixes[row])
+                key += count
+        return "".join(parts).encode("utf-8")
+
+    return batch
 
 
 def shard_bounds(total_rows: int, index: int, count: int) -> Tuple[int, Optional[int]]:

@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Callable,
     Deque,
     Dict,
     Iterator,
@@ -77,6 +78,9 @@ from repro.workload.query import Workload
 
 #: Tenant tag assigned to submissions that do not name one.
 DEFAULT_TENANT = "default"
+
+#: Encodes the tuples with primary keys ``start..stop`` (1-based, inclusive).
+BatchEncoder = Callable[[int, int], bytes]
 
 logger = get_logger("service")
 
@@ -455,6 +459,7 @@ class RegenerationService:
         self._closed = False
         self._flights: Dict[str, _Flight] = {}
         self._generators: Dict[Tuple[str, str], TupleGenerator] = {}
+        self._encoders: Dict[Tuple[str, str, object], BatchEncoder] = {}
         # Every handed-out stream cursor, weakly held: the reaper can reach
         # abandoned cursors without keeping them alive (a strong reference
         # would defeat the `__del__` GC backstop when no reaper runs).
@@ -925,10 +930,47 @@ class RegenerationService:
         (or closed/collected): store GC never evicts an entry backing an
         in-flight stream.
         """
+        return self._stream(request, relation, None, batch_size, start_row,
+                            stop_row, timeout, tenant)
+
+    def stream_encoded(self, request: Union[ConstraintSet, str], relation: str,
+                       template: Callable[[TupleGenerator], BatchEncoder],
+                       batch_size: int = DEFAULT_BATCH_SIZE,
+                       start_row: int = 1, stop_row: Optional[int] = None,
+                       timeout: Optional[float] = None,
+                       tenant: str = DEFAULT_TENANT) -> Iterator[bytes]:
+        """:meth:`stream`, with every batch encoded straight from the
+        relation summary instead of built as a :class:`Table`.
+
+        ``template(generator)`` is called once per ``(fingerprint,
+        relation)`` — its result is cached beside the shared generator — and
+        returns the function encoding the tuples with primary keys
+        ``start..stop`` (:func:`repro.server.wire.ndjson_encoder` is the one
+        the HTTP front-end passes).  The cursor is the same pinned, reaped,
+        counted and traced cursor :meth:`stream` hands out; only what a
+        batch *is* differs.
+        """
+        return self._stream(request, relation, template, batch_size,
+                            start_row, stop_row, timeout, tenant)
+
+    def _stream(self, request: Union[ConstraintSet, str], relation: str,
+                template: Optional[Callable[[TupleGenerator], BatchEncoder]],
+                batch_size: int, start_row: int, stop_row: Optional[int],
+                timeout: Optional[float], tenant: str) -> "_PinnedCursor":
         handed_out = time.perf_counter()
         fingerprint, summary = self._resolve_summary(request, timeout)
         generator = self._generator(fingerprint, relation, summary)
-        batches = generator.stream_range(start_row, stop_row, batch_size=batch_size)
+        if template is None:
+            batches = generator.stream_range(start_row, stop_row,
+                                             batch_size=batch_size)
+        else:
+            key = (fingerprint, relation, template)
+            with self._lock:
+                encode = self._encoders.get(key)
+                if encode is None:
+                    encode = self._encoders[key] = template(generator)
+            batches = generator.encode_range(encode, start_row, stop_row,
+                                             batch_size=batch_size)
         # Non-current span covering the cursor's whole lifetime (handout to
         # release): generators cross yields, so it must never leak into the
         # consumer's contextvar.

@@ -20,7 +20,7 @@ the interpreter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.summary.relation_summary import DatabaseSummary, RelationSummary
 
 #: Default number of tuples produced per streamed batch.
 DEFAULT_BATCH_SIZE = 65_536
+
+#: What one streamed batch is: a :class:`Table`, or an encoder's output.
+Batch = TypeVar("Batch")
 
 
 class TupleGenerator:
@@ -102,6 +105,18 @@ class TupleGenerator:
         number of threads at once).  Arguments are validated eagerly, at the
         call site rather than at first iteration.
         """
+        return self.encode_range(self._batch, start_row, stop_row, batch_size)
+
+    def encode_range(self, encode: Callable[[int, int], Batch],
+                     start_row: int = 1, stop_row: Optional[int] = None,
+                     batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        """:meth:`stream_range` with each batch made by ``encode(start,
+        stop)`` (1-based, inclusive keys) instead of built as a
+        :class:`Table` — how a consumer that wants another representation
+        (the NDJSON wire encoder) gets it straight from :meth:`run_window`
+        without the columnar batch in between.  Same eager validation, same
+        ``tuplegen.stream_range`` span, same ``batches_streamed`` count.
+        """
         if batch_size <= 0:
             raise GenerationError("batch size must be positive")
         stop_row = self._total if stop_row is None else stop_row
@@ -110,10 +125,10 @@ class TupleGenerator:
                 f"row range {start_row}..{stop_row} out of bounds 1..{self._total}"
                 f" for {self.summary.relation!r}"
             )
-        return self._iter_range(start_row, stop_row, batch_size)
+        return self._iter_range(encode, start_row, stop_row, batch_size)
 
-    def _iter_range(self, start: int, stop_row: int,
-                    batch_size: int) -> Iterator[Table]:
+    def _iter_range(self, encode: Callable[[int, int], Batch], start: int,
+                    stop_row: int, batch_size: int) -> Iterator[Batch]:
         # The span is started (not entered) so it never becomes the consumer's
         # *current* span: a cursor's lifetime crosses yields, and leaving the
         # contextvar set between batches would corrupt the consumer's context.
@@ -124,7 +139,9 @@ class TupleGenerator:
         try:
             while start <= stop_row:
                 stop = min(start + batch_size - 1, stop_row)
-                yield self._batch(start, stop)
+                batch = encode(start, stop)
+                self.batches_streamed += 1
+                yield batch
                 batches += 1
                 start = stop + 1
         except GeneratorExit:
@@ -139,6 +156,24 @@ class TupleGenerator:
         span.set_attribute("batches", batches)
         span.finish()
 
+    def run_window(self, start: int, stop: int) -> Tuple[int, np.ndarray]:
+        """The summary-row runs covering primary keys ``start..stop``
+        (1-based, inclusive, within ``1..total_rows``).
+
+        Returns ``(first, repeats)``: the keys are, in order, ``repeats[i]``
+        copies of summary row ``first + i``, the boundary rows' counts
+        trimmed to the window.  This is the whole cost of locating a batch —
+        two binary searches — and every bulk path (columnar batches here,
+        the wire encoder in :mod:`repro.server.wire`) expands from it.
+        """
+        lo = int(np.searchsorted(self._prefix, start, side="left"))
+        hi = int(np.searchsorted(self._prefix, stop, side="left"))
+        repeats = self._counts[lo:hi + 1].copy()
+        before = int(self._prefix[lo - 1]) if lo > 0 else 0
+        repeats[0] -= start - 1 - before
+        repeats[-1] -= int(self._prefix[hi]) - stop
+        return lo, repeats
+
     def _batch(self, start: int, stop: int) -> Table:
         """Build the batch of tuples with primary keys ``start..stop``
         (1-based, inclusive) in one vectorised pass."""
@@ -146,21 +181,14 @@ class TupleGenerator:
             self.summary.primary_key: np.arange(start, stop + 1, dtype=np.int64)
         }
         if self._values.shape[0]:
-            # Summary rows overlapping the batch, with the boundary rows'
-            # repeat counts trimmed to the batch window.
-            lo = int(np.searchsorted(self._prefix, start, side="left"))
-            hi = int(np.searchsorted(self._prefix, stop, side="left"))
-            repeats = self._counts[lo:hi + 1].copy()
-            before = int(self._prefix[lo - 1]) if lo > 0 else 0
-            repeats[0] -= start - 1 - before
-            repeats[-1] -= int(self._prefix[hi]) - stop
-            rows = np.repeat(np.arange(lo, hi + 1, dtype=np.intp), repeats)
+            lo, repeats = self.run_window(start, stop)
+            rows = np.repeat(np.arange(lo, lo + len(repeats), dtype=np.intp),
+                             repeats)
             for i, column in enumerate(self.summary.columns):
                 batch[column] = self._values[rows, i]
         else:
             for column in self.summary.columns:
                 batch[column] = np.empty(0, dtype=np.int64)
-        self.batches_streamed += 1
         return Table(batch, name=self.summary.relation)
 
     def table_from_stream(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Table:

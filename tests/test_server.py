@@ -22,6 +22,8 @@ import urllib.request
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     BackendBuild,
@@ -44,9 +46,11 @@ from repro.server import (
     constraint_set_from_wire,
     constraint_set_to_wire,
     ndjson_batch,
+    ndjson_encoder,
     parse_shard,
     shard_bounds,
 )
+from repro.server.http import MAX_STREAM_BATCH_ROWS
 from repro.service.fingerprint import workload_fingerprint
 from repro.service.service import RegenerationService
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
@@ -127,6 +131,29 @@ def wait_until(predicate, timeout: float = 10.0, message: str = "condition"):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+def raw_chunks(server: RegenerationServer, path: str) -> list:
+    """GET ``path`` over a bare socket and return the reply's chunked-
+    encoding frames as the server cut them (``urllib`` would glue them)."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=30) as raw:
+        raw.sendall(f"GET {path} HTTP/1.1\r\nHost: {server.host}\r\n"
+                    "Connection: close\r\n\r\n".encode("ascii"))
+        reply = b""
+        while piece := raw.recv(1 << 20):
+            reply += piece
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200"), head
+    chunks = []
+    while True:
+        size_line, _, rest = rest.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            return chunks
+        chunks.append(rest[:size])
+        assert rest[size:size + 2] == b"\r\n"
+        rest = rest[size + 2:]
 
 
 def reference_ndjson(service: RegenerationService, fingerprint: str,
@@ -230,6 +257,75 @@ class TestWireCodec:
 
 
 # ---------------------------------------------------------------------- #
+# the summary-run encoder against the reference encoder
+# ---------------------------------------------------------------------- #
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+#: Names needing every kind of JSON escape, and plain ones.
+_NAMES = st.text(alphabet='ab"\\/é☃\n\t ', min_size=1, max_size=4)
+_VALUES = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]),
+                    st.integers(INT64_MIN, INT64_MAX))
+#: Short runs, empty runs, and runs many batches long.
+_COUNTS = st.one_of(st.just(1), st.integers(0, 12), st.just(1000))
+
+
+@st.composite
+def relation_summaries(draw) -> RelationSummary:
+    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    values = st.tuples(*[_VALUES] * (len(names) - 1))
+    rows = draw(st.lists(st.tuples(values, _COUNTS), max_size=8))
+    return RelationSummary("rel", names[0], tuple(names[1:]), rows)
+
+
+class TestSummaryEncoder:
+    """``ndjson_encoder`` (what ``/v1/stream`` runs) must equal
+    ``ndjson_batch`` (what defines the format) byte for byte."""
+
+    @given(relation_summaries())
+    @example(RelationSummary("rel", "pk", ("a",), []))
+    @example(RelationSummary("rel", "pk", ("a", "b"), [((-5, 7), 9000)]))
+    @example(RelationSummary("rel", 'p"k\\', ("é", "\n"),
+                             [((INT64_MIN, INT64_MAX), 1)] * 9))
+    @example(RelationSummary("rel", "pk", (), [((), 3), ((), 0), ((), 5)]))
+    @settings(max_examples=40, deadline=None)
+    def test_byte_identical_to_reference(self, summary):
+        generator = TupleGenerator(summary)
+        encode = ndjson_encoder(generator)
+
+        def reference(start: int, stop: int) -> bytes:
+            return ndjson_batch(generator._batch(start, stop))
+
+        total = generator.total_rows
+        whole = ndjson_batch(generator.materialize())
+        for shard_count in (1, 3, 8):
+            body = b""
+            for index in range(1, shard_count + 1):
+                start, stop = shard_bounds(total, index, shard_count)
+                for batch_size in (1, 7, 4096):
+                    windows = list(generator.encode_range(
+                        lambda a, b: (a, b), start, stop, batch_size))
+                    encoded = list(generator.encode_range(
+                        encode, start, stop, batch_size))
+                    assert encoded == [reference(a, b) for a, b in windows]
+                body += b"".join(encoded)
+            assert body == whole
+        # Batch boundaries at the first row of, at the last row of, inside
+        # and straddling every summary run.
+        first = 1
+        for _, count in summary.rows:
+            if not count:
+                continue
+            last = first + count - 1
+            for start, stop in ((first, first), (last, last), (first, last),
+                                (max(first - 1, 1), first),
+                                (last, min(last + 1, total)),
+                                (min(first + 1, last), max(last - 1, first))):
+                if start <= stop:
+                    assert encode(start, stop) == reference(start, stop)
+            first = last + 1
+
+
+# ---------------------------------------------------------------------- #
 # warm serving over the socket
 # ---------------------------------------------------------------------- #
 class TestWarmServing:
@@ -264,6 +360,43 @@ class TestWarmServing:
             collected += response.body
         assert shard_rows == 700
         assert collected == reference_ndjson(service, fingerprint, "S")
+
+    def test_hostile_batch_size_is_served_in_capped_chunks(self, server,
+                                                           warm_store):
+        # `?batch_size=10**12` must not make one O(relation) batch: same
+        # body as any other batch size, cut at the server's cap.
+        path = f"/v1/stream/{warm_store.fingerprint}/R"
+        sane = http_get(server, path + "?batch_size=4096")
+        assert sane.status == 200
+        chunks = raw_chunks(server, path + f"?batch_size={10 ** 12}")
+        assert b"".join(chunks) == sane.body
+        assert [chunk.count(b"\n") for chunk in chunks] == \
+            [MAX_STREAM_BATCH_ROWS, 80_000 - MAX_STREAM_BATCH_ROWS]
+
+    def test_stream_span_splits_encode_from_write(self, server, warm_store):
+        tracer = get_tracer()
+        tracer.clear()
+        trace_id = "e" * 32
+        response = http_get(
+            server, f"/v1/stream/{warm_store.fingerprint}/S?batch_size=97",
+            headers={TRACE_HEADER: trace_id})
+        assert response.status == 200
+        wait_until(lambda: any(s["name"] == "server.request"
+                               for s in tracer.spans()),
+                   message="server.request span export")
+        spans = {s["name"]: s for s in tracer.spans()
+                 if s["trace_id"] == trace_id}
+        # The summary-run path keeps the span tree the Table path had.
+        assert {"server.request", "service.stream",
+                "tuplegen.stream_range"} <= set(spans)
+        attributes = spans["server.request"]["attributes"]
+        assert attributes["rows"] == 700
+        assert attributes["bytes"] == len(response.body)
+        assert attributes["encode_s"] >= 0 and attributes["write_s"] >= 0
+        assert spans["tuplegen.stream_range"]["attributes"]["batches"] == 8
+        encode = server.registry.snapshot()[
+            "repro_server_stream_encode_seconds"]
+        assert encode["count"] >= 1
 
     def test_zero_lp_solves_on_warm_path(self, server, service, warm_store):
         # The module service never built anything — its registry must show
@@ -624,6 +757,41 @@ class TestPinRelease:
                 wait_until(
                     lambda: service.store.pin_count(fingerprint) == 0,
                     message="disconnect to release the store pin")
+
+    def test_aborted_stream_is_still_counted(self, warm_store, caplog):
+        # What the server wrote before the client vanished was written:
+        # byte and row counters must not lose it, and a disconnect is a
+        # 499, not a logged 500.
+        with RegenerationService(warm_store.schema,
+                                 store=warm_store.store) as service:
+            with RegenerationServer(service) as server:
+                fingerprint = warm_store.fingerprint
+                raw = socket.create_connection((server.host, server.port),
+                                               timeout=30)
+                raw.sendall(
+                    f"GET /v1/stream/{fingerprint}/R?batch_size=2000"
+                    f" HTTP/1.1\r\nHost: {server.host}\r\n\r\n"
+                    .encode("ascii"))
+                received = 0  # the head and a chunk or two, then vanish
+                while received < 200_000:
+                    received += len(raw.recv(65536))
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                               b"\x01\x00\x00\x00\x00\x00\x00\x00")  # RST
+                raw.close()
+                aborted = 'repro_server_requests_total' \
+                          '{endpoint="stream",code="499"}'
+                wait_until(
+                    lambda: server.registry.snapshot().get(aborted) == 1,
+                    message="the aborted stream to be counted as a 499")
+                snapshot = server.registry.snapshot()
+                assert snapshot["repro_server_bytes_sent_total"] > 0
+                assert 0 < snapshot["repro_server_rows_streamed_total"] \
+                    < 80_000
+                assert snapshot["repro_server_stream_encode_seconds"][
+                    "count"] == 1
+                assert service.store.pin_count(fingerprint) == 0
+                assert not [key for key in snapshot if 'code="500"' in key]
+                assert "unhandled error" not in caplog.text
 
     def test_reaper_reclaims_abandoned_cursor(self, warm_store):
         with RegenerationService(warm_store.schema,
