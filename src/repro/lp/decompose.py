@@ -95,14 +95,18 @@ class Decomposition:
         return float(max(abs(c.rhs) for c in self.orphan_constraints))
 
 
-def decompose_model(model: LPModel, name_prefix: Optional[str] = None) -> Decomposition:
+def decompose_model(model: LPModel) -> Decomposition:
     """Split ``model`` into independent connected components.
 
     Two variables belong to the same component iff they are connected through
     a chain of shared constraint rows (union-find over the rows).  Returns
     the components largest-first plus the leftover free variables and
-    variable-free constraints.
+    variable-free constraints.  The result is cached on the model until its
+    next :meth:`~repro.lp.model.LPModel.add_constraint`; callers must not
+    mutate it.
     """
+    if model._decomposition_cache is not None:
+        return model._decomposition_cache
     n = model.num_variables
     parent = list(range(n))
 
@@ -143,12 +147,11 @@ def decompose_model(model: LPModel, name_prefix: Optional[str] = None) -> Decomp
         else:
             free.append(variable)
 
-    prefix = name_prefix if name_prefix is not None else model.name
     components: List[LPComponent] = []
     for root, rows in constrained.items():
         variables = sorted(members[root])
         local_of = {g: l for l, g in enumerate(variables)}
-        local = LPModel(name=f"{prefix}#cc{len(components)}",
+        local = LPModel(name=f"{model.name}#cc{len(components)}",
                         num_variables=len(variables))
         for row in rows:
             constraint = model.constraints[row]
@@ -166,12 +169,13 @@ def decompose_model(model: LPModel, name_prefix: Optional[str] = None) -> Decomp
         ))
 
     components.sort(key=lambda c: c.num_variables, reverse=True)
-    return Decomposition(
+    model._decomposition_cache = Decomposition(
         num_variables=n,
         components=components,
         free_variables=tuple(free),
         orphan_constraints=orphans,
     )
+    return model._decomposition_cache
 
 
 def component_key(model: LPModel) -> str:

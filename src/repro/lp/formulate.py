@@ -15,18 +15,21 @@ constraints, sub-view decomposition), the formulator:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import LPError, LPTooLargeError, PartitionBudgetError
+from repro.obs.trace import span as trace_span
 from repro.partition.box import Box
 from repro.partition.consistency import RefinedVariable
 from repro.partition.grid import grid_cell_count, grid_intervals
 from repro.partition.signature import (
-    partition_variables,
+    SignaturePartition,
+    materialise_variables,
+    partition_signatures,
     shared_segments_from_constraints,
 )
 from repro.lp.model import LPModel, SubViewBlock, ViewLP
-from repro.views.preprocess import SubView, ViewConstraint, ViewTask
+from repro.views.preprocess import ViewTask
 
 #: Strategies understood by :func:`formulate_view_lp`.
 STRATEGY_REGION = "region"
@@ -46,31 +49,40 @@ def formulate_view_lp(task: ViewTask, strategy: str = STRATEGY_REGION,
                       max_grid_variables: int = DEFAULT_MAX_GRID_VARIABLES,
                       max_region_variables: int = DEFAULT_MAX_REGION_VARIABLES) -> ViewLP:
     """Build the LP for one view using the requested partitioning strategy."""
-    if strategy == STRATEGY_REGION:
-        variables_per_subview, aligned = _region_variables(task, max_region_variables)
-    elif strategy == STRATEGY_GRID:
-        variables_per_subview = _grid_variables(task, max_grid_variables)
-        aligned = tuple(sorted(_shared_attributes(task)))
-    else:
-        raise LPError(f"unknown partitioning strategy {strategy!r}")
+    with trace_span("lp.formulate", relation=task.relation) as span:
+        if strategy == STRATEGY_REGION:
+            ladder = _region_ladder(task, max_region_variables)
+            variables_per_subview = {index: materialise_variables(partition)
+                                     for index, partition in ladder.partitions.items()}
+            aligned = ladder.aligned
+            span.set_attribute("rungs", ladder.rungs)
+            span.set_attribute("partition_calls", ladder.partition_calls)
+        elif strategy == STRATEGY_GRID:
+            variables_per_subview = _grid_variables(task, max_grid_variables)
+            aligned = tuple(sorted(_shared_attributes(task)))
+        else:
+            raise LPError(f"unknown partitioning strategy {strategy!r}")
 
-    model = LPModel(name=f"{task.relation}:{strategy}")
-    blocks: List[SubViewBlock] = []
-    for index, subview in enumerate(task.subviews):
-        refined = variables_per_subview[index]
-        start = model.num_variables
-        model.num_variables += len(refined)
-        blocks.append(
-            SubViewBlock(
-                subview_index=index,
-                attributes=subview.attributes,
-                variable_indices=tuple(range(start, start + len(refined))),
-                variables=refined,
+        model = LPModel(name=f"{task.relation}:{strategy}")
+        blocks: List[SubViewBlock] = []
+        for index, subview in enumerate(task.subviews):
+            refined = variables_per_subview[index]
+            start = model.num_variables
+            model.num_variables += len(refined)
+            blocks.append(
+                SubViewBlock(
+                    subview_index=index,
+                    attributes=subview.attributes,
+                    variable_indices=tuple(range(start, start + len(refined))),
+                    variables=refined,
+                )
             )
-        )
 
-    _add_cardinality_constraints(task, model, blocks)
-    _add_consistency_constraints(task, model, blocks, aligned)
+        _add_cardinality_constraints(task, model, blocks)
+        _add_consistency_constraints(task, model, blocks, aligned)
+        span.set_attribute("variables", model.num_variables)
+        span.set_attribute("constraints", model.num_constraints)
+        span.set_attribute("aligned", list(aligned))
     return ViewLP(relation=task.relation, model=model, blocks=blocks, strategy=strategy,
                   aligned_attributes=aligned)
 
@@ -87,73 +99,91 @@ def count_lp_variables(task: ViewTask, strategy: str = STRATEGY_REGION,
             )
         return total
     if strategy == STRATEGY_REGION:
-        variables, _aligned = _region_variables(task, max_region_variables)
-        return sum(len(vars_) for vars_ in variables.values())
+        partitions = _region_ladder(task, max_region_variables).partitions
+        return sum(len(partition) for partition in partitions.values())
     raise LPError(f"unknown partitioning strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------- #
 # variable construction
 # ---------------------------------------------------------------------- #
-def _region_variables(task: ViewTask, max_region_variables: int,
-                      ) -> Tuple[Dict[int, List[RefinedVariable]], Tuple[str, ...]]:
+class _Ladder(NamedTuple):
+    """The accepted rung of :func:`_region_ladder`."""
+
+    partitions: Dict[int, SignaturePartition]
+    aligned: Tuple[str, ...]
+    rungs: int
+    #: Distinct sub-view partitions swept (memo misses) across all rungs.
+    partition_calls: int
+
+
+def _region_ladder(task: ViewTask, max_region_variables: int) -> _Ladder:
     """Region-partition every sub-view and refine along shared attributes.
 
-    Returns the refined variables per sub-view and the tuple of shared
-    attributes that were actually refined (the *aligned* attributes).  When
-    the full refinement would exceed ``max_region_variables``, the most
-    expensive shared attributes are dropped from refinement one by one; the
-    alignment step later only groups on the attributes kept here, which keeps
-    both the LP and the merge consistent with each other.
-    """
-    shared = _shared_attributes(task)
+    Returns the partition per sub-view and the tuple of shared attributes
+    that were actually refined (the *aligned* attributes).  When the full
+    refinement would exceed ``max_region_variables``, the alignment is
+    coarsened and then the most expensive shared attributes are dropped from
+    refinement one by one; the alignment step later only groups on the
+    attributes kept here, which keeps both the LP and the merge consistent
+    with each other.
 
-    def segments_for(active: Set[str], max_segments: Optional[int]) -> Dict[str, List]:
-        segments: Dict[str, List] = {}
-        for attribute in active:
-            in_scope = [
-                task.constraints[i]
-                for subview in task.subviews if attribute in subview.attributes
-                for i in subview.constraint_indices
-            ]
-            full = shared_segments_from_constraints(
-                attribute, task.view.domains[attribute], in_scope
-            )
-            segments[attribute] = _coarsen_segments(full, max_segments)
-        return segments
+    Rungs of the ladder often repeat a sub-view's work (its own shared
+    segments may be unchanged by a coarser granularity), so sweeps are
+    memoised per ``(sub-view, own segments, state budget)``, budget aborts
+    included, and a rung stops at the first sub-view that takes it over
+    budget.
+    """
+    full_segments = {
+        attribute: shared_segments_from_constraints(
+            attribute, task.view.domains[attribute],
+            [task.constraints[i]
+             for subview in task.subviews if attribute in subview.attributes
+             for i in subview.constraint_indices],
+        )
+        for attribute in _shared_attributes(task)
+    }
+    memo: Dict[tuple, Union[SignaturePartition, PartitionBudgetError]] = {}
 
     # Escalation ladder: exact shared segments first, then progressively
     # coarser alignment granularities, then dropping alignment attributes.
     granularities: List[Optional[int]] = [None, 12, 6, 3, 2]
-    active = set(shared)
+    active = set(full_segments)
     attempt = 0
     while True:
         max_segments = granularities[min(attempt, len(granularities) - 1)]
+        segments = {attribute: _coarsen_segments(full_segments[attribute], max_segments)
+                    for attribute in active}
         if attempt >= len(granularities) and active:
-            # Past the coarsest granularity: drop the widest attribute.
-            segments_probe = segments_for(active, granularities[-1])
-            widest = max(active, key=lambda a: len(segments_probe[a]))
+            # Past the coarsest granularity: drop the widest attribute,
+            # breaking ties by name so the LP never depends on hash order.
+            widest = max(sorted(active), key=lambda a: len(segments[a]))
             active.discard(widest)
-        segments = segments_for(active, max_segments)
-        out: Dict[int, List[RefinedVariable]] = {}
+            del segments[widest]
+        max_states = max_region_variables if active else None
+        out: Dict[int, SignaturePartition] = {}
         total = 0
-        over_budget = False
         for index, subview in enumerate(task.subviews):
-            constraints = [task.constraints[i] for i in subview.constraint_indices]
-            try:
-                out[index] = partition_variables(
-                    subview.attributes, task.view.domains, constraints,
-                    subview.constraint_indices, segments,
-                    max_states=max_region_variables if active else None,
-                )
-            except PartitionBudgetError:
-                over_budget = True
+            own = tuple((a, tuple(segments[a])) for a in subview.attributes if a in segments)
+            key = (index, own, max_states)
+            if key not in memo:
+                try:
+                    memo[key] = partition_signatures(
+                        subview.attributes, task.view.domains,
+                        [task.constraints[i] for i in subview.constraint_indices],
+                        subview.constraint_indices, segments, max_states=max_states,
+                    )
+                except PartitionBudgetError as error:
+                    memo[key] = error
+            partition = memo[key]
+            if isinstance(partition, PartitionBudgetError):
                 break
-            total += len(out[index])
-        if not over_budget and (total <= max_region_variables or not active):
-            return out, tuple(sorted(active))
-        if not active:
-            return out, ()
+            out[index] = partition
+            total += len(partition)
+            if active and total > max_region_variables:
+                break
+        else:
+            return _Ladder(out, tuple(sorted(active)), attempt + 1, len(memo))
         attempt += 1
 
 
@@ -242,15 +272,14 @@ def _add_cardinality_constraints(task: ViewTask, model: LPModel,
                                  blocks: Sequence[SubViewBlock]) -> None:
     for block in blocks:
         subview = task.subviews[block.subview_index]
+        members: Dict[int, List[int]] = {i: [] for i in subview.constraint_indices}
+        for global_index, variable in zip(block.variable_indices, block.variables):
+            for constraint_index in variable.label:
+                members[constraint_index].append(global_index)
         for constraint_index in subview.constraint_indices:
             constraint = task.constraints[constraint_index]
-            members = [
-                global_index
-                for global_index, variable in zip(block.variable_indices, block.variables)
-                if constraint_index in variable.label
-            ]
             model.add_constraint(
-                members,
+                members[constraint_index],
                 constraint.cardinality,
                 kind="cardinality",
                 tag=f"cc{constraint_index}@sv{block.subview_index}",

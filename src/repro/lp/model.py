@@ -11,13 +11,16 @@ will do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import LPError
 from repro.partition.consistency import RefinedVariable
+
+if TYPE_CHECKING:  # decompose imports this module
+    from repro.lp.decompose import Decomposition
 
 
 @dataclass
@@ -53,20 +56,27 @@ class LPModel:
     _matrix_cache: Optional[Tuple["sparse.csr_matrix", np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
+    #: Cached :func:`~repro.lp.decompose.decompose_model` result, invalidated
+    #: like the matrix; the solver and the build's component keys share it.
+    _decomposition_cache: Optional["Decomposition"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def add_constraint(self, variables: Sequence[int], rhs: int,
                        coefficients: Optional[Sequence[float]] = None,
                        kind: str = "cardinality", tag: Optional[str] = None) -> None:
         """Append an equality constraint over the given variable indices."""
-        for index in variables:
-            if not 0 <= index < self.num_variables:
-                raise LPError(f"variable index {index} out of range")
+        variables = tuple(variables)
+        if variables and (min(variables) < 0 or max(variables) >= self.num_variables):
+            bad = next(i for i in variables if not 0 <= i < self.num_variables)
+            raise LPError(f"variable index {bad} out of range")
         if rhs < 0:
             raise LPError("constraint right-hand side must be non-negative")
         self._matrix_cache = None
+        self._decomposition_cache = None
         self.constraints.append(
             LPConstraint(
-                variables=tuple(variables),
+                variables=variables,
                 rhs=int(rhs),
                 coefficients=tuple(coefficients) if coefficients is not None else None,
                 kind=kind,

@@ -2,11 +2,7 @@
 (DataSynth), plus consistency refinement across sub-views."""
 
 from repro.partition.box import Box, conjunct_boxes, domain_box
-from repro.partition.consistency import (
-    RefinedVariable,
-    refine_regions,
-    shared_attribute_segments,
-)
+from repro.partition.consistency import RefinedVariable
 from repro.partition.grid import (
     DEFAULT_MAX_CELLS,
     grid_cell_count,
@@ -17,7 +13,6 @@ from repro.partition.region import (
     Region,
     optimal_partition,
     optimal_partition_paper,
-    region_count,
     valid_partition,
 )
 
@@ -29,12 +24,9 @@ __all__ = [
     "optimal_partition",
     "optimal_partition_paper",
     "valid_partition",
-    "region_count",
     "grid_cell_count",
     "grid_intervals",
     "grid_partition",
     "DEFAULT_MAX_CELLS",
     "RefinedVariable",
-    "refine_regions",
-    "shared_attribute_segments",
 ]

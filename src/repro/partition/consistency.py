@@ -6,19 +6,19 @@ agree on the joint distribution of the shared attributes.  To express this
 with linear constraints, the partitions of both sub-views are refined along
 the shared attributes so that the boundaries line up (every refined variable
 projects into exactly one *elementary segment* per shared attribute).  The LP
-formulator then simply equates the per-segment-combination sums.
+formulator then simply equates the per-segment-combination sums.  The
+refinement itself happens inside the partitioner
+(:mod:`repro.partition.signature`); this module holds its unit, the
+:class:`RefinedVariable`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.partition.box import Box
-from repro.partition.region import Region
-from repro.predicates.interval import Interval, elementary_segments
 
 
 @dataclass
@@ -56,114 +56,3 @@ class RefinedVariable:
         """Return the segment indices along the given shared attributes."""
         lookup = dict(self.shared_cell)
         return tuple(lookup[attr] for attr in attributes)
-
-
-def shared_attribute_segments(regions_per_subview: Mapping[int, Sequence[Region]],
-                              subview_attributes: Mapping[int, Sequence[str]],
-                              shared_attributes: Iterable[str],
-                              domains: Mapping[str, Interval],
-                              ) -> Dict[str, List[Interval]]:
-    """Compute the elementary segments of every shared attribute.
-
-    The split points of a shared attribute are the union of the box
-    boundaries contributed by every sub-view containing it (the "union of the
-    split points of P1 and P2" in the paper).
-    """
-    segments: Dict[str, List[Interval]] = {}
-    for attribute in shared_attributes:
-        points: set = set()
-        for index, regions in regions_per_subview.items():
-            if attribute not in subview_attributes[index]:
-                continue
-            for region in regions:
-                for box in region.boxes:
-                    interval = box.interval(attribute)
-                    points.add(interval.lo)
-                    points.add(interval.hi)
-        segments[attribute] = elementary_segments(domains[attribute], sorted(points))
-    return segments
-
-
-def refine_regions(regions: Sequence[Region], attributes: Sequence[str],
-                   shared_segments: Mapping[str, List[Interval]],
-                   ) -> List[RefinedVariable]:
-    """Refine a sub-view's regions along its shared attributes and group the
-    resulting boxes into LP variables.
-
-    Boxes are split at every shared-attribute segment boundary and grouped by
-    ``(label, segment index per shared attribute)``; each group becomes one
-    LP variable.  Sub-views with no shared attributes produce exactly one
-    variable per region.
-    """
-    shared_here = [a for a in attributes if a in shared_segments]
-    if not shared_here:
-        return [
-            RefinedVariable(label=r.label, boxes=list(r.boxes), shared_cell=())
-            for r in regions
-        ]
-
-    cut_points = {a: [iv.lo for iv in shared_segments[a]][1:] for a in shared_here}
-    segment_index = {
-        a: {iv.lo: i for i, iv in enumerate(shared_segments[a])} for a in shared_here
-    }
-
-    variables: Dict[Tuple[FrozenSet[int], Tuple[Tuple[str, int], ...]], List[Box]] = defaultdict(list)
-    for region in regions:
-        for box in region.boxes:
-            pieces = [box]
-            for attribute in shared_here:
-                next_pieces: List[Box] = []
-                for piece in pieces:
-                    next_pieces.extend(piece.split_along(attribute, cut_points[attribute]))
-                pieces = next_pieces
-            for piece in pieces:
-                cell = tuple(
-                    (attribute, _locate(piece.interval(attribute).lo,
-                                        segment_index[attribute],
-                                        shared_segments[attribute]))
-                    for attribute in shared_here
-                )
-                variables[(region.label, cell)].append(piece)
-
-    return [
-        RefinedVariable(label=label, boxes=boxes, shared_cell=cell)
-        for (label, cell), boxes in sorted(
-            variables.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
-        )
-    ]
-
-
-def estimate_refined_count(regions: Sequence[Region], attributes: Sequence[str],
-                           shared_segments: Mapping[str, List[Interval]]) -> int:
-    """Number of LP variables :func:`refine_regions` would produce, computed
-    without materialising the refinement (used to keep view LPs within a
-    configurable budget)."""
-    shared_here = [a for a in attributes if a in shared_segments]
-    if not shared_here:
-        return len(regions)
-    boundaries = {
-        a: [iv.lo for iv in shared_segments[a]][1:] for a in shared_here
-    }
-    total = 0
-    for region in regions:
-        for box in region.boxes:
-            pieces = 1
-            for attribute in shared_here:
-                interval = box.interval(attribute)
-                inner = sum(1 for p in boundaries[attribute] if interval.lo < p < interval.hi)
-                pieces *= inner + 1
-            # A box contributes up to ``pieces`` refined pieces; different
-            # boxes of a region may land in the same cell, so this is an
-            # upper bound — adequate for budgeting purposes.
-            total += pieces
-    return total
-
-
-def _locate(lo: int, index: Mapping[int, int], segments: Sequence[Interval]) -> int:
-    """Find the elementary segment containing the point ``lo``."""
-    if lo in index:
-        return index[lo]
-    for i, segment in enumerate(segments):
-        if segment.contains(lo):
-            return i
-    raise PartitionError(f"value {lo} outside every elementary segment")

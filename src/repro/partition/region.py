@@ -214,9 +214,3 @@ def optimal_partition_paper(attributes: Sequence[str], domains: Mapping[str, Int
     return [Region(label=label, boxes=boxes) for label, boxes in sorted(
         grouped.items(), key=lambda kv: sorted(kv[0])
     )]
-
-
-def region_count(regions: Sequence[Region]) -> int:
-    """Number of LP variables implied by a region partition (one per region,
-    before consistency refinement)."""
-    return len(regions)

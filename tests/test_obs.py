@@ -241,6 +241,14 @@ class TestTracing:
         backend = by_name["backend.build"]
         assert backend["parent_id"] == build["span_id"]
         assert by_name["lp.solve_many"]["trace_id"] == submit["trace_id"]
+        formulate = [r for r in records if r["name"] == "lp.formulate"]
+        assert formulate
+        for record in formulate:
+            assert record["parent_id"] == backend["span_id"]
+            assert set(record["attributes"]) == {
+                "relation", "variables", "constraints", "rungs",
+                "partition_calls", "aligned"}
+            assert record["attributes"]["rungs"] >= 1
 
         tree = build_tree(records)
         roots = {node["name"] for node in tree}
