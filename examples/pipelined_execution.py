@@ -1,14 +1,15 @@
-"""Pipelined (batch-at-a-time) execution over regenerated data.
+"""Pipelined (run-batch) execution over regenerated data.
 
-The executor's ``mode="pipelined"`` runs the fact side of every plan through
-the volcano-style operators of ``repro.engine.pipeline``: the root relation
-streams out of the tuple generator batch-at-a-time, filters and PK-FK joins
-are applied per batch, and a cardinality-accumulating sink produces the AQP
-— so the fact relation is never materialised, whatever scale the summary
+The executor's ``mode="pipelined"`` runs every plan through the run-batch
+operators of ``repro.engine.pipeline``: each regenerated relation scans out
+of the tuple generator as runs — one per summary row, standing for a window
+of consecutive primary keys — filters and PK-FK joins are applied once per
+run, and a cardinality-accumulating sink sums run lengths into the AQP — so
+no relation is ever expanded into tuples, whatever scale the summary
 regenerates to.  The script measures the memory-footprint gap between the
-two modes (peak batch rows vs. full intermediate tables), asserts the AQPs
-are identical, and demonstrates the serving-side regenerate-then-verify
-loop.
+two modes (peak run rows per batch vs. full intermediate tables), asserts
+the AQPs are identical, and demonstrates the serving-side
+regenerate-then-verify loop.
 
 Run with:  PYTHONPATH=src python examples/pipelined_execution.py
 """
@@ -60,13 +61,14 @@ def main() -> None:
 
     print(f"\nAQP collection over {len(workload)} queries "
           "(identical plans in both modes):")
-    print("  mode          peak rows in flight      wall time")
+    print("  mode          peak run rows in flight      wall time")
     for mode in ("materialize", "pipelined"):
         plans, stats, elapsed = results[mode]
-        print(f"  {mode:12s}  {stats.peak_batch_rows:>15,d} rows   "
+        print(f"  {mode:12s}  {stats.peak_batch_rows:>15,d} run rows   "
               f"{elapsed * 1000:8.1f} ms")
     ratio = materialized[1].peak_batch_rows / max(pipelined[1].peak_batch_rows, 1)
-    print(f"  -> pipelined execution holds {ratio:,.0f}x fewer rows in memory")
+    print(f"  -> pipelined execution holds {ratio:,.0f}x fewer rows in memory"
+          " (materialize mode's rows are count-1 runs: tuples)")
 
     # ------------------------------------------------------------------ #
     # the same loop through the serving front-end
@@ -76,7 +78,7 @@ def main() -> None:
     stats = service.stats()
     print(f"\nServing path: {stats['workloads_executed']} workload replay, "
           f"{stats['verifications']} verification, "
-          f"peak {stats['executor_peak_batch_rows']:,} rows in flight, "
+          f"peak {stats['executor_peak_batch_rows']:,} run rows in flight, "
           f"{100 * report.fraction_within(0.01):.1f}% of CCs within 1%")
     service.close()
 

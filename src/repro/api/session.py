@@ -381,11 +381,12 @@ class Session:
 
         A :class:`SummaryHandle` is evaluated analytically (scale-free); a
         :class:`DatabaseHandle` is evaluated through the engine, streaming
-        batch-at-a-time by default.  ``constraints`` defaults to the ones the
-        handle was summarized from — scaled by the database's regeneration
-        factor (the Section 7.4 arithmetic), so a 10x regeneration verifies
-        against 10x the cardinalities.  Explicit ``constraints`` are
-        evaluated as given.
+        run batches by default (one run per summary row, so the cost does
+        not grow with the regeneration scale).  ``constraints`` defaults to
+        the ones the handle was summarized from — scaled by the database's
+        regeneration factor (the Section 7.4 arithmetic), so a 10x
+        regeneration verifies against 10x the cardinalities.  Explicit
+        ``constraints`` are evaluated as given.
         """
         if constraints is None:
             source = handle.handle if isinstance(handle, DatabaseHandle) else handle

@@ -17,10 +17,11 @@ from repro.engine.plan import (
     PlanNode,
     ScanNode,
 )
-from repro.engine.table import Table
+from repro.engine.table import RunBatch, Table
 
 __all__ = [
     "Table",
+    "RunBatch",
     "Database",
     "Executor",
     "ExecutionResult",

@@ -3,27 +3,28 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.engine.table import Table
+from repro.engine.table import RunBatch, Table
 from repro.errors import EngineError
 from repro.schema.schema import Schema
+
+#: What a stream-attached relation yields per batch.
+Batch = Union[Table, RunBatch]
 
 
 class Database:
     """An in-memory database: a validated schema and its relation instances.
 
     Tables may be attached lazily, which is how the Tuple Generator of
-    Section 6 plugs into the engine.  Two lazy flavours exist:
-
-    * :meth:`attach_dynamic` registers a zero-argument callable returning the
-      complete table, built on first access;
-    * :meth:`attach_stream` registers a factory of columnar *batches*;
-      streaming consumers pull batches via :meth:`scan_batches` without the
-      relation ever being materialised, while whole-table consumers get a
-      concatenated (and then cached) table from :meth:`table`.
+    Section 6 plugs into the engine: :meth:`attach_stream` registers a
+    factory of *batches* — columnar tables, or the run batches a summary
+    scans as.  Streaming consumers pull batches via :meth:`scan_batches`
+    without the relation ever being materialised, while whole-table
+    consumers get a concatenated (and then cached) table from
+    :meth:`table`.
     """
 
     def __init__(self, schema: Schema, tables: Optional[Mapping[str, Table]] = None,
@@ -31,15 +32,14 @@ class Database:
         self.schema = schema
         self.name = name
         self._tables: Dict[str, Table] = {}
-        self._lazy: Dict[str, Callable[[], Table]] = {}
-        self._streams: Dict[str, Callable[[], Iterator[Table]]] = {}
+        self._streams: Dict[str, Callable[[], Iterator[Batch]]] = {}
         #: Declared total rows of stream-attached relations (see
         #: :meth:`attach_stream`); lets :meth:`row_count` answer for free.
         self._stream_rows: Dict[str, int] = {}
         #: Iterator returned by the most recent factory call per stream
         #: relation, used to detect factories that violate the fresh-iterator
         #: contract (see :meth:`scan_batches`).
-        self._stream_passes: Dict[str, Iterator[Table]] = {}
+        self._stream_passes: Dict[str, Iterator[Batch]] = {}
         for rel_name, table in (tables or {}).items():
             self.attach(rel_name, table)
 
@@ -55,39 +55,26 @@ class Database:
                 f"table for {relation!r} is missing columns {missing!r}"
             )
         self._tables[relation] = table
-        self._lazy.pop(relation, None)
-        self._streams.pop(relation, None)
-        self._stream_passes.pop(relation, None)
-
-    def attach_dynamic(self, relation: str, factory: Callable[[], Table]) -> None:
-        """Register a dynamic (generate-on-demand) source for ``relation``.
-
-        ``factory`` is a zero-argument callable returning a :class:`Table`;
-        it is invoked the first time the relation is scanned, mirroring the
-        engine-resident Tuple Generator of the paper.
-        """
-        self.schema.relation(relation)
-        self._lazy[relation] = factory
-        self._tables.pop(relation, None)
         self._streams.pop(relation, None)
         self._stream_passes.pop(relation, None)
 
     def attach_stream(self, relation: str,
-                      stream_factory: Callable[[], Iterator[Table]],
+                      stream_factory: Callable[[], Iterator[Batch]],
                       row_count: Optional[int] = None) -> None:
         """Register a batch-streaming source for ``relation``.
 
         ``stream_factory`` is a zero-argument callable returning a **fresh**
-        iterator of columnar batches on *every* call — each scan is one full
-        independent single-pass cursor over the relation, and the factory is
-        re-invoked per scan.  A factory that hands back the same (by then
-        exhausted) iterator object twice would silently yield an empty or
-        truncated second scan; the database detects this and raises
-        :class:`EngineError` instead (see :meth:`scan_batches`).  Nothing is
-        generated until the relation is scanned; :meth:`scan_batches`
-        consumes batches one at a time (bounded memory), and :meth:`table`
-        concatenates a full pass and caches the result for subsequent
-        whole-table access.
+        iterator of batches on *every* call: columnar tables, or run batches
+        keyed on the relation's primary key (how a summary-backed relation
+        scans).  Each scan is one full independent single-pass cursor over
+        the relation, and the factory is re-invoked per scan.  A factory
+        that hands back the same (by then exhausted) iterator object twice
+        would silently yield an empty or truncated second scan; the database
+        detects this and raises :class:`EngineError` instead (see
+        :meth:`scan_batches`).  Nothing is generated until the relation is
+        scanned; :meth:`scan_batches` consumes batches one at a time
+        (bounded memory), and :meth:`table` concatenates a full pass and
+        caches the result for subsequent whole-table access.
 
         ``row_count`` declares the stream's total rows when the source knows
         it up front (a tuple generator always does): :meth:`row_count` then
@@ -102,34 +89,29 @@ class Database:
         else:
             self._stream_rows.pop(relation, None)
         self._tables.pop(relation, None)
-        self._lazy.pop(relation, None)
 
     def table(self, relation: str) -> Table:
         """Return the table for ``relation``, materialising it if dynamic."""
         if relation in self._tables:
             return self._tables[relation]
-        if relation in self._lazy:
-            table = self._lazy[relation]()
-            self._tables[relation] = table
-            return table
         if relation in self._streams:
             table = self._concat_batches(relation, self._stream_pass(relation))
             self._tables[relation] = table
             return table
         raise EngineError(f"no data attached for relation {relation!r}")
 
-    def scan_batches(self, relation: str) -> Iterator[Table]:
-        """Iterate over the relation in columnar batches.
+    def scan_batches(self, relation: str) -> Iterator[Batch]:
+        """Iterate over the relation in batches.
 
         Stream-attached relations are served straight from their batch
         factory without ever materialising the whole table; already
-        materialised (or plain dynamic) relations yield a single batch.
+        materialised relations yield a single :class:`Table`.
         Unknown relations raise immediately, not at first iteration.
 
         **Single-pass contract:** every call starts one fresh, independent
         pass — the stream factory is re-invoked and must return a new
         iterator each time (restartable sources such as
-        :meth:`~repro.tuplegen.generator.TupleGenerator.stream` do this
+        :meth:`~repro.tuplegen.generator.TupleGenerator.runs` do this
         naturally).  A factory that returns the same iterator object as a
         previous scan would silently serve empty or truncated data from the
         exhausted cursor; that violation raises :class:`EngineError` here —
@@ -141,25 +123,23 @@ class Database:
         return iter((table,))
 
     def has_table(self, relation: str) -> bool:
-        """Return ``True`` if data (materialised or dynamic) is attached."""
-        return (relation in self._tables or relation in self._lazy
-                or relation in self._streams)
+        """Return ``True`` if data (materialised or streamed) is attached."""
+        return relation in self._tables or relation in self._streams
 
     def is_dynamic(self, relation: str) -> bool:
-        """Return ``True`` if the relation is served by a dynamic generator
-        or batch stream that has not been materialised yet."""
-        return (relation in self._lazy or relation in self._streams) \
-            and relation not in self._tables
+        """Return ``True`` if the relation is served by a batch stream that
+        has not been materialised yet."""
+        return relation in self._streams and relation not in self._tables
 
     @property
     def relations(self) -> Tuple[str, ...]:
         """Names of relations with attached data."""
-        return tuple(sorted(set(self._tables) | set(self._lazy) | set(self._streams)))
+        return tuple(sorted(set(self._tables) | set(self._streams)))
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _stream_pass(self, relation: str) -> Iterator[Table]:
+    def _stream_pass(self, relation: str) -> Iterator[Batch]:
         """Start one fresh pass over a stream-attached relation, enforcing
         the fresh-iterator contract of :meth:`scan_batches`."""
         batches = self._streams[relation]()
@@ -174,10 +154,12 @@ class Database:
         self._stream_passes[relation] = batches
         return batches
 
-    def _concat_batches(self, relation: str, batches: Iterator[Table]) -> Table:
-        """Concatenate a batch stream into one table (empty streams produce
-        a zero-row table with the relation's schema columns)."""
-        collected = list(batches)
+    def _concat_batches(self, relation: str, batches: Iterator[Batch]) -> Table:
+        """Concatenate a batch stream into one table, expanding run batches
+        (empty streams produce a zero-row table with the relation's schema
+        columns)."""
+        collected = [batch.expand() if isinstance(batch, RunBatch) else batch
+                     for batch in batches]
         if not collected:
             rel = self.schema.relation(relation)
             return Table.empty(rel.all_columns, name=relation)
@@ -202,11 +184,11 @@ class Database:
             if declared is not None:
                 return declared
             return sum(batch.num_rows for batch in self._stream_pass(relation))
-        return self.table(relation).num_rows  # plain dynamic, or raises
+        return self.table(relation).num_rows  # raises: nothing attached
 
     def row_counts(self) -> Dict[str, int]:
-        """Return the number of rows per attached relation (materialised,
-        dynamic or stream-attached)."""
+        """Return the number of rows per attached relation (materialised or
+        stream-attached)."""
         return {name: self.row_count(name) for name in self.relations}
 
     def total_rows(self) -> int:

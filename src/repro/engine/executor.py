@@ -8,20 +8,22 @@ is recorded, which is precisely the AQP the client site ships to the vendor.
 
 Two execution modes produce identical results:
 
-* ``"pipelined"`` (the default) runs the fact side batch-at-a-time through
-  the volcano-style operators of :mod:`repro.engine.pipeline`: the root
-  relation is consumed via :meth:`Database.scan_batches`, so stream-attached
-  relations are never materialised and peak memory is one batch plus the
-  (small) dimension build sides;
-* ``"materialize"`` is the classic table-at-a-time path: every relation is
-  fully scanned before the first operator runs.
+* ``"pipelined"`` (the default) runs the plan batch-at-a-time through the
+  run-batch operators of :mod:`repro.engine.pipeline`: every relation is
+  consumed via :meth:`Database.scan_batches`, so stream-attached relations
+  are never materialised — a regenerated relation flows as one run per
+  summary row, fact and dimension side alike, and peak memory is one batch
+  of runs plus the dimension build sides;
+* ``"materialize"`` is the classic table-at-a-time reference path: every
+  relation of the query is fully materialised before the first operator
+  runs, so the operators see count-1 runs of whole tables.
 
-Both modes share the same join kernel (:class:`HashJoinBuild`), and because
-filters are row-local and PK-FK joins match each fact row at most once, the
-modes emit byte-identical result tables and
+Both modes share the same operators and join kernel (:class:`HashJoinBuild`),
+and because filters are row-local and PK-FK joins match each fact row at most
+once, the modes emit byte-identical result tables and
 :class:`~repro.engine.plan.AnnotatedQueryPlan` cardinalities.  The executor's
-:attr:`Executor.stats` hook records the peak batch (or intermediate) rows
-either mode pushed through the plan.
+:attr:`Executor.stats` hook records the peak batch (or intermediate) run
+rows either mode pushed through the plan.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.engine.pipeline import (
     drain,
 )
 from repro.engine.plan import AnnotatedQueryPlan, FilterNode, JoinNode, PlanNode, ScanNode
-from repro.engine.table import Table
+from repro.engine.table import RunBatch, Table
 from repro.errors import EngineError
 from repro.obs.trace import span as trace_span
 from repro.predicates.dnf import DNFPredicate
@@ -69,9 +71,10 @@ class Executor:
     database:
         The database to execute against.
     mode:
-        ``"pipelined"`` (default) evaluates batch-at-a-time without ever
+        ``"pipelined"`` (default) evaluates run batches without ever
         materialising stream-attached relations; ``"materialize"`` is the
-        table-at-a-time path.  Results are identical in both modes.
+        table-at-a-time reference path.  Results are identical in both
+        modes.
     """
 
     def __init__(self, database: Database, mode: str = "pipelined") -> None:
@@ -125,6 +128,7 @@ class Executor:
             plans = [self.execute_plan(query) for query in workload]
             span.set_attribute("batches", self.stats.batches)
             span.set_attribute("peak_batch_rows", self.stats.peak_batch_rows)
+            span.set_attribute("tuples", self.stats.tuples)
         return plans
 
     # ------------------------------------------------------------------ #
@@ -135,15 +139,16 @@ class Executor:
     ) -> Tuple[BatchOperator, Callable[[], AnnotatedQueryPlan]]:
         """Validate the query and assemble its operator chain.
 
-        Materialize mode forces the root relation into a whole table first,
-        so the scan yields one full-size batch and every operator sees (and
-        accounts) complete intermediates — table-at-a-time execution as a
-        degenerate one-batch pipeline, sharing a single plan-construction
-        path with pipelined mode.
+        Materialize mode forces every relation of the query into a whole
+        table first, so each scan yields one full-size batch of count-1 runs
+        and every operator sees (and accounts) complete intermediates —
+        table-at-a-time execution as a degenerate one-batch pipeline,
+        sharing a single plan-construction path with pipelined mode.
         """
         query.validate(self.schema)
         if self.mode == "materialize":
-            self.database.table(query.root)
+            for relation in query.relations:
+                self.database.table(relation)
         return self._build_pipeline(query)
 
     def _build_pipeline(
@@ -154,8 +159,9 @@ class Executor:
         Returns the chain's top operator plus a plan factory to call *after*
         the chain has been drained: operator cardinalities are only complete
         once every batch has flowed through.  Dimension (build) sides are
-        resolved eagerly — they are whole-table consumers by design; only
-        the fact side streams.
+        resolved eagerly — all of a dimension's (filtered) runs, which for a
+        regenerated dimension is its summary, never its tuples; only the
+        fact side streams.
         """
         scan_op = BatchScan(self.database, query.root, self.stats)
         source: BatchOperator = scan_op
@@ -167,13 +173,13 @@ class Executor:
 
         joins: List[Tuple[BatchHashJoin, str, str, int, DNFPredicate, int]] = []
         for _, fk_column, parent in query.join_order(self.schema):
-            parent_table = self.database.table(parent)
-            scan_cardinality = parent_table.num_rows
+            parent_runs = RunBatch.concat(list(BatchScan(self.database, parent)))
+            scan_cardinality = parent_runs.num_rows
             parent_filter = query.filter_for(parent)
-            build_side = parent_table
+            build_side = parent_runs
             if not parent_filter.is_true:
-                build_side = parent_table.select(parent_table.evaluate(parent_filter))
-            build = HashJoinBuild(build_side, self.schema.relation(parent).primary_key)
+                build_side = parent_runs.filter(parent_filter)
+            build = HashJoinBuild(build_side)
             join_op = BatchHashJoin(source, fk_column, build, self.stats)
             source = join_op
             joins.append((join_op, fk_column, parent, scan_cardinality,

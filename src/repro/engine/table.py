@@ -1,14 +1,17 @@
-"""In-memory columnar tables.
+"""In-memory columnar tables and the run batches the executor streams.
 
 The engine substrate stores every relation as a set of equal-length
 ``numpy.int64`` columns.  All values are integers (the anonymizer of the paper
 maps client values to integers before they ever reach the vendor pipeline),
-which keeps scans, joins and predicate evaluation simple and fast.
+which keeps scans, joins and predicate evaluation simple and fast.  A
+:class:`RunBatch` is a table of *runs* — rows standing for a window of
+consecutive primary keys — which is how a summary-backed relation flows
+through the executor without being expanded into tuples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,11 +109,6 @@ class Table:
             raise EngineError(f"row index {index} out of range")
         return {c: int(arr[index]) for c, arr in self._columns.items()}
 
-    def iter_rows(self) -> Iterator[Dict[str, int]]:
-        """Iterate over rows as dicts (slow; intended for tests/debug)."""
-        for i in range(self._num_rows):
-            yield self.row(i)
-
     # ------------------------------------------------------------------ #
     # relational operations used by the executor
     # ------------------------------------------------------------------ #
@@ -177,6 +175,141 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, {self._num_rows} rows, {len(self._columns)} cols)"
+
+
+class RunBatch:
+    """A batch of *runs*, the unit every pipeline operator works on.
+
+    Row ``i`` of ``heads`` is one run standing for ``counts[i]`` tuples.
+    Every column is constant within a run except ``key``, the scanned
+    relation's primary key, which counts up from ``heads[key][i]`` to
+    ``heads[key][i] + counts[i] - 1``.  A regenerated relation scans as one
+    run per summary row, so operators cost what its summary costs; a
+    materialised table is the degenerate case of count-1 runs, with the table
+    itself as ``heads`` and ``counts=None`` (no per-run counts to carry).
+    Counts are always positive.
+    """
+
+    __slots__ = ("heads", "_counts", "key", "num_rows")
+
+    def __init__(self, heads: Table, counts: Optional[np.ndarray], key: str) -> None:
+        self.heads = heads
+        self._counts = counts
+        self.key = key
+        #: Tuples the runs stand for.
+        self.num_rows = heads.num_rows if counts is None else int(counts.sum())
+
+    @classmethod
+    def of_table(cls, table: Table, key: str) -> "RunBatch":
+        """The rows of ``table`` as count-1 runs (no copy)."""
+        return cls(table, None, key)
+
+    @classmethod
+    def concat(cls, batches: Sequence["RunBatch"]) -> "RunBatch":
+        """Concatenate run batches of one relation."""
+        counts = None
+        if any(b._counts is not None for b in batches):
+            counts = np.concatenate([b.counts for b in batches])
+        return cls(Table.concat([b.heads for b in batches]), counts, batches[0].key)
+
+    @property
+    def num_runs(self) -> int:
+        """Runs in the batch: the rows it actually holds."""
+        return self.heads.num_rows
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Tuples per run."""
+        if self._counts is None:
+            return np.ones(self.num_runs, dtype=np.int64)
+        return self._counts
+
+    def select(self, mask: np.ndarray) -> "RunBatch":
+        """The runs where ``mask`` is true."""
+        counts = None if self._counts is None else self._counts[mask]
+        return RunBatch(self.heads.select(mask), counts, self.key)
+
+    def with_columns(self, extra: Mapping[str, np.ndarray]) -> "RunBatch":
+        """The runs extended with per-run columns."""
+        return RunBatch(self.heads.with_columns(extra), self._counts, self.key)
+
+    def filter(self, predicate: DNFPredicate) -> "RunBatch":
+        """The tuples satisfying ``predicate``, still as runs.
+
+        The predicate is evaluated once per run.  A conjunct on ``key`` clips
+        each run's key interval exactly, which may split a run into sub-runs
+        (kept in key order); a run is never expanded into tuples.
+        """
+        if self._clips(predicate):
+            return self._clip(predicate)
+        return self.select(self.heads.evaluate(predicate))
+
+    def count(self, predicate: DNFPredicate) -> int:
+        """Number of tuples satisfying ``predicate``."""
+        if self._clips(predicate):
+            return self._clip(predicate).num_rows
+        mask = self.heads.evaluate(predicate)
+        if self._counts is None:
+            return int(np.count_nonzero(mask))
+        return int(self._counts[mask].sum())
+
+    def expand(self) -> Table:
+        """The tuples the runs stand for, in order."""
+        if self.num_rows == self.num_runs:
+            return self.heads
+        counts = self._counts
+        runs = np.repeat(np.arange(self.num_runs), counts)
+        first = self.heads.column(self.key)
+        keys = np.arange(self.num_rows, dtype=np.int64) + np.repeat(
+            first - (np.cumsum(counts) - counts), counts)
+        return Table({name: keys if name == self.key else self.heads.column(name)[runs]
+                      for name in self.heads.column_names}, name=self.heads.name)
+
+    def _clips(self, predicate: DNFPredicate) -> bool:
+        # Count-1 runs hold their exact key in ``heads``: plain evaluation.
+        return self.num_rows != self.num_runs and self.key in predicate.attributes
+
+    def _clip(self, predicate: DNFPredicate) -> "RunBatch":
+        first = self.heads.column(self.key)
+        stop = first + self.counts
+        runs, los, his = [], [], []
+        for conjunct in predicate.conjuncts:
+            rest = {a: v for a, v in conjunct.constraints.items() if a != self.key}
+            hit = np.flatnonzero(self.heads.evaluate(DNFPredicate.of(Conjunct(rest))))
+            keys = conjunct.restriction(self.key)
+            bounds = [(iv.lo, iv.hi) for iv in keys] if keys is not None \
+                else [(_INT64.min, _INT64.max)]
+            for lo, hi in bounds:
+                piece_lo = np.maximum(first[hit], lo)
+                piece_hi = np.minimum(stop[hit], hi)
+                keep = piece_lo < piece_hi
+                runs.append(hit[keep])
+                los.append(piece_lo[keep])
+                his.append(piece_hi[keep])
+        run = np.concatenate(runs)
+        if run.size == 0:
+            return self.select(np.zeros(self.num_runs, dtype=bool))
+        # Lay the runs' key intervals end to end on one line, one empty slot
+        # apart: a single sort then orders the pieces by (run, key), and a
+        # running maximum merges the pieces that overlap within a run (two
+        # conjuncts selecting the same keys) but never across runs.
+        base = np.cumsum(self.counts + 1) - (self.counts + 1) - first
+        lo_line = np.concatenate(los) + base[run]
+        hi_line = np.concatenate(his) + base[run]
+        order = np.argsort(lo_line, kind="stable")
+        run, lo_line, hi_line = run[order], lo_line[order], hi_line[order]
+        reach = np.maximum.accumulate(hi_line)
+        starts = np.flatnonzero(np.concatenate(([True], lo_line[1:] > reach[:-1])))
+        ends = np.append(starts[1:], run.size) - 1
+        run = run[starts]
+        columns = {name: self.heads.column(name)[run]
+                   for name in self.heads.column_names}
+        columns[self.key] = lo_line[starts] - base[run]
+        return RunBatch(Table(columns, name=self.heads.name),
+                        reach[ends] - lo_line[starts], self.key)
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _membership_mask(values: np.ndarray, allowed: IntervalSet) -> np.ndarray:

@@ -13,7 +13,6 @@ from repro.metrics.similarity import (
     ConstraintResult,
     SimilarityReport,
     SummaryViewResolver,
-    denormalized_view,
     evaluate_on_database,
     evaluate_on_summary,
     evaluate_with_executor,
@@ -24,7 +23,6 @@ __all__ = [
     "ConstraintResult",
     "SimilarityReport",
     "SummaryViewResolver",
-    "denormalized_view",
     "evaluate_on_database",
     "evaluate_on_summary",
     "evaluate_with_executor",

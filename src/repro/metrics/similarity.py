@@ -6,7 +6,9 @@ client) and the row count the regenerated database actually produces.  Two
 evaluation paths are provided:
 
 * :func:`evaluate_on_database` executes the constraints against a
-  materialised database through the engine (joins and all);
+  database through the engine (joins and all) — over a regenerated
+  database the engine works per summary row, so this too is scale
+  independent;
 * :func:`evaluate_on_summary` evaluates them analytically on the database
   summary by chasing foreign keys through the relation summaries, which is
   scale independent and therefore usable for the exabyte scenario.
@@ -24,7 +26,6 @@ from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
 from repro.engine.executor import Executor
-from repro.engine.table import Table
 from repro.errors import SummaryError
 from repro.schema.schema import Schema
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
@@ -108,21 +109,15 @@ def _view_query(database: Database, relation: str) -> Query:
                  relations=(relation, *closure))
 
 
-def denormalized_view(database: Database, relation: str) -> Table:
-    """Materialise the denormalised view of ``relation``: the relation joined
-    with every relation it references, directly or transitively."""
-    return Executor(database).execute(_view_query(database, relation)).table
-
-
 def evaluate_with_executor(ccs: ConstraintSet,
                            executor: Executor) -> SimilarityReport:
     """Evaluate every constraint through an existing executor.
 
     Constraints are grouped per root relation and counted in one pass over
     that relation's denormalised view — in pipelined mode the view streams
-    through the join operators batch-at-a-time, so the fact relation of a
-    stream-attached (dynamically regenerated) database is never
-    materialised, whatever scale it expands to.
+    through the join operators as run batches, so a dynamically
+    regenerated database is counted per summary row and never expanded,
+    whatever scale it stands for.
     """
     indexed = list(enumerate(ccs))
     groups: Dict[str, List[Tuple[int, CardinalityConstraint]]] = {}

@@ -57,7 +57,7 @@ from repro.datasynth.pipeline import DataSynthConfig
 from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.engine.plan import AnnotatedQueryPlan
-from repro.engine.table import Table
+from repro.engine.table import RunBatch, Table
 from repro.errors import (
     ServiceClosedError,
     ServiceError,
@@ -1024,16 +1024,16 @@ class RegenerationService:
                  timeout: Optional[float] = None) -> Database:
         """A lazily regenerated :class:`Database` for the request's summary.
 
-        Every relation is attached as a batch stream: nothing is generated
-        until first scan, and pipelined consumers (the default
-        :class:`~repro.engine.executor.Executor` mode) never materialise a
-        relation however large the regenerated scale is.  The streams are
-        backed by the service's shared per-``(fingerprint, relation)``
-        generators — the same ones :meth:`stream` serves shards from — so
-        repeated regenerate-then-verify calls pay the summary expansion
-        setup once and their batches show up in the shared diagnostics.
-        Scanning streams pin the store entry exactly like :meth:`stream`
-        cursors do.
+        Every relation is attached as a stream of run batches (at most
+        ``batch_size`` summary rows each): nothing is generated until first
+        scan, and pipelined consumers (the default
+        :class:`~repro.engine.executor.Executor` mode) work per summary row,
+        never expanding a relation into tuples however large the
+        regenerated scale is.  The streams are backed by the service's
+        shared per-``(fingerprint, relation)`` generators — the same ones
+        :meth:`stream` serves shards from — so repeated
+        regenerate-then-verify calls pay the summary setup once.  Scanning
+        streams pin the store entry exactly like :meth:`stream` cursors do.
         """
         fingerprint, summary = self._resolve_summary(request, timeout)
         database = Database(self.schema, name=f"regen-{fingerprint[:12]}")
@@ -1041,10 +1041,10 @@ class RegenerationService:
             generator = self._generator(fingerprint, relation, summary)
 
             def stream_factory(generator: TupleGenerator = generator,
-                               ) -> Iterator[Table]:
+                               ) -> Iterator[RunBatch]:
                 cursor = _PinnedCursor(
                     self.store, fingerprint,
-                    generator.stream(batch_size=batch_size),
+                    generator.runs(batch_size=batch_size),
                 )
                 self._cursors.add(cursor)
                 return cursor
@@ -1063,8 +1063,8 @@ class RegenerationService:
 
         This is the serving half of the paper's client/vendor loop: the
         vendor regenerates the database from the summary and replays the
-        workload to produce AQPs, batch-at-a-time by default so the fact
-        relations are never materialised.  Executor memory telemetry
+        workload to produce AQPs, as run batches by default so no relation
+        is ever materialised or expanded.  Executor memory telemetry
         (``executor_peak_batch_rows`` and friends) lands in :meth:`stats`.
         """
         executor = Executor(self.database(request, batch_size, timeout), mode=mode)
@@ -1081,7 +1081,10 @@ class RegenerationService:
 
         Evaluates ``constraints`` (defaulting to the request itself when it
         is a constraint set) against the regenerated data through the
-        engine, streaming each denormalised view batch-at-a-time by default.
+        engine, streaming each denormalised view as run batches by default.
+        The ``service.verify`` span records the ``relations`` whose views
+        were counted, the ``runs`` pushed through operators and the
+        ``tuples`` those runs stood for.
         """
         if constraints is None:
             if not isinstance(request, ConstraintSet):
@@ -1090,8 +1093,13 @@ class RegenerationService:
                     " is a fingerprint"
                 )
             constraints = request
-        executor = Executor(self.database(request, batch_size, timeout), mode=mode)
-        report = evaluate_with_executor(constraints, executor)
+        with trace_span("service.verify", relations=len(
+                {cc.relation for cc in constraints})) as span:
+            executor = Executor(self.database(request, batch_size, timeout),
+                                mode=mode)
+            report = evaluate_with_executor(constraints, executor)
+            span.set_attribute("runs", executor.stats.rows)
+            span.set_attribute("tuples", executor.stats.tuples)
         self._observe_executor(executor, "verifications")
         return report
 

@@ -3,12 +3,14 @@
 The tuple generator turns a :class:`~repro.summary.RelationSummary` into
 actual rows.  Primary keys are row numbers; to produce the ``r``-th tuple the
 generator locates the summary row whose cumulative ``NumTuples`` first
-reaches ``r`` and copies its value combination.  Three access paths are
+reaches ``r`` and copies its value combination.  Four access paths are
 provided:
 
 * :meth:`TupleGenerator.row` — random access to a single tuple,
-* :meth:`TupleGenerator.stream` — streaming generation in batches (the
-  on-demand scan used inside the engine instead of reading from disk),
+* :meth:`TupleGenerator.runs` — the relation as run batches, one run per
+  summary row (the on-demand scan used inside the engine instead of reading
+  from disk: queries cost what the summary costs, not what it expands to),
+* :meth:`TupleGenerator.stream` — streaming generation of tuple batches,
 * :meth:`TupleGenerator.materialize` — build the full columnar table.
 
 All bulk paths are fully vectorised: the summary's value combinations are
@@ -25,7 +27,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 import numpy as np
 
 from repro.engine.database import Database
-from repro.engine.table import Table
+from repro.engine.table import RunBatch, Table
 from repro.errors import GenerationError
 from repro.obs.trace import get_tracer
 from repro.schema.schema import Schema
@@ -84,11 +86,29 @@ class TupleGenerator:
     # ------------------------------------------------------------------ #
     # streaming generation
     # ------------------------------------------------------------------ #
-    def stream(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Table]:
-        """Yield the relation as a sequence of columnar batches.
+    def runs(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[RunBatch]:
+        """Yield the relation as run batches of at most ``batch_size`` runs.
 
-        This is the engine-facing access path: the executor consumes batches
-        as they are produced instead of reading a materialised relation.
+        This is the engine-facing access path: every summary row is one run
+        (its values plus its window of primary keys), so the executor's
+        filters and joins work per summary row and nothing is expanded into
+        tuples.  Peak memory is one batch of runs, independent of the scale
+        the summary expands to.
+        """
+        if batch_size <= 0:
+            raise GenerationError("batch size must be positive")
+        return self._iter_runs(batch_size)
+
+    def _iter_runs(self, batch_size: int) -> Iterator[RunBatch]:
+        start = 1
+        for stop in self._prefix[batch_size - 1::batch_size].tolist() + [self._total]:
+            if stop >= start:
+                yield self.run_batch(start, stop)
+                start = stop + 1
+
+    def stream(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Table]:
+        """Yield the relation as a sequence of columnar tuple batches.
+
         Peak memory is one batch, independent of the relation's size.
         """
         return self.stream_range(batch_size=batch_size)
@@ -174,22 +194,26 @@ class TupleGenerator:
         repeats[-1] -= int(self._prefix[hi]) - stop
         return lo, repeats
 
+    def run_batch(self, start: int, stop: int) -> RunBatch:
+        """The tuples with primary keys ``start..stop`` (1-based, inclusive)
+        as runs: one per summary row in :meth:`run_window`, its values
+        constant, its keys consecutive."""
+        lo, repeats = self.run_window(start, stop)
+        rows = np.arange(lo, lo + len(repeats))
+        if not repeats.all():  # summary rows standing for no tuple
+            rows, repeats = rows[repeats > 0], repeats[repeats > 0]
+        heads: Dict[str, np.ndarray] = {
+            self.summary.primary_key: start + np.cumsum(repeats) - repeats
+        }
+        for i, column in enumerate(self.summary.columns):
+            heads[column] = self._values[rows, i]
+        return RunBatch(Table(heads, name=self.summary.relation), repeats,
+                        self.summary.primary_key)
+
     def _batch(self, start: int, stop: int) -> Table:
         """Build the batch of tuples with primary keys ``start..stop``
         (1-based, inclusive) in one vectorised pass."""
-        batch: Dict[str, np.ndarray] = {
-            self.summary.primary_key: np.arange(start, stop + 1, dtype=np.int64)
-        }
-        if self._values.shape[0]:
-            lo, repeats = self.run_window(start, stop)
-            rows = np.repeat(np.arange(lo, lo + len(repeats), dtype=np.intp),
-                             repeats)
-            for i, column in enumerate(self.summary.columns):
-                batch[column] = self._values[rows, i]
-        else:
-            for column in self.summary.columns:
-                batch[column] = np.empty(0, dtype=np.int64)
-        return Table(batch, name=self.summary.relation)
+        return self.run_batch(start, stop).expand()
 
     def table_from_stream(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Table:
         """Assemble the full relation by concatenating streamed batches.
@@ -244,16 +268,17 @@ def dynamic_database(summary: DatabaseSummary, schema: Schema,
 
     Each relation is registered as a *batch stream*: nothing at all is
     generated until the relation is first scanned, and the scan itself is
-    served by the vectorised :meth:`TupleGenerator.stream` path — the full
-    relation is never built by an eager one-shot
-    :meth:`TupleGenerator.materialize` call.
+    served as run batches of at most ``batch_size`` summary rows by
+    :meth:`TupleGenerator.runs` — the executor never expands them, and
+    whole-table access concatenates expanded batches rather than calling
+    an eager one-shot :meth:`TupleGenerator.materialize`.
     """
     database = Database(schema, name=name)
     for relation, relation_summary in summary.relations.items():
         generator = TupleGenerator(relation_summary)
 
-        def stream_factory(generator: TupleGenerator = generator) -> Iterator[Table]:
-            return generator.stream(batch_size=batch_size)
+        def stream_factory(generator: TupleGenerator = generator) -> Iterator[RunBatch]:
+            return generator.runs(batch_size=batch_size)
 
         database.attach_stream(relation, stream_factory,
                                row_count=generator.total_rows)

@@ -88,22 +88,6 @@ class TestDatabase:
         with pytest.raises(EngineError):
             db.attach("S", Table({"S_pk": np.arange(3)}))  # missing A, B
 
-    def test_dynamic_attachment(self, toy_schema):
-        db = Database(toy_schema)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return Table({"T_pk": np.arange(1, 4), "C": np.array([1, 2, 3])}, name="T")
-
-        db.attach_dynamic("T", factory)
-        assert db.is_dynamic("T")
-        table = db.table("T")
-        assert table.num_rows == 3
-        assert not db.is_dynamic("T")
-        db.table("T")
-        assert len(calls) == 1  # factory invoked only once
-
     def test_missing_table(self, toy_schema):
         db = Database(toy_schema)
         with pytest.raises(EngineError):

@@ -266,6 +266,21 @@ class TestTracing:
         # The streaming cursor finished its own (non-current) span too.
         assert "tuplegen.stream_range" in {r["name"] for r in records}
 
+    def test_verify_span_counts_runs_against_tuples(self, toy_schema, tracer):
+        tracer.configure(sample=1.0)
+        config = RegenConfig(workers=1, trace_sample=1.0)
+        with RegenerationService(toy_schema, config=config) as service:
+            report = service.verify(toy_ccs())
+        (record,) = [r for r in tracer.spans() if r["name"] == "service.verify"]
+        attributes = record["attributes"]
+        assert set(attributes) == {"relations", "runs", "tuples"}
+        assert attributes["relations"] == 3  # one denormalised view per root
+        # Each view's root scan regenerated its whole relation ...
+        assert attributes["tuples"] == 80_000 + 700 + 1_500
+        # ... yet the operators only ever saw summary rows.
+        assert 0 < attributes["runs"] < attributes["tuples"] / 1_000
+        assert len(report.results) == len(list(toy_ccs()))
+
     def test_jsonl_export_file_round_trips(self, toy_schema, tracer,
                                            tmp_path):
         tracer.configure(sample=1.0)

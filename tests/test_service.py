@@ -536,7 +536,7 @@ class TestRegenerateThenVerify:
 
     def test_execute_workload_over_regenerated_database(self, toy_schema,
                                                         monkeypatch):
-        # The fact relation streams through the executor batch-at-a-time:
+        # Every relation streams through the executor as run batches:
         # a one-shot materialisation anywhere is a test failure.
         def forbidden(self):
             raise AssertionError("serving path called materialize()")

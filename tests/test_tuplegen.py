@@ -128,7 +128,8 @@ class TestDatabaseMaterialisation:
                               batch_size=1000)
         seen = 0
         for batch in db.scan_batches("R"):
-            assert batch.num_rows <= 1000
+            # A scan batch is bounded in runs (summary rows), not tuples.
+            assert batch.num_runs <= 1000
             seen += batch.num_rows
         assert seen == 80_000
         # batch scanning alone must not materialise the relation
