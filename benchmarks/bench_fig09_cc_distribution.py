@@ -8,23 +8,17 @@ cardinalities up to the nominal 100 GB configuration via the CODD path.
 
 from __future__ import annotations
 
+from conftest import FACT_SCALE, QUICK
+
 from repro.codd.scaling import scale_constraints
-from benchmarks.conftest import FACT_SCALE, QUICK
 
 
-def test_fig09_cc_cardinality_distribution(benchmark, tpcds_env, bench):
+def test_fig09_cc_cardinality_distribution(tpcds_env):
     ccs = tpcds_env["wlc"]
     nominal = scale_constraints(ccs, 1.0 / FACT_SCALE, name="WLc@100GB")
 
-    with bench.time("histogram_seconds"):
-        histogram = nominal.cardinality_histogram()
-    benchmark(nominal.cardinality_histogram)
-
+    histogram = nominal.cardinality_histogram()
     summary = nominal.summary()
-    bench.record("cc_count", summary["count"], unit="constraints",
-                 direction="info")
-    bench.record("max_cardinality", summary["max"], unit="tuples",
-                 direction="info")
     print("\n[Figure 9] WLc cardinality-constraint distribution (log10 bins)")
     print(f"  constraints: {summary['count']}, queries: {summary['num_queries']}, "
           f"cardinalities {summary['min']} .. {summary['max']:,}")

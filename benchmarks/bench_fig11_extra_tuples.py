@@ -37,11 +37,13 @@ hand-tuned:
    environment-derived ceiling — which keeps it volumetrically negligible
    (and, being scale-free, vanishing at the paper's operating point).
 
-DataSynth's measured count is still reported in the printed table for the
-trajectory, but only tracked informationally.
+DataSynth's measured count is still reported in the printed table, but not
+asserted.
 """
 
 from __future__ import annotations
+
+from conftest import QUICK
 
 from repro.codd.scaling import scale_constraints
 from repro.datasynth.pipeline import DataSynth, DataSynthConfig
@@ -53,12 +55,15 @@ from repro.metrics.integrity import compare_extra_tuples
 #: scale-dependence of the repair count would show, cheap enough to build.
 INVARIANCE_FACTOR = 4.0
 
+#: Hydra's measured repair total in this environment (quick / full scale).
+HYDRA_EXTRA_TUPLES = 4 if QUICK else 23
 
-def test_fig11_extra_tuples_for_integrity(benchmark, tpcds_env, bench):
+
+def test_fig11_extra_tuples_for_integrity(tpcds_env):
     schema = tpcds_env["schema"]
     ccs = tpcds_env["wls"]
 
-    hydra_result = benchmark(lambda: Hydra(schema).build_summary(ccs))
+    hydra_result = Hydra(schema).build_summary(ccs)
     scaled = scale_constraints(ccs, INVARIANCE_FACTOR, name="WLs@4x")
     scaled_result = Hydra(schema).build_summary(scaled)
 
@@ -79,14 +84,6 @@ def test_fig11_extra_tuples_for_integrity(benchmark, tpcds_env, bench):
     print(f"  Hydra at {INVARIANCE_FACTOR:g}x CC scale: {scaled_total}"
           f" (scale-free), workload: {num_ccs} CCs")
 
-    # The repair count is deterministic for a fixed environment, so any
-    # growth is a merge/consistency change worth a conscious look: zero
-    # tolerance.  DataSynth's diversity-suppressed count is info-only.
-    bench.record("hydra_extra_tuples", hydra_total, unit="tuples",
-                 direction="lower")
-    bench.record("datasynth_extra_tuples", ds_total, unit="tuples",
-                 direction="info")
-
     # 1. Scale-free: the repair count is a structural constant of the
     #    constraint set, independent of the cardinalities it carries.
     assert scaled_total == hydra_total
@@ -103,3 +100,8 @@ def test_fig11_extra_tuples_for_integrity(benchmark, tpcds_env, bench):
     #    constraint-induced cell that went missing at merge, so the workload
     #    size bounds the total — no absolute magic number involved.
     assert hydra_total <= num_ccs
+
+    # Beyond the mechanism, the count itself is deterministic for a fixed
+    # environment, so any growth is a merge/consistency change worth a
+    # conscious look.  DataSynth's diversity-suppressed count is only printed.
+    assert hydra_total <= HYDRA_EXTRA_TUPLES

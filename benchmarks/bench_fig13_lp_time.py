@@ -11,6 +11,8 @@ with a warm component cache, the repeated-regeneration serving scenario).
 
 from __future__ import annotations
 
+from conftest import WLC_REGION_VARIABLES
+
 from repro.datasynth.pipeline import DataSynth, DataSynthConfig
 from repro.errors import LPTooLargeError
 from repro.hydra.pipeline import Hydra
@@ -32,20 +34,18 @@ def _view_models(schema, *constraint_sets):
     return models
 
 
-def test_fig13_lp_processing_time(benchmark, tpcds_env, bench):
+def test_fig13_lp_processing_time(tpcds_env):
     schema = tpcds_env["schema"]
     wlc, wls = tpcds_env["wlc"], tpcds_env["wls"]
 
-    hydra_wlc = benchmark(lambda: Hydra(schema).build_summary(wlc))
+    hydra_wlc = Hydra(schema).build_summary(wlc)
     # lp_seconds() is wall-clock by construction: it uses the batched solve
     # phase's lp_wall_seconds, never the sum of per-view solve_seconds that
     # overlap under the worker pool.
     hydra_wlc_time = hydra_wlc.lp_seconds()
-    bench.record_seconds("hydra_wlc_lp_seconds", hydra_wlc_time)
 
     with Timer() as hydra_wls_timer:
         Hydra(schema).build_summary(wls)
-    bench.record_seconds("hydra_wls_build_seconds", hydra_wls_timer.seconds)
 
     # DataSynth on WLc: at full 100 GB scale the grid formulation exceeds
     # what the solver can take (the paper reports an outright crash).  At
@@ -78,16 +78,13 @@ def test_fig13_lp_processing_time(benchmark, tpcds_env, bench):
     region_total = sum(hydra_wlc.lp_variable_counts.values())
     print(f"  WLc variables: grid={grid_total}  region={region_total}"
           f"  (blow-up x{grid_total / max(region_total, 1):.1f})")
-    bench.record("wlc_region_variables", region_total, unit="vars",
-                 direction="lower")
-    bench.record("wlc_grid_blowup_factor", grid_total / max(region_total, 1),
-                 direction="info")
     assert grid_total > region_total
+    assert region_total <= WLC_REGION_VARIABLES[0]
     assert hydra_wlc_time < 120
     assert hydra_wls_timer.seconds < datasynth_wls_timer.seconds
 
 
-def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env, bench):
+def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env):
     """Scale-out extension of Figure 13: the whole multi-view LP batch,
     solved serially (one monolithic solve per view) versus with the
     decomposing parallel solver."""
@@ -107,13 +104,9 @@ def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env, bench):
         parallel_solutions = parallel.solve_many(models)
     with Timer() as warm_timer:
         warm_solutions = parallel.solve_many(models)
-    bench.record_seconds("multiview_serial_seconds", serial_timer.seconds)
-    bench.record_seconds("multiview_parallel_cold_seconds", cold_timer.seconds)
-    bench.record_seconds("multiview_parallel_warm_seconds", warm_timer.seconds)
+    # Every component the cold pass solved is a cache hit on the warm pass.
     cache = parallel.cache_info
-    lookups = cache["hits"] + cache["misses"]
-    bench.record("warm_cache_hit_rate", cache["hits"] / max(lookups, 1),
-                 direction="higher", tolerance=0.05)
+    assert cache["hits"] >= cache["misses"]
 
     print("\n[Figure 13+] multi-view LP batch "
           f"({len(models)} views, {sum(m.num_variables for m in models)} vars)")
@@ -121,7 +114,7 @@ def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env, bench):
     print(f"  ParallelLPSolver (cold)  {cold_timer.seconds:8.2f} s   "
           f"components={parallel.stats.components_solved}")
     print(f"  ParallelLPSolver (warm)  {warm_timer.seconds:8.2f} s   "
-          f"cache={parallel.cache_info}")
+          f"cache={cache}")
 
     # Exactness: every view whose LP fits the (per-component) MILP path is
     # satisfied exactly; views above the size limit fall back to the

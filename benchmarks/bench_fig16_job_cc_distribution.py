@@ -6,21 +6,17 @@ cardinality constraints with a highly varied cardinality distribution.
 
 from __future__ import annotations
 
-from benchmarks.conftest import QUICK
+from conftest import QUICK
+
 from repro.codd.scaling import scale_constraints
 
 
-def test_fig16_job_cc_distribution(benchmark, job_env, bench):
+def test_fig16_job_cc_distribution(job_env):
     ccs = job_env["ccs"]
     nominal = scale_constraints(ccs, 1.0 / 0.002, name="JOB@full")
 
-    with bench.time("histogram_seconds"):
-        histogram = nominal.cardinality_histogram()
-    benchmark(nominal.cardinality_histogram)
-
+    histogram = nominal.cardinality_histogram()
     summary = nominal.summary()
-    bench.record("cc_count", summary["count"], unit="constraints",
-                 direction="info")
     print("\n[Figure 16] JOB cardinality-constraint distribution (log10 bins)")
     print(f"  constraints: {summary['count']}, queries: {summary['num_queries']}, "
           f"cardinalities {summary['min']} .. {summary['max']:,}")

@@ -14,7 +14,6 @@ import time
 
 from conftest import QUICK
 
-from repro.benchdata.tpcds import simple_workload, tpcds_schema
 from repro.hydra.pipeline import Hydra
 from repro.service.store import SummaryStore
 
@@ -22,7 +21,7 @@ CHURN_PUTS = 40 if QUICK else 200
 WARM_READS = 200 if QUICK else 1_000
 
 
-def test_store_churn_cap_and_warm_latency(benchmark, tmp_path, tpcds_env, bench):
+def test_store_churn_cap_and_warm_latency(tmp_path, tpcds_env):
     schema, ccs = tpcds_env["schema"], tpcds_env["wls"]
     summary = Hydra(schema).build_summary(ccs).summary
 
@@ -62,13 +61,7 @@ def test_store_churn_cap_and_warm_latency(benchmark, tmp_path, tpcds_env, bench)
     read_many(store, hot)
     baseline = read_many(probe, "0" * 64)
     capped = read_many(store, hot)
-    benchmark(lambda: store.get_summary(hot))
 
-    bench.record("churn_evictions", counters["evictions"], unit="evictions",
-                 direction="info")
-    bench.record("final_store_bytes", counters["store_bytes"], unit="bytes",
-                 direction="lower", tolerance=0.20)
-    bench.record_seconds("warm_read_seconds", capped)
     print(f"\n[store churn] {CHURN_PUTS} cold puts through a {cap:,}-byte cap:"
           f" {counters['evictions']} evictions,"
           f" final occupancy {counters['store_bytes']:,} bytes")

@@ -49,7 +49,7 @@ def _percentile(samples, fraction: float) -> float:
     return ordered[index]
 
 
-def test_store_replication(benchmark, tmp_path, bench):
+def test_store_replication(tmp_path):
     leader = DiskBackend(tmp_path / "leader")
     server = StoreServer(leader, port=0).start()
     writer = ReplicatedStore(server.url, tmp_path / "writer",
@@ -87,7 +87,6 @@ def test_store_replication(benchmark, tmp_path, bench):
         read_many(observer)
         disk_reads = read_many(local)
         follower_reads = read_many(observer)
-        benchmark(lambda: observer.get_summary(hot))
 
         # -- catch-up throughput over a backlog ------------------------ #
         for i in range(BACKLOG):
@@ -109,12 +108,6 @@ def test_store_replication(benchmark, tmp_path, bench):
         writer.close()
         server.shutdown()
 
-    bench.record_seconds("put_visible_p50_seconds", p50)
-    bench.record_seconds("put_visible_p99_seconds", p99)
-    bench.record_seconds("follower_warm_read_seconds", follower_reads)
-    bench.record_seconds("local_warm_read_seconds", disk_reads)
-    bench.record("catchup_records_per_second", round(rate, 1),
-                 unit="records/s", direction="higher", tolerance=0.50)
     print(f"\n[store replication] {REPL_PUTS} puts ->"
           f" replicated-visible p50 {p50 * 1e3:.1f}ms p99 {p99 * 1e3:.1f}ms"
           f" (poll interval {POLL_INTERVAL * 1e3:.0f}ms)")

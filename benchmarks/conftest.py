@@ -4,18 +4,17 @@ Every benchmark regenerates one table or figure of the paper's evaluation
 (Section 7) at a reduced scale: the client database is a scaled-down
 TPC-DS-like / JOB-like instance, and cardinalities are scaled up through the
 CODD metadata path where the experiment calls for nominal 100 GB numbers.
-The printed output of each benchmark is the reproduced table/series.
+The printed output of each benchmark is the reproduced table/series; its
+assertions are the figure's shape claims.  Timing is measured by
+``bench_e2e``, not here.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-from pathlib import Path
 
 import pytest
 
-from repro.bench import BenchRecorder
 from repro.benchdata.datagen import generate_database
 from repro.benchdata.job import job_schema, job_workload
 from repro.benchdata.tpcds import complex_workload, simple_workload, tpcds_schema
@@ -34,30 +33,11 @@ WLC_QUERIES = 40 if QUICK else 131
 WLS_QUERIES = 30 if QUICK else 110
 JOB_QUERIES = 60 if QUICK else 260
 
-
-@pytest.fixture(scope="module")
-def bench(request):
-    """The perf-trajectory recorder for one benchmark file.
-
-    Module-scoped: every test in ``bench_<name>.py`` records into the same
-    :class:`~repro.bench.BenchRecorder`, and at module teardown the collected
-    metrics are written atomically as ``BENCH_<name>.json`` into
-    ``BENCH_OUTPUT_DIR`` — defaulting to an *out-of-tree* directory under the
-    system temp dir, so an ad-hoc run (especially a full-scale one) can never
-    silently overwrite the committed quick-mode baselines.  Deliberate
-    baseline refreshes opt in with ``BENCH_OUTPUT_DIR=benchmarks``.
-    Durations must be wall-clock — use
-    ``bench.time(...)``/``bench.record_seconds(...)``.
-    """
-    module_path = Path(str(request.fspath))
-    recorder = BenchRecorder(module_path.stem.removeprefix("bench_"), quick=QUICK)
-    yield recorder
-    if recorder.metrics:
-        output_dir = os.environ.get("BENCH_OUTPUT_DIR") or (
-            Path(tempfile.gettempdir()) / "repro-bench"
-        )
-        target = recorder.write(output_dir)
-        print(f"\n[bench] telemetry written to {target}")
+#: Region variables of the WLc formulation above: (total, widest relation).
+#: Deterministic for the environment, so growth is a formulation change to
+#: look at; per-relation counts at smoke scale are pinned by
+#: ``tests/test_formulate.py``.
+WLC_REGION_VARIABLES = (1_538, 426) if QUICK else (24_502, 6_732)
 
 
 @pytest.fixture(scope="session")

@@ -430,9 +430,6 @@ class RegenerationService:
                                     registry=self.registry)
         self.engine = engine or self.config.engine
         self.backend = create_backend(self.engine, schema, self.config, self.store)
-        #: Back-compat alias: the wrapped engine object (a ``Hydra`` for the
-        #: default backend — tests and tooling patch ``hydra.build_summary``).
-        self.hydra = self.backend.pipeline
         # Re-home the solver's stats onto the service registry, so one
         # export (`stats --prometheus`) covers service, store and solver.
         solver = getattr(self.backend.pipeline, "solver", None)
