@@ -36,9 +36,7 @@ from repro.api import (
 )
 from repro.cluster import (
     DiskBackend,
-    HashRing,
     ReplicatedStore,
-    ShardedStore,
     StoreBackend,
     StoreServer,
     open_store,
@@ -155,8 +153,6 @@ __all__ = [
     "DiskBackend",
     "StoreServer",
     "ReplicatedStore",
-    "ShardedStore",
-    "HashRing",
     "open_store",
     # metrics
     "SimilarityReport",

@@ -15,8 +15,8 @@ through:
 
 Backends are selected by name — ``register_backend("myengine", factory)``
 makes ``Session(schema).summarize(ccs, engine="myengine")`` and
-``RegenerationService(schema, engine="myengine")`` work without either layer
-knowing the engine exists.
+``RegenerationService(schema, config=RegenConfig(engine="myengine"))`` work
+without either layer knowing the engine exists.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ canonical input to store-fingerprint namespacing: two sessions whose configs
 differ in a result-affecting knob can never share a store entry, while
 performance-only knobs (workers, cache sizes, batch size) never split the
 store.
+
+It is also the only place a serving knob is set: ``RegenerationService``,
+``Session.serve()`` and ``RegenerationServer`` read their worker pool,
+admission caps, GC/reaper periods and HTTP limits from the config they are
+handed, and take no keyword spelling of their own.
 """
 
 from __future__ import annotations
@@ -71,21 +76,16 @@ class RegenConfig:
     ``ttl_seconds``, ``gc_interval``, ``cursor_idle_timeout``.
 
     HTTP serving knobs (never fingerprinted — they shape the network
-    front-end, not the artefacts): ``listen_host`` / ``listen_port`` are the
-    default bind address of ``serve --listen`` (port ``0`` binds an
-    ephemeral port); ``max_connections`` caps concurrently in-flight HTTP
-    requests (excess answered 503); ``request_timeout`` is the per-request
-    socket/wait bound of the server; ``max_request_bytes`` caps the request
-    body the HTTP front-ends accept (oversized POSTs answered 413).
+    front-end, not the artefacts): ``max_connections`` caps concurrently
+    in-flight HTTP requests (excess answered 503); ``request_timeout`` is
+    the per-request socket/wait bound of the server; ``max_request_bytes``
+    caps the request body it accepts (oversized POSTs answered 413);
+    ``batch_size`` is also its NDJSON chunk size when a stream names none.
 
-    Cluster knobs (never fingerprinted — they place the store, not the
+    Cluster knob (never fingerprinted — it places the store, not the
     artefacts): ``store_url`` mounts the store as a
     :class:`~repro.cluster.replica.ReplicatedStore` follower of the leader
-    at that URL; ``store_peers`` (comma-separated URLs) shards fingerprints
-    across one replicated group per peer
-    (:class:`~repro.cluster.sharded.ShardedStore`); ``store_role`` declares
-    the node's intent (``"auto"`` | ``"leader"`` | ``"follower"`` — a
-    follower requires a ``store_url`` to follow).
+    at that URL.
 
     Observability knobs (never fingerprinted — they change what is
     *recorded*, not what is produced): ``obs_enabled`` switches the
@@ -120,15 +120,11 @@ class RegenConfig:
     max_pending: Optional[int] = None
     max_pending_per_tenant: Optional[int] = None
     # -- HTTP front-end knobs ------------------------------------------ #
-    listen_host: str = "127.0.0.1"
-    listen_port: int = 0
     max_connections: int = 64
     request_timeout: float = 30.0
     max_request_bytes: int = 64 * 1024 * 1024
-    # -- cluster knobs -------------------------------------------------- #
+    # -- cluster knob --------------------------------------------------- #
     store_url: Optional[str] = None
-    store_role: str = "auto"
-    store_peers: Optional[str] = None
     # -- store lifecycle knobs ----------------------------------------- #
     max_store_bytes: Optional[int] = None
     max_entries: Optional[int] = None
@@ -167,30 +163,12 @@ class RegenConfig:
             raise ConfigError("gc_interval must be positive (or None)")
         if self.cursor_idle_timeout is not None and self.cursor_idle_timeout <= 0:
             raise ConfigError("cursor_idle_timeout must be positive (or None)")
-        if not 0 <= self.listen_port <= 65535:
-            raise ConfigError("listen_port must be within [0, 65535]")
         if self.max_connections < 1:
             raise ConfigError("max_connections must be at least 1")
         if self.request_timeout <= 0:
             raise ConfigError("request_timeout must be positive")
         if self.max_request_bytes < 1:
             raise ConfigError("max_request_bytes must be at least 1")
-        if self.store_role not in ("auto", "leader", "follower"):
-            raise ConfigError(
-                f"unknown store_role {self.store_role!r};"
-                " expected 'auto', 'leader' or 'follower'"
-            )
-        if self.store_url and self.store_peers:
-            raise ConfigError(
-                "store_url and store_peers are mutually exclusive;"
-                " peers already name every leader"
-            )
-        if self.store_role == "follower" and not (self.store_url
-                                                  or self.store_peers):
-            raise ConfigError(
-                "store_role='follower' needs a store_url (or store_peers)"
-                " to follow"
-            )
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ConfigError("trace_sample must be within [0, 1]")
         from repro.obs.logging import LOG_FORMATS
@@ -239,42 +217,4 @@ class RegenConfig:
             workers=self.workers,
             cache_size=self.cache_size,
             strict=self.strict,
-        )
-
-    @classmethod
-    def from_hydra_config(cls, config: "HydraConfig", **serving: object) -> "RegenConfig":
-        """Lift a legacy :class:`HydraConfig` into a :class:`RegenConfig`.
-
-        The derived config round-trips: ``RegenConfig.from_hydra_config(c)
-        .hydra_config() == c``, so legacy and new-style callers compute the
-        same store fingerprints.
-        """
-        return cls(
-            engine="hydra",
-            strategy=config.strategy,
-            prefer_integer=config.prefer_integer,
-            milp_variable_limit=config.milp_variable_limit,
-            time_limit=config.time_limit,
-            max_grid_variables=config.max_grid_variables,
-            max_region_variables=config.max_region_variables,
-            workers=config.workers,
-            cache_size=config.cache_size,
-            use_processes=config.use_processes,
-            strict=config.strict,
-            **serving,  # type: ignore[arg-type]
-        )
-
-    @classmethod
-    def from_datasynth_config(cls, config: "DataSynthConfig",
-                              **serving: object) -> "RegenConfig":
-        """Lift a legacy :class:`DataSynthConfig` into a :class:`RegenConfig`."""
-        return cls(
-            engine="datasynth",
-            max_grid_variables=config.max_grid_variables,
-            seed=config.seed,
-            time_limit=config.time_limit,
-            workers=config.workers,
-            cache_size=config.cache_size,
-            strict=config.strict,
-            **serving,  # type: ignore[arg-type]
         )

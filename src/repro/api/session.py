@@ -189,8 +189,8 @@ class Session:
             get_tracer().configure(sample=self.config.trace_sample)
         if self.config.log_format == "json":
             configure_logging(log_format="json")
-        if store is None and (self.config.store_url or self.config.store_peers):
-            # Cluster knobs without an explicit store: mount the network
+        if store is None and self.config.store_url:
+            # A leader URL without an explicit store: mount the network
             # backend with a memory-only local replica.
             from repro.cluster.factory import open_store
 
@@ -281,11 +281,14 @@ class Session:
             link = getattr(self.store, "link_parent", None)
             if link is not None:
                 link(fingerprint, base_fingerprint)
+        # A drifted epoch already in the store ran nothing: every component
+        # was reused (the service counts the same way).
+        solved = 0 if build.from_store else len(diff.added)
         diagnostics = dict(build.diagnostics)
         diagnostics.update({
             "parent_fingerprint": base_fingerprint,
-            "components_reused": len(diff.reused),
-            "components_solved": len(diff.added),
+            "components_reused": diff.total - solved,
+            "components_solved": solved,
             "components_retired": len(diff.retired),
         })
         return SummaryHandle(
@@ -411,33 +414,18 @@ class Session:
     # ------------------------------------------------------------------ #
     # serving and identity
     # ------------------------------------------------------------------ #
-    def serve(self, max_workers: Optional[int] = None,
-              max_pending: Optional[int] = None,
-              max_pending_per_tenant: Optional[int] = None,
-              gc_interval: Optional[float] = None) -> "RegenerationService":
+    def serve(self) -> "RegenerationService":
         """Lift this session into a concurrent serving front-end.
 
-        The service shares the session's schema, store and config — including
-        the engine selection, the admission knobs (``max_pending``,
-        ``max_pending_per_tenant``) and the store lifecycle knobs
-        (``max_store_bytes``/``max_entries``/``ttl_seconds``/``gc_interval``)
-        — so submissions and session-built summaries hit the same
-        fingerprints and the same GC policy.
+        The service shares the session's schema, store and config, so its
+        engine, worker pool, admission caps and store lifecycle knobs are
+        the config's, and submissions and session-built summaries hit the
+        same fingerprints and the same GC policy.
         """
         from repro.service.service import RegenerationService
 
-        config = self.config
-        return RegenerationService(
-            self.schema,
-            store=self.store,
-            config=config,
-            max_workers=max_workers or config.max_workers,
-            engine=config.engine,
-            max_pending=config.max_pending if max_pending is None else max_pending,
-            max_pending_per_tenant=config.max_pending_per_tenant
-            if max_pending_per_tenant is None else max_pending_per_tenant,
-            gc_interval=config.gc_interval if gc_interval is None else gc_interval,
-        )
+        return RegenerationService(self.schema, store=self.store,
+                                   config=self.config)
 
     def fingerprint(self, constraints: ConstraintSet,
                     relations: Optional[Sequence[str]] = None,

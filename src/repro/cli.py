@@ -60,8 +60,11 @@ from repro.schema.schema import Schema
 #: request without running the pipeline.
 EXIT_NOT_WARM = 3
 
-#: Default HTTP request-body cap (mirrors ``RegenConfig.max_request_bytes``).
-DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
+#: The ``RegenConfig`` knobs a command's flags may set (under the same
+#: ``dest`` name); a flag a command does not define keeps the default.
+CONFIG_FLAGS = ("workers", "trace_sample", "log_format", "batch_size",
+                "max_connections", "request_timeout", "cursor_idle_timeout",
+                "max_request_bytes", "store_url")
 
 
 def _benchmark_environment(args: argparse.Namespace) -> Tuple[Schema, ConstraintSet, "Workload", "Database"]:
@@ -78,20 +81,15 @@ def _benchmark_environment(args: argparse.Namespace) -> Tuple[Schema, Constraint
     return schema, package.constraints, workload, database
 
 
+def _config(args: argparse.Namespace) -> RegenConfig:
+    knobs = {name: getattr(args, name) for name in CONFIG_FLAGS
+             if getattr(args, name, None) is not None}
+    return RegenConfig(engine=args.engine, **knobs)
+
+
 def _session(args: argparse.Namespace, schema: Schema) -> Session:
-    config = RegenConfig(
-        engine=args.engine, workers=args.workers,
-        trace_sample=getattr(args, "trace_sample", 0.0),
-        log_format=getattr(args, "log_format", "text"),
-        max_connections=getattr(args, "max_connections", 64),
-        request_timeout=getattr(args, "request_timeout", 30.0),
-        cursor_idle_timeout=getattr(args, "cursor_idle_timeout", None),
-        max_request_bytes=getattr(args, "max_request_bytes", None)
-        or DEFAULT_MAX_REQUEST_BYTES,
-        store_url=getattr(args, "store_url", None),
-        store_peers=getattr(args, "store_peers", None),
-    )
-    return Session(schema, config=config, store=getattr(args, "store", None))
+    return Session(schema, config=_config(args),
+                   store=getattr(args, "store", None))
 
 
 def _print_stats(service: "RegenerationService") -> None:
@@ -273,7 +271,6 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         schema, constraints, _, _ = _benchmark_environment(args)
     session = _session(args, schema)
     with session.serve() as service:
-        config = service.config
         fingerprint = args.fingerprint or service.fingerprint(constraints)
         warm = service.store.has_summary(fingerprint)
         if args.require_warm and not warm:
@@ -282,15 +279,8 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
             print(f"fingerprint={fingerprint} is not in the store; refusing"
                   " to serve --require-warm", file=sys.stderr)
             return EXIT_NOT_WARM
-        server = RegenerationServer(
-            service,
-            host or config.listen_host, port,
-            max_connections=config.max_connections,
-            request_timeout=config.request_timeout,
-            max_request_bytes=config.max_request_bytes,
-            require_warm=args.require_warm,
-            default_batch_size=args.batch_size,
-        )
+        server = RegenerationServer(service, host or None, port,
+                                    require_warm=args.require_warm)
         _run_until_signal(
             f"listening on http://{server.host}:{server.port}"
             f" fingerprint={fingerprint} warm={warm}"
@@ -599,11 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="URL",
                        help="follow the store leader at this URL (the local"
                             " --store directory becomes a tailing replica)")
-        p.add_argument("--store-peers", default=None, dest="store_peers",
-                       metavar="URL,URL,...",
-                       help="shard fingerprints across these store leaders"
-                            " (consistent hashing; one replica per peer"
-                            " under the --store directory)")
 
     summarize = sub.add_parser(
         "summarize", help="build the benchmark workload's summary into the store")
@@ -684,11 +669,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the HTTP front-end on this address until"
                             " SIGTERM (port 0 binds an ephemeral port,"
                             " printed on startup)")
-    serve.add_argument("--max-connections", type=int, default=64,
+    serve.add_argument("--max-connections", type=int,
+                       default=RegenConfig.max_connections,
                        dest="max_connections",
                        help="HTTP requests allowed in flight at once"
                             " (excess answered 503)")
-    serve.add_argument("--request-timeout", type=float, default=30.0,
+    serve.add_argument("--request-timeout", type=float,
+                       default=RegenConfig.request_timeout,
                        dest="request_timeout",
                        help="per-request socket/wait bound in seconds")
     serve.add_argument("--cursor-idle-timeout", type=float, default=None,
@@ -696,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reap stream cursors (and release their store"
                             " pins) after this many idle seconds")
     serve.add_argument("--max-request-bytes", type=int,
-                       default=DEFAULT_MAX_REQUEST_BYTES,
+                       default=RegenConfig.max_request_bytes,
                        dest="max_request_bytes",
                        help="HTTP request-body cap in bytes (oversized"
                             " POSTs answered 413)")
@@ -747,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="listen address (port 0 binds an ephemeral"
                                   " port, printed on startup)")
     store_serve.add_argument("--max-request-bytes", type=int,
-                             default=DEFAULT_MAX_REQUEST_BYTES,
+                             default=RegenConfig.max_request_bytes,
                              dest="max_request_bytes",
                              help="request-body cap in bytes (oversized PUTs"
                                   " answered 413)")

@@ -15,10 +15,8 @@ disk store into that fleet:
 * :class:`ReplicatedStore` — the follower backend: local replica reads,
   leader writes, change-log tailing with catch-up and gap-triggered full
   resync;
-* :class:`HashRing` / :class:`ShardedStore` — consistent-hash sharding of
-  fingerprints across N leader/follower groups behind one backend;
-* :func:`open_store` — config-driven construction
-  (``store_url=`` / ``store_peers=`` / plain path).
+* :func:`open_store` — config-driven construction (``store_url=`` or a
+  plain path).
 
 ``python -m repro store serve|replicate|status`` are the CLI doors;
 ``docs/CLUSTER.md`` describes topology, the change-log format and the
@@ -26,23 +24,18 @@ failure modes.
 """
 
 from repro.cluster.backend import DiskBackend, StoreBackend
-from repro.cluster.factory import open_store, peer_urls
+from repro.cluster.factory import open_store
 from repro.cluster.log import ChangeLog
 from repro.cluster.replica import LeaderClient, ReplicatedStore
-from repro.cluster.ring import HashRing
 from repro.cluster.server import STORE_WIRE_VERSION, StoreServer
-from repro.cluster.sharded import ShardedStore
 
 __all__ = [
     "STORE_WIRE_VERSION",
     "ChangeLog",
     "DiskBackend",
-    "HashRing",
     "LeaderClient",
     "ReplicatedStore",
-    "ShardedStore",
     "StoreBackend",
     "StoreServer",
     "open_store",
-    "peer_urls",
 ]

@@ -5,8 +5,8 @@
 :class:`~repro.service.RegenerationService` and the LP solver cache actually
 call — get/put/has/entries/delete/pin for ``summaries`` and ``components``,
 plus lifecycle (``compact``) and telemetry (``counters``/``stats``).  The
-serving layers type against this protocol only, so a replicated, sharded or
-future backend slots in without those layers changing.
+serving layers type against this protocol only, so a replicated or future
+backend slots in without those layers changing.
 
 :class:`DiskBackend` is the existing content-addressed disk store under its
 protocol name — same class, same byte-identical on-disk layout, same format

@@ -3,15 +3,12 @@
 :func:`open_store` is the one place the serving layers decide which
 :class:`~repro.cluster.backend.StoreBackend` a path + config pair means:
 
-* no ``store_url`` / ``store_peers`` → a plain local
+* no ``store_url`` → a plain local
   :class:`~repro.cluster.backend.DiskBackend` (or memory-only store when
   the path is ``None``) — exactly the pre-cluster behavior;
 * ``store_url=`` → a :class:`~repro.cluster.replica.ReplicatedStore`
   follower: local replica at the path, writes through the leader at the
-  URL;
-* ``store_peers="url1,url2,..."`` → a
-  :class:`~repro.cluster.sharded.ShardedStore` over one replicated group
-  per peer URL, each with a local replica under ``<path>/shard-NN``.
+  URL.
 
 ``Session`` and ``RegenerationService`` call this instead of constructing
 ``SummaryStore`` directly, so they only ever see the protocol.
@@ -22,45 +19,28 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.api.config import RegenConfig
 from repro.cluster.backend import DiskBackend
 from repro.cluster.replica import ReplicatedStore
-from repro.cluster.sharded import ShardedStore
 from repro.obs.metrics import MetricsRegistry
 
 
-def peer_urls(store_peers: Optional[str]) -> list:
-    """Split a ``store_peers=`` knob into its non-empty peer URLs."""
-    if not store_peers:
-        return []
-    return [url.strip().rstrip("/") for url in store_peers.split(",")
-            if url.strip()]
-
-
 def open_store(root: Optional[Union[str, Path]] = None, *,
-               config: Optional[object] = None,
+               config: Optional[RegenConfig] = None,
                registry: Optional[MetricsRegistry] = None):
     """Open the store backend the config asks for (see module docstring).
 
     ``root`` is the local directory — the store itself for a single-node
-    backend, the replica (or the parent of per-shard replicas) for the
-    network backends.  Lifecycle caps (``max_store_bytes`` / ``max_entries``
-    / ``ttl_seconds``) are taken from the config and apply to the local
-    side in every topology.
+    backend, the replica for a follower.  Lifecycle caps
+    (``max_store_bytes`` / ``max_entries`` / ``ttl_seconds``) are taken
+    from the config and apply to the local side in both topologies.
     """
+    config = config or RegenConfig()
     caps = {
-        "max_store_bytes": getattr(config, "max_store_bytes", None),
-        "max_entries": getattr(config, "max_entries", None),
-        "ttl_seconds": getattr(config, "ttl_seconds", None),
+        "max_store_bytes": config.max_store_bytes,
+        "max_entries": config.max_entries,
+        "ttl_seconds": config.ttl_seconds,
     }
-    url = getattr(config, "store_url", None)
-    peers = peer_urls(getattr(config, "store_peers", None))
-    if peers:
-        backends = {}
-        for index, peer in enumerate(peers):
-            shard_root = (Path(root) / f"shard-{index:02d}"
-                          if root is not None else None)
-            backends[peer] = ReplicatedStore(peer, shard_root, **caps)
-        return ShardedStore(backends, registry=registry)
-    if url:
-        return ReplicatedStore(url, root, registry=registry, **caps)
+    if config.store_url:
+        return ReplicatedStore(config.store_url, root, registry=registry, **caps)
     return DiskBackend(root, registry=registry, **caps)

@@ -102,13 +102,13 @@ class SummaryStoreError(ServiceError):
 
 
 class ClusterError(SummaryStoreError):
-    """A replicated/sharded store operation failed: the leader is
-    unreachable, the wire payload is malformed, or the change log and the
-    local replica disagree in a way a resync cannot repair."""
+    """A replicated store operation failed: the leader is unreachable, the
+    wire payload is malformed, or the change log and the local replica
+    disagree in a way a resync cannot repair."""
 
 
 class LeaderUnavailableError(ClusterError):
-    """A write (or a required catch-up read) could not reach the shard's
+    """A write (or a required catch-up read) could not reach the
     leader store server; retry once the leader is back."""
 
 

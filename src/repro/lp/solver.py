@@ -21,8 +21,9 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize, sparse
@@ -35,7 +36,6 @@ from repro.lp.decompose import (
     stitch_solutions,
 )
 from repro.lp.model import LPModel, LPSolution
-from repro.metrics.timing import TimingLog
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span
@@ -227,8 +227,8 @@ class SolverStats:
     ``cache_hits`` / ``cache_misses`` read the underlying
     ``repro_lp_*_total`` counters, so legacy delta-reads
     (``stats.components_solved - before``) and the full Prometheus/JSON
-    exports see the same numbers.  ``timings`` keeps the historical
-    :class:`TimingLog` phase totals, itself re-backed on the same registry.
+    exports see the same numbers.  Per-phase wall-clock (decompose, solve,
+    stitch, wall) is the ``repro_timing_seconds{phase}`` histogram.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -246,7 +246,9 @@ class SolverStats:
         self._solve_seconds = self.registry.histogram(
             "repro_lp_solve_seconds",
             "Wall-clock latency of ParallelLPSolver.solve_many calls")
-        self.timings = TimingLog(registry=self.registry)
+        self._phases = self.registry.histogram(
+            "repro_timing_seconds", "Per-phase wall-clock of the LP solver",
+            labelnames=("phase",))
 
     @property
     def models_solved(self) -> int:
@@ -267,6 +269,17 @@ class SolverStats:
     def observe_solve(self, seconds: float) -> None:
         """Record one ``solve_many`` wall-clock latency."""
         self._solve_seconds.observe(seconds)
+        self._phases.labels(phase="wall").observe(seconds)
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Time the enclosed block as one observation of phase ``name``."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._phases.labels(phase=name).observe(
+                time.perf_counter() - started)
 
     def __repr__(self) -> str:
         return (f"SolverStats(models_solved={self.models_solved},"
@@ -443,14 +456,13 @@ class ParallelLPSolver:
         """
         started = time.perf_counter()
         with trace_span("lp.solve_many", models=len(models)) as solve_span:
-            with trace_span("lp.decompose"), \
-                    self.stats.timings.time("decompose") as _:
+            with trace_span("lp.decompose"), self.stats.phase("decompose"):
                 decompositions = [decompose_model(model) for model in models]
 
             resolved = self._resolve_components(decompositions)
 
             solutions: List[LPSolution] = []
-            with trace_span("lp.stitch"), self.stats.timings.time("stitch") as _:
+            with trace_span("lp.stitch"), self.stats.phase("stitch"):
                 for model, decomposition in zip(models, decompositions):
                     parts = [resolved[c.key] for c in decomposition.components]
                     stitched = stitch_solutions(decomposition, parts)
@@ -461,9 +473,7 @@ class ParallelLPSolver:
                         )
                     solutions.append(stitched)
             self.stats._models.inc(len(models))
-            wall = time.perf_counter() - started
-            self.stats.timings.record("wall", wall)
-            self.stats.observe_solve(wall)
+            self.stats.observe_solve(time.perf_counter() - started)
             solve_span.set_attribute(
                 "components", sum(len(d.components) for d in decompositions))
         return solutions
@@ -516,7 +526,7 @@ class ParallelLPSolver:
         items = list(pending.items())
         components = [component for _, component in items]
         with trace_span("lp.solve_components", pending=len(components)), \
-                self.stats.timings.time("solve") as _:
+                self.stats.phase("solve"):
             if self.workers > 1 and len(components) > 1:
                 results = self._solve_pool(components)
             else:

@@ -17,7 +17,7 @@ from repro.metrics.similarity import (
     evaluate_on_summary,
     evaluate_with_executor,
 )
-from repro.metrics.timing import Timer, TimingLog
+from repro.metrics.timing import Timer
 
 __all__ = [
     "ConstraintResult",
@@ -35,5 +35,4 @@ __all__ = [
     "rows_for_target_bytes",
     "format_duration",
     "Timer",
-    "TimingLog",
 ]

@@ -1,21 +1,13 @@
-"""Small timing utilities shared by the experiment harness.
+"""A context-manager stopwatch for the experiment harness.
 
-Since the :mod:`repro.obs` layer landed, :class:`TimingLog` is a thin facade
-over a phase-labeled :class:`repro.obs.metrics.Histogram`: every
-``record``/``time`` call is one histogram observation, so a log owned by an
-instrumented component (e.g. the parallel LP solver) exposes not only the
-accumulated totals of the legacy API but also per-phase counts and
-p50/p95/p99 estimates through its backing registry.  The public surface —
-``Timer``, ``TimingLog(entries=...)``, ``record``, ``time``, ``total``,
-``entries`` — is unchanged.
+Phase timings of instrumented components (e.g. the LP solver's
+``repro_timing_seconds{phase}`` histogram) live in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
-
-from repro.obs.metrics import Histogram, MetricsRegistry
+from typing import Optional
 
 
 class Timer:
@@ -41,70 +33,3 @@ class Timer:
         if self._start is not None:
             self.seconds = time.perf_counter() - self._start
             self._start = None
-
-
-class TimingLog:
-    """Accumulates named timings for multi-phase experiments.
-
-    Recording is thread-safe, so phases running inside a worker pool (e.g.
-    the parallel LP solver) can share one log.  Each named phase is one
-    labeled series of a ``repro_timing_seconds`` histogram on ``registry``
-    (a private registry by default), so ``phases``/``quantile`` offer
-    distribution views on top of the accumulated ``entries`` totals.
-    """
-
-    def __init__(self, entries: Optional[Dict[str, float]] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._histogram: Histogram = self.registry.histogram(
-            "repro_timing_seconds",
-            "Per-phase wall-clock accumulated through TimingLog",
-            labelnames=("phase",),
-        )
-        if entries:
-            for name, seconds in entries.items():
-                self.record(name, seconds)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Add (accumulate) a timing under ``name``."""
-        self._histogram.labels(phase=name).observe(seconds)
-
-    def time(self, name: str) -> "_LogTimer":
-        """Return a context manager that records its duration under ``name``."""
-        return _LogTimer(self, name)
-
-    @property
-    def entries(self) -> Dict[str, float]:
-        """Accumulated seconds per phase name (the legacy dict view)."""
-        return {child.labelvalues[0]: child.sum
-                for child in self._histogram.children()}
-
-    def total(self) -> float:
-        """Sum of all recorded timings."""
-        return sum(self.entries.values())
-
-    def quantile(self, name: str, q: float) -> float:
-        """Estimated ``q``-quantile of the individual timings of one phase."""
-        return self._histogram.labels(phase=name).quantile(q)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimingLog):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"TimingLog(entries={self.entries!r})"
-
-
-class _LogTimer:
-    def __init__(self, log: TimingLog, name: str) -> None:
-        self._log = log
-        self._name = name
-        self._timer = Timer()
-
-    def __enter__(self) -> "Timer":
-        return self._timer.__enter__()
-
-    def __exit__(self, *exc_info) -> None:
-        self._timer.__exit__(*exc_info)
-        self._log.record(self._name, self._timer.seconds)

@@ -65,7 +65,7 @@ from repro.errors import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.trace import Span, current_span, get_tracer
-from repro.server.kernel import MAX_BODY_BYTES, Endpoint, HTTPKernel, Request
+from repro.server.kernel import Endpoint, HTTPKernel, Request
 from repro.server.wire import (
     WireFormatError,
     constraint_set_from_wire,
@@ -74,7 +74,6 @@ from repro.server.wire import (
     shard_bounds,
 )
 from repro.service.service import DEFAULT_TENANT, RegenerationService
-from repro.tuplegen.generator import DEFAULT_BATCH_SIZE
 
 logger = get_logger("server")
 
@@ -100,54 +99,37 @@ class RegenerationServer(HTTPKernel):
     service:
         The (already constructed) serving back-end.  Its metrics registry
         gains the ``repro_server_*`` series, so one ``/metrics`` scrape
-        covers server, service, store and solver.
+        covers server, service, store and solver.  The server's limits are
+        its :class:`~repro.api.RegenConfig`'s: ``max_connections`` caps
+        concurrently *in-flight* requests (streams count for their whole
+        duration; excess requests get 503 + ``Retry-After`` rather than
+        queueing behind a stuck stream), ``request_timeout`` is the socket
+        timeout per connection and the default wait bound of blocking
+        ``summarize`` requests (a slower build answers 504; the build keeps
+        running and a retry picks it up via single-flight dedup),
+        ``max_request_bytes`` caps the request body (oversized submits
+        answer **413**) and ``batch_size`` is the NDJSON chunk size when a
+        stream passes no ``?batch_size=``.
     host / port:
         Listen address; ``port=0`` binds an ephemeral port (the bound
         address is available as :attr:`host` / :attr:`port` after
         construction — the socket is bound in ``__init__``).
-    max_connections:
-        Cap on concurrently *in-flight* requests (streams count for their
-        whole duration); excess requests are refused with 503 +
-        ``Retry-After`` rather than queued behind a stuck stream.
-    request_timeout:
-        Socket timeout per connection and the default wait bound of
-        blocking ``summarize`` requests (a slower build answers 504; the
-        build itself keeps running and a retry picks it up via
-        single-flight dedup).
     require_warm:
         Refuse cold workloads with 409 instead of running the pipeline —
         the HTTP spelling of ``serve --require-warm``.
-    default_batch_size:
-        Tuples per streamed NDJSON chunk when the client does not pass
-        ``?batch_size=``.
-    max_request_bytes:
-        Cap on request body size; an oversized submit answers **413**
-        (counted in ``repro_server_requests_total{code="413"}``) instead of
-        ballooning server memory.
     """
 
     def __init__(self, service: RegenerationService,
                  host: str = "127.0.0.1", port: int = 0, *,
-                 max_connections: int = 64,
-                 request_timeout: float = 30.0,
-                 require_warm: bool = False,
-                 default_batch_size: int = DEFAULT_BATCH_SIZE,
-                 max_request_bytes: int = MAX_BODY_BYTES) -> None:
-        if max_connections < 1:
-            raise ServiceError("max_connections must be at least 1")
-        if request_timeout <= 0:
-            raise ServiceError("request_timeout must be positive")
-        if default_batch_size < 1:
-            raise ServiceError("default_batch_size must be at least 1")
-        if max_request_bytes < 1:
-            raise ServiceError("max_request_bytes must be at least 1")
+                 require_warm: bool = False) -> None:
+        config = service.config
         self.service = service
         self.registry = registry = service.registry
         self.require_warm = require_warm
-        self.request_timeout = self.socket_timeout = float(request_timeout)
-        self.max_connections = max_connections
-        self.default_batch_size = default_batch_size
-        self.max_request_bytes = max_request_bytes
+        self.request_timeout = self.socket_timeout = config.request_timeout
+        self.max_connections = config.max_connections
+        self.default_batch_size = config.batch_size
+        self.max_request_bytes = config.max_request_bytes
         self._state = threading.Condition()
         self._active = 0
         self._draining = False
@@ -306,7 +288,7 @@ class _Handler(Request):
         draining = app.draining
         return self.send_json(503 if draining else 200, {
             "status": "draining" if draining else "ok",
-            "engine": app.service.engine,
+            "engine": app.service.config.engine,
             "active_requests": app.active_requests(),
             "require_warm": app.require_warm,
         })
@@ -367,7 +349,7 @@ class _Handler(Request):
             "fingerprint": ticket.fingerprint,
             "warm": ticket.warm,
             "tenant": ticket.tenant,
-            "engine": service.engine,
+            "engine": service.config.engine,
         }
         if not wait:
             payload["status"] = "done" if ticket.done() else "building"
@@ -421,7 +403,7 @@ class _Handler(Request):
             "parent_fingerprint": report.parent_fingerprint,
             "warm": report.warm,
             "tenant": tenant,
-            "engine": service.engine,
+            "engine": service.config.engine,
             "components_total": report.total_components,
             "components_reused": len(report.reused_components),
             "components_solved": len(report.solved_components),

@@ -53,17 +53,16 @@ from typing import (
 from repro.api.backends import create_backend
 from repro.api.config import RegenConfig
 from repro.constraints.workload import ConstraintSet
-from repro.datasynth.pipeline import DataSynthConfig
 from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.engine.plan import AnnotatedQueryPlan
 from repro.engine.table import RunBatch, Table
 from repro.errors import (
+    ConfigError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.hydra.pipeline import HydraConfig
 from repro.lp.solver import SolverStats
 from repro.metrics.similarity import SimilarityReport, evaluate_with_executor
 from repro.obs.logging import configure_logging, get_logger
@@ -329,96 +328,53 @@ class RegenerationService:
         The (anonymised) client schema requests are validated against.
     store:
         Any :class:`~repro.cluster.backend.StoreBackend` (a
-        :class:`SummaryStore`, :class:`~repro.cluster.ReplicatedStore`,
-        :class:`~repro.cluster.ShardedStore`, …), a directory path, or
-        ``None``.  Paths and ``None`` go through
-        :func:`repro.cluster.open_store`, so the config's cluster knobs
-        (``store_url`` / ``store_peers``) pick the topology and a
-        path-opened store inherits the config's lifecycle caps
-        (``max_store_bytes`` / ``max_entries`` / ``ttl_seconds``).
+        :class:`SummaryStore`, :class:`~repro.cluster.ReplicatedStore`, …),
+        a directory path, or ``None``.  Paths and ``None`` go through
+        :func:`repro.cluster.open_store`, so the config's ``store_url``
+        picks the topology and a path-opened store inherits the config's
+        lifecycle caps (``max_store_bytes`` / ``max_entries`` /
+        ``ttl_seconds``).
     config:
-        A :class:`~repro.api.RegenConfig` (the canonical spelling), or a
-        legacy :class:`HydraConfig` / :class:`DataSynthConfig`, which is
-        lifted into the equivalent ``RegenConfig`` (same fingerprints).
-    max_workers:
-        Concurrent cold pipeline builds (warm requests and streaming never
-        occupy a worker).
-    engine:
-        Name of the pipeline backend cold builds route through (anything in
-        :func:`repro.api.available_backends`); defaults to the config's
-        engine selection.
-    max_pending:
-        Global backpressure: maximum number of cold builds queued or running
-        at once.  Further cold submissions raise
-        :class:`~repro.errors.ServiceOverloadedError` (warm requests and
-        in-flight dedup are always admitted — they add no pipeline load).
-        ``None`` falls back to the config, whose default disables the limit.
-    max_pending_per_tenant:
-        Fair admission: per-tenant cap on cold builds queued or running.  A
-        tenant at its cap gets :class:`ServiceOverloadedError` while other
-        tenants keep being admitted.  ``None`` falls back to the config.
+        The :class:`~repro.api.RegenConfig` every serving knob is read from:
+        ``engine`` (the backend cold builds route through), ``max_workers``
+        (concurrent cold builds; warm requests and streams never occupy a
+        worker), ``max_pending`` (global backpressure: further cold
+        submissions raise :class:`~repro.errors.ServiceOverloadedError`),
+        ``max_pending_per_tenant`` (the same cap per tenant, so one
+        tenant's burst never starves the others), ``gc_interval`` (period
+        of the background store-GC thread; :meth:`gc` always works on
+        demand) and ``cursor_idle_timeout`` (idle bound after which a
+        background reaper reclaims an abandoned stream cursor's store pin;
+        :meth:`reap_idle_cursors` always works on demand).  Warm requests
+        and in-flight dedup are always admitted.  ``None`` means the
+        defaults.
     tenant_weights:
         Optional relative dispatch weights (default 1 per tenant): a tenant
         with weight 2 gets twice the cold-build slots of a weight-1 tenant
         under contention.  Dispatch is FIFO within a tenant.
-    gc_interval:
-        Period (seconds) of the background store-GC thread, which runs
-        :meth:`SummaryStore.compact` with the store's configured caps.
-        ``None`` falls back to the config, whose default disables the
-        thread; :meth:`gc` always works on demand.
-    cursor_idle_timeout:
-        Idle bound (seconds) after which an abandoned stream cursor's store
-        pin is reclaimed by a background reaper thread — the backstop for
-        network consumers that die without closing their cursor (a dead
-        HTTP client's socket thread may otherwise park a pin until GC
-        happens to collect the cursor).  ``None`` falls back to the config,
-        whose default disables the reaper; :meth:`reap_idle_cursors` always
-        works on demand.
     """
 
     def __init__(self, schema: Schema,
                  store: Union[SummaryStore, str, Path, None] = None,
-                 config: Union[RegenConfig, HydraConfig, DataSynthConfig, None] = None,
-                 max_workers: int = 2,
-                 engine: Optional[str] = None,
-                 max_pending: Optional[int] = None,
-                 max_pending_per_tenant: Optional[int] = None,
-                 tenant_weights: Optional[Mapping[str, int]] = None,
-                 gc_interval: Optional[float] = None,
-                 cursor_idle_timeout: Optional[float] = None) -> None:
-        if max_workers < 1:
-            raise ServiceError("RegenerationService needs at least one worker")
-        if max_pending is not None and max_pending < 0:
-            raise ServiceError("max_pending must be non-negative (or None)")
-        if max_pending_per_tenant is not None and max_pending_per_tenant < 0:
-            raise ServiceError(
-                "max_pending_per_tenant must be non-negative (or None)"
-            )
+                 config: Optional[RegenConfig] = None, *,
+                 tenant_weights: Optional[Mapping[str, int]] = None) -> None:
         self.schema = schema
-        if config is None:
-            self.config = RegenConfig()
-        elif isinstance(config, RegenConfig):
-            self.config = config
-        elif isinstance(config, HydraConfig):
-            self.config = RegenConfig.from_hydra_config(config)
-        elif isinstance(config, DataSynthConfig):
-            self.config = RegenConfig.from_datasynth_config(config)
-        else:
-            raise ServiceError(
-                f"unsupported config type {type(config).__name__};"
-                " pass a RegenConfig, HydraConfig or DataSynthConfig"
-            )
+        if config is not None and not isinstance(config, RegenConfig):
+            raise ConfigError(
+                f"config must be a RegenConfig, not {type(config).__name__};"
+                " see the migration table in docs/API.md")
+        self.config = config = config or RegenConfig()
         #: The service's metrics registry: every ``repro_service_*`` series,
         #: plus the store's and the LP solver's metrics when those components
         #: are owned by this service.  ``config.obs_enabled=False`` turns
         #: every update into a no-op (``stats()`` then reports zeros).
-        self.registry = MetricsRegistry(enabled=self.config.obs_enabled)
-        if self.config.trace_sample > 0.0:
-            get_tracer().configure(sample=self.config.trace_sample)
-        if self.config.log_format == "json":
+        self.registry = MetricsRegistry(enabled=config.obs_enabled)
+        if config.trace_sample > 0.0:
+            get_tracer().configure(sample=config.trace_sample)
+        if config.log_format == "json":
             configure_logging(log_format="json")
         if store is not None and hasattr(store, "get_summary"):
-            # Any ready-made StoreBackend (disk, replicated, sharded, or a
+            # Any ready-made StoreBackend (disk, replicated, or a
             # plain SummaryStore) is used as-is.
             self.store = store
         else:
@@ -426,30 +382,18 @@ class RegenerationService:
             # which imports this module — deferring keeps the DAG acyclic.
             from repro.cluster.factory import open_store
 
-            self.store = open_store(store, config=self.config,
+            self.store = open_store(store, config=config,
                                     registry=self.registry)
-        self.engine = engine or self.config.engine
-        self.backend = create_backend(self.engine, schema, self.config, self.store)
+        self.backend = create_backend(config.engine, schema, config, self.store)
         # Re-home the solver's stats onto the service registry, so one
         # export (`stats --prometheus`) covers service, store and solver.
         solver = getattr(self.backend.pipeline, "solver", None)
         if solver is not None and isinstance(getattr(solver, "stats", None),
                                              SolverStats):
             solver.stats = SolverStats(registry=self.registry)
-        self.max_pending = max_pending if max_pending is not None \
-            else self.config.max_pending
-        self.max_pending_per_tenant = max_pending_per_tenant \
-            if max_pending_per_tenant is not None \
-            else self.config.max_pending_per_tenant
         self.tenant_weights: Dict[str, int] = dict(tenant_weights or {})
-        self.gc_interval = gc_interval if gc_interval is not None \
-            else self.config.gc_interval
-        self.cursor_idle_timeout = cursor_idle_timeout \
-            if cursor_idle_timeout is not None \
-            else self.config.cursor_idle_timeout
-        self._max_workers = max_workers
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="regen"
+            max_workers=config.max_workers, thread_name_prefix="regen"
         )
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -540,14 +484,14 @@ class RegenerationService:
             labelnames=("tenant", "outcome"))
         self._gc_stop = threading.Event()
         self._gc_thread: Optional[threading.Thread] = None
-        if self.gc_interval is not None and self.gc_interval > 0:
+        if config.gc_interval is not None:
             self._gc_thread = threading.Thread(
                 target=self._gc_loop, name="regen-gc", daemon=True
             )
             self._gc_thread.start()
         self._reaper_stop = threading.Event()
         self._reaper_thread: Optional[threading.Thread] = None
-        if self.cursor_idle_timeout is not None and self.cursor_idle_timeout > 0:
+        if config.cursor_idle_timeout is not None:
             self._reaper_thread = threading.Thread(
                 target=self._reaper_loop, name="regen-reaper", daemon=True
             )
@@ -622,32 +566,32 @@ class RegenerationService:
                 raise ServiceClosedError(
                     "service is closed; no new cold builds are accepted"
                 )
-            if (self.max_pending is not None
-                    and len(self._flights) >= self.max_pending):
+            max_pending = self.config.max_pending
+            if max_pending is not None and len(self._flights) >= max_pending:
                 self._counters["rejected_submissions"].inc()
                 self._tenant_builds.labels(tenant=tenant,
                                            outcome="rejected").inc()
                 logger.warning(
                     "rejected cold submission %s from tenant %s:"
                     " max_pending=%s reached",
-                    fingerprint[:12], tenant, self.max_pending)
+                    fingerprint[:12], tenant, max_pending)
                 raise ServiceOverloadedError(
                     f"{len(self._flights)} cold builds already pending"
-                    f" (max_pending={self.max_pending}); retry later"
+                    f" (max_pending={max_pending}); retry later"
                 )
             pending = self._pending_by_tenant.get(tenant, 0)
-            if (self.max_pending_per_tenant is not None
-                    and pending >= self.max_pending_per_tenant):
+            per_tenant = self.config.max_pending_per_tenant
+            if per_tenant is not None and pending >= per_tenant:
                 self._counters["rejected_submissions"].inc()
                 self._tenant_builds.labels(tenant=tenant,
                                            outcome="rejected").inc()
                 logger.warning(
                     "rejected cold submission %s from tenant %s:"
                     " max_pending_per_tenant=%s reached",
-                    fingerprint[:12], tenant, self.max_pending_per_tenant)
+                    fingerprint[:12], tenant, per_tenant)
                 raise ServiceOverloadedError(
                     f"tenant {tenant!r} has {pending} cold builds pending"
-                    f" (max_pending_per_tenant={self.max_pending_per_tenant});"
+                    f" (max_pending_per_tenant={per_tenant});"
                     " retry later"
                 )
             self._counters["misses"].inc()
@@ -824,7 +768,7 @@ class RegenerationService:
 
     def _dispatch_locked(self) -> None:
         """Hand queued builds to free worker slots (caller holds the lock)."""
-        while self._running_total < self._max_workers:
+        while self._running_total < self.config.max_workers:
             tenant = self._next_tenant_locked()
             if tenant is None:
                 break
@@ -1134,7 +1078,7 @@ class RegenerationService:
         return report
 
     def _gc_loop(self) -> None:
-        while not self._gc_stop.wait(self.gc_interval):
+        while not self._gc_stop.wait(self.config.gc_interval):
             try:
                 self.gc()
             except Exception:  # pragma: no cover - GC must never kill serving
@@ -1152,7 +1096,7 @@ class RegenerationService:
         consumers: a cursor that resumes iterating after being reaped gets
         a :class:`ServiceError`, never a stale pin.
         """
-        limit = self.cursor_idle_timeout if idle_seconds is None \
+        limit = self.config.cursor_idle_timeout if idle_seconds is None \
             else idle_seconds
         if limit is None or limit <= 0:
             return 0
@@ -1168,7 +1112,7 @@ class RegenerationService:
     def _reaper_loop(self) -> None:
         # Wake a few times per timeout so reclamation lag stays a fraction
         # of the knob, without busy-polling for long timeouts.
-        interval = max(0.05, min(1.0, self.cursor_idle_timeout / 4.0))
+        interval = max(0.05, min(1.0, self.config.cursor_idle_timeout / 4.0))
         while not self._reaper_stop.wait(interval):
             try:
                 self.reap_idle_cursors()
@@ -1263,7 +1207,7 @@ class RegenerationService:
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
         self._executor.shutdown(wait=True)
-        logger.info("service closed (engine=%s)", self.engine)
+        logger.info("service closed (engine=%s)", self.config.engine)
 
     def __enter__(self) -> "RegenerationService":
         return self

@@ -5,11 +5,10 @@ Covers the acceptance bar of the facade redesign:
 * ``Session``-driven end-to-end runs (extract → summarize → regenerate →
   verify) produce byte-identical summaries and AQP results to the legacy
   entry points, for both engines, property-tested across batch sizes;
-* ``RegenConfig`` consolidates the knobs, derives the legacy configs
-  loss-lessly and namespaces store fingerprints (result-affecting knobs
-  split the store, performance knobs never do, ``HydraConfig`` and
-  ``RegenConfig`` spellings of the same config collide on the same
-  fingerprint);
+* ``RegenConfig`` consolidates the knobs and namespaces store fingerprints
+  (result-affecting knobs split the store, performance knobs never do,
+  ``HydraConfig`` and ``RegenConfig`` spellings of the same config collide
+  on the same fingerprint);
 * the backend registry routes both ``Session`` and ``RegenerationService``,
   including user-registered engines;
 * ``max_pending`` backpressure rejects cold submissions with
@@ -130,20 +129,31 @@ class TestRegenConfig:
         with pytest.raises(ConfigError):
             RegenConfig(**knobs)
 
-    def test_hydra_config_round_trip(self):
-        original = HydraConfig(strategy="grid", prefer_integer=False,
-                               milp_variable_limit=123, time_limit=1.5,
-                               workers=7, cache_size=9, use_processes=True,
-                               strict=True)
-        lifted = RegenConfig.from_hydra_config(original)
-        assert lifted.hydra_config() == original
+    def test_every_field_is_read_outside_the_config_module(self):
+        """A knob nothing reads does nothing: every field must be read (as
+        ``x.field`` or ``getattr(x, "field")``) somewhere under ``src/``
+        besides ``api/config.py``.  The match is by name, so it catches a
+        dead knob, not a knob read off the wrong object."""
+        import ast
+        import dataclasses
+        from pathlib import Path
 
-    def test_datasynth_config_round_trip(self):
-        original = DataSynthConfig(max_grid_variables=777, seed=13,
-                                   time_limit=2.0, workers=3, cache_size=5)
-        lifted = RegenConfig.from_datasynth_config(original)
-        assert lifted.datasynth_config() == original
-        assert lifted.engine == "datasynth"
+        package = Path(__file__).resolve().parent.parent / "src" / "repro"
+        read = set()
+        for path in package.rglob("*.py"):
+            if path == package / "api" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+        fields = {field.name for field in dataclasses.fields(RegenConfig)}
+        assert fields - read == set()
 
 
 # ---------------------------------------------------------------------- #
@@ -371,7 +381,13 @@ class TestBackendRegistry:
         with pytest.raises(UnknownBackendError):
             Session(schema).summarize(constraints, engine="no-such-engine")
         with pytest.raises(UnknownBackendError):
-            RegenerationService(schema, engine="no-such-engine")
+            RegenerationService(schema,
+                                config=RegenConfig(engine="no-such-engine"))
+
+    def test_service_refuses_a_legacy_engine_config(self, env):
+        schema = env[0]
+        with pytest.raises(ConfigError, match="RegenConfig"):
+            RegenerationService(schema, None, HydraConfig())
 
     def test_custom_backend_via_session_and_service(self, env):
         schema, _, _, constraints = env
@@ -402,9 +418,9 @@ class TestBackpressure:
                 schema, config, store, gate=gate),
         )
         other = constraints.scaled(2.0)  # different fingerprint
-        config = RegenConfig(engine="blocking-test")
-        with RegenerationService(schema, config=config, max_workers=1,
-                                 max_pending=1) as service:
+        config = RegenConfig(engine="blocking-test", max_workers=1,
+                             max_pending=1)
+        with RegenerationService(schema, config=config) as service:
             ticket = service.submit(constraints)      # occupies the only slot
             # identical request: in-flight dedup is always admitted
             again = service.submit(constraints)
@@ -432,18 +448,19 @@ class TestBackpressure:
         session = Session(schema, config=RegenConfig(engine="blocking-test",
                                                      max_pending=0))
         with session.serve() as service:
-            assert service.max_pending == 0
+            assert service.config is session.config
             with pytest.raises(ServiceOverloadedError):
                 service.submit(constraints)
-        with session.serve(max_pending=5) as service:
-            assert service.max_pending == 5
+        roomy = Session(schema, config=session.config.replace(max_pending=5))
+        with roomy.serve() as service:
             service.submit(constraints).result(timeout=30)
 
     def test_warm_requests_admitted_at_zero_capacity(self, env, tmp_path):
         schema, _, _, constraints = env
         store = tmp_path / "store"
         Session(schema, store=store).summarize(constraints)  # warm the store
-        with RegenerationService(schema, store=store, max_pending=0) as service:
+        with RegenerationService(schema, store=store,
+                                 config=RegenConfig(max_pending=0)) as service:
             ticket = service.submit(constraints)
             assert ticket.warm
             assert service.stats()["rejected_submissions"] == 0

@@ -1,13 +1,13 @@
-"""The replicated store fleet: change log, hash ring, leader/follower.
+"""The replicated store fleet: change log, leader/follower.
 
 In-process tests cover the :class:`ChangeLog` durability contract (dense
-offsets, segment rotation, torn-tail recovery, retention gaps), the
-:class:`HashRing` placement properties, and the full leader/follower loop —
-bootstrap, read-your-writes, restart resume, lineage-change resync, delete
-replication and the request-body cap.  A final two-process test mirrors the
-CI ``cluster-smoke`` phase over the real CLI: a leader subprocess, two
-follower serving front-ends on empty directories, one of which is killed
-mid-run while the other keeps serving with zero LP solves.
+offsets, segment rotation, torn-tail recovery, retention gaps) and the full
+leader/follower loop — bootstrap, read-your-writes, restart resume,
+lineage-change resync, delete replication and the request-body cap.  A
+final two-process test mirrors the CI ``cluster-smoke`` phase over the real
+CLI: a leader subprocess, two follower serving front-ends on empty
+directories, one of which is killed mid-run while the other keeps serving
+with zero LP solves.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 from repro.cluster import (
     ChangeLog,
     DiskBackend,
-    HashRing,
     LeaderClient,
     ReplicatedStore,
     StoreServer,
@@ -101,47 +100,6 @@ class TestChangeLog:
         log.close()
         with pytest.raises(ChangeLogError):
             log.append("put", "summaries", "k", {})
-
-
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        keys = [fp(f"k{i}") for i in range(200)]
-        a = HashRing(["n1", "n2", "n3"])
-        b = HashRing(["n1", "n2", "n3"])
-        assert [a.node_for(k) for k in keys] == [b.node_for(k) for k in keys]
-
-    def test_virtual_nodes_spread_keys(self):
-        ring = HashRing(["n1", "n2", "n3"])
-        keys = [fp(f"k{i}") for i in range(600)]
-        owners = [ring.node_for(k) for k in keys]
-        counts = {node: owners.count(node) for node in ring.nodes}
-        assert set(counts) == {"n1", "n2", "n3"}
-        assert min(counts.values()) > 600 // 10  # no starved shard
-
-    def test_resize_only_remaps_adjacent_keys(self):
-        keys = [fp(f"k{i}") for i in range(500)]
-        ring = HashRing(["n1", "n2", "n3"])
-        before = {k: ring.node_for(k) for k in keys}
-        ring.add_node("n4")
-        after = {k: ring.node_for(k) for k in keys}
-        moved = [k for k in keys if before[k] != after[k]]
-        # every moved key moved TO the new node, and roughly 1/4 moved
-        assert all(after[k] == "n4" for k in moved)
-        assert 0 < len(moved) < len(keys) // 2
-        # removing it restores the original placement exactly
-        ring.remove_node("n4")
-        assert {k: ring.node_for(k) for k in keys} == before
-
-    def test_invalid_states(self):
-        with pytest.raises(ClusterError):
-            HashRing([])
-        with pytest.raises(ClusterError):
-            HashRing(["a"], vnodes=0)
-        ring = HashRing(["a"])
-        with pytest.raises(ClusterError):
-            ring.add_node("a")
-        with pytest.raises(ClusterError):
-            ring.remove_node("b")
 
 
 @pytest.fixture
@@ -333,7 +291,7 @@ class TestServiceOverReplicatedStore:
         key = fp("served")
         leader_store.put_summary(key, make_summary(rows=48))
         with StoreServer(leader_store, port=0) as server:
-            config = RegenConfig(store_url=server.url, store_role="follower")
+            config = RegenConfig(store_url=server.url)
             service = RegenerationService(
                 toy_schema, store=str(tmp_path / "replica"), config=config)
             try:

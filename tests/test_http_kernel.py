@@ -21,6 +21,7 @@ from unittest import mock
 
 import pytest
 
+from repro.api import RegenConfig
 from repro.cluster import DiskBackend, StoreServer
 from repro.server import RegenerationServer
 from repro.service.service import RegenerationService
@@ -37,9 +38,10 @@ def mounted(request, tmp_path):
     about it: its counter family, a route that reads a JSON body, and a
     callee one of its GET endpoints depends on."""
     if request.param == "regeneration":
-        service = RegenerationService(make_toy_schema(),
-                                      store=str(tmp_path / "store"))
-        server = RegenerationServer(service, max_request_bytes=BODY_CAP)
+        service = RegenerationService(
+            make_toy_schema(), store=str(tmp_path / "store"),
+            config=RegenConfig(max_request_bytes=BODY_CAP))
+        server = RegenerationServer(service)
         kind = SimpleNamespace(
             server=server, counter="repro_server_requests_total",
             body_route=("POST", "/v1/summarize", "summarize"),

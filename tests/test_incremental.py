@@ -517,6 +517,31 @@ class TestSessionEpochs:
         assert [link["fingerprint"] for link in chain] == \
             [handle.fingerprint, base.fingerprint]
 
+    def test_stored_drift_counts_like_the_service(self, tmp_path):
+        # Re-summarizing a drifted epoch that is already stored runs
+        # nothing: the session must report full reuse and zero solves, the
+        # same numbers the service counts for the same request.
+        schema = make_toy_schema()
+        store = str(tmp_path / "store")
+        session = Session(schema, store=store)
+        base = session.summarize(toy_ccs())
+        session.resummarize(base.fingerprint, toy_drifted())
+        again = session.resummarize(base.fingerprint, toy_drifted())
+        assert again.from_store
+        total = session.diff(base.fingerprint, again.fingerprint).total
+        assert again.diagnostics["components_reused"] == total
+        assert again.diagnostics["components_solved"] == 0
+        with RegenerationService(schema, store=store) as service:
+            before = service.stats()
+            report = service.resummarize(base.fingerprint, toy_drifted(),
+                                         timeout=300)
+            after = service.stats()
+        assert report.warm
+        assert again.diagnostics["components_reused"] \
+            == after["components_reused"] - before["components_reused"]
+        assert again.diagnostics["components_solved"] \
+            == after["components_resolved"] - before["components_resolved"]
+
     def test_requires_a_store(self):
         session = Session(make_toy_schema())
         with pytest.raises(ServiceError):

@@ -99,9 +99,11 @@ class _RecordingBackend(PipelineBackend):
 register_backend("lifecycle-test", _RecordingBackend)
 
 
-def lifecycle_service(schema, store=None, **kwargs) -> RegenerationService:
-    config = kwargs.pop("config", RegenConfig(engine="lifecycle-test"))
-    return RegenerationService(schema, store=store, config=config, **kwargs)
+def lifecycle_service(schema, store=None, tenant_weights=None,
+                      **knobs) -> RegenerationService:
+    config = RegenConfig(engine="lifecycle-test", **knobs)
+    return RegenerationService(schema, store=store, config=config,
+                               tenant_weights=tenant_weights)
 
 
 # ---------------------------------------------------------------------- #
@@ -668,11 +670,11 @@ class TestLifecycleConfig:
         assert session.store.ttl_seconds == 60.0
         with session.serve() as service:
             assert service.store is session.store
-            assert service.max_pending_per_tenant == 2
-            assert service.gc_interval is None
-        with session.serve(max_pending_per_tenant=5, gc_interval=30.0) as service:
-            assert service.max_pending_per_tenant == 5
-            assert service.gc_interval == 30.0
+            assert service.config.max_pending_per_tenant == 2
+            assert service._gc_thread is None
+        tuned = Session(toy_schema, config=config.replace(gc_interval=30.0),
+                        store=session.store)
+        with tuned.serve() as service:
             assert service._gc_thread is not None
 
     def test_service_opens_path_store_with_config_caps(self, toy_schema, tmp_path):

@@ -5,8 +5,8 @@ quantile error bounds via hypothesis, Prometheus round-trip), request
 tracing (parent/child across the service's worker pool, JSONL export and
 tree reconstruction), structured logging (caplog events, JSON handler,
 trace correlation), the registry-backed ``stats()``/``service_stats()``
-views (per-tenant latency quantiles) and the byte-compatible
-``TimingLog`` facade.
+views (per-tenant latency quantiles) and the LP solver's phase timings on
+the service registry.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.api.config import RegenConfig
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
 from repro.errors import ConfigError
-from repro.metrics.timing import TimingLog
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.metrics import QUANTILE_RELATIVE_ERROR, MetricsRegistry
 from repro.obs.trace import build_tree, get_tracer, parse_jsonl, span
@@ -221,9 +220,9 @@ class TestTracing:
     def test_service_build_parents_under_submit_across_worker_pool(
             self, toy_schema, tracer, tmp_path):
         tracer.configure(sample=1.0)
-        config = RegenConfig(workers=1, trace_sample=1.0)
+        config = RegenConfig(workers=1, max_workers=1, trace_sample=1.0)
         with RegenerationService(toy_schema, store=str(tmp_path / "store"),
-                                 config=config, max_workers=1) as service:
+                                 config=config) as service:
             ticket = service.submit(toy_ccs())
             summary = ticket.result()
             relation = sorted(summary.relations)[0]
@@ -299,9 +298,9 @@ class TestTracing:
 class TestServiceTelemetry:
     def test_concurrent_tenants_populate_latency_quantiles(
             self, toy_schema, tmp_path):
-        config = RegenConfig(workers=1)
+        config = RegenConfig(workers=1, max_workers=2)
         with RegenerationService(toy_schema, store=str(tmp_path / "store"),
-                                 config=config, max_workers=2) as service:
+                                 config=config) as service:
             def run(tenant, r_rows):
                 ticket = service.submit(toy_ccs(r_rows=r_rows), tenant=tenant)
                 summary = ticket.result()
@@ -340,9 +339,9 @@ class TestServiceTelemetry:
                            'tenant="acme"')] == 1.0
 
     def test_disabled_observability_keeps_serving(self, toy_schema, tmp_path):
-        config = RegenConfig(workers=1, obs_enabled=False)
+        config = RegenConfig(workers=1, max_workers=1, obs_enabled=False)
         with RegenerationService(toy_schema, store=str(tmp_path / "store"),
-                                 config=config, max_workers=1) as service:
+                                 config=config) as service:
             summary = service.submit(toy_ccs()).result()
             assert summary.total_rows() > 0
             stats = service.stats()
@@ -357,11 +356,10 @@ class TestLogging:
     def test_service_lifecycle_emits_repro_log_events(
             self, toy_schema, tmp_path, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro"):
-            config = RegenConfig(workers=1)
+            config = RegenConfig(workers=1, max_workers=1)
             with RegenerationService(toy_schema,
                                      store=str(tmp_path / "store"),
-                                     config=config,
-                                     max_workers=1) as service:
+                                     config=config) as service:
                 service.submit(toy_ccs()).result()
         names = {record.name for record in caplog.records}
         assert any(name.startswith("repro.service") for name in names)
@@ -411,36 +409,16 @@ class TestConfigKnobs:
 
 
 # ---------------------------------------------------------------------- #
-# TimingLog facade compatibility
+# solver phase timings (the histogram that replaced the TimingLog facade)
 # ---------------------------------------------------------------------- #
 class TestTimingLogFacade:
-    def test_legacy_surface_is_preserved(self):
-        log = TimingLog()
-        log.record("solve", 2.0)
-        log.record("solve", 1.0)
-        with log.time("stitch"):
-            pass
-        assert set(log.entries) == {"solve", "stitch"}
-        assert log.entries["solve"] == pytest.approx(3.0)
-        assert log.total() == pytest.approx(3.0 + log.entries["stitch"])
-        assert log == TimingLog(entries=dict(log.entries))
-        assert "solve" in repr(log)
-
-    def test_quantiles_ride_along(self):
-        log = TimingLog()
-        for seconds in (0.01, 0.01, 0.01, 10.0):
-            log.record("solve", seconds)
-        p50 = log.quantile("solve", 0.5)
-        assert p50 == pytest.approx(0.01, rel=QUANTILE_RELATIVE_ERROR)
-        assert log.quantile("solve", 1.0) == pytest.approx(10.0)
-
     def test_solver_timings_share_the_service_registry(self, toy_schema,
                                                        tmp_path):
-        config = RegenConfig(workers=1)
+        config = RegenConfig(workers=1, max_workers=1)
         with RegenerationService(toy_schema, store=str(tmp_path / "store"),
-                                 config=config, max_workers=1) as service:
+                                 config=config) as service:
             service.submit(toy_ccs()).result()
             snapshot = service.registry.snapshot()
         phases = [key for key in snapshot
                   if key.startswith("repro_timing_seconds")]
-        assert phases, "solver TimingLog not re-homed onto the service registry"
+        assert phases, "solver timings not re-homed onto the service registry"

@@ -33,7 +33,7 @@ from repro.api import (
 )
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, ServiceError, ServiceOverloadedError
 from repro.obs.trace import build_tree, get_tracer, parse_jsonl
 from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
@@ -572,7 +572,7 @@ class TestStatusContracts:
 
     def test_overloaded_submission_429(self, warm_store):
         with RegenerationService(warm_store.schema, store=warm_store.store,
-                                 max_pending=0) as service:
+                                 config=RegenConfig(max_pending=0)) as service:
             with RegenerationServer(service) as server:
                 # warm workloads are always admitted
                 assert http_post_json(server, "/v1/summarize", {
@@ -585,9 +585,10 @@ class TestStatusContracts:
         assert service.stats()["rejected_submissions"] == 1
 
     def test_max_connections_503(self, warm_store):
-        with RegenerationService(warm_store.schema,
-                                 store=warm_store.store) as service:
-            with RegenerationServer(service, max_connections=1) as server:
+        with RegenerationService(warm_store.schema, store=warm_store.store,
+                                 config=RegenConfig(max_connections=1)) \
+                as service:
+            with RegenerationServer(service) as server:
                 # Occupy the only slot with a stream too large for the
                 # socket buffers, read only its headers.
                 connection = http.client.HTTPConnection(server.host,
@@ -689,9 +690,8 @@ class TestMultiTenant:
             "server-gated",
             lambda schema, config, store=None: _GatedBackend(
                 schema, config, store, gate=gate))
-        service = RegenerationService(
-            schema, config=RegenConfig(engine="server-gated"),
-            max_workers=1, max_pending_per_tenant=1)
+        service = RegenerationService(schema, config=RegenConfig(
+            engine="server-gated", max_workers=1, max_pending_per_tenant=1))
         try:
             with RegenerationServer(service) as server:
                 def submit(tenant: str, scale: float, out: list) -> None:
@@ -812,9 +812,9 @@ class TestPinRelease:
             assert service.reap_idle_cursors(idle_seconds=0.01) == 0
 
     def test_background_reaper_thread(self, warm_store):
-        service = RegenerationService(warm_store.schema,
-                                      store=warm_store.store,
-                                      cursor_idle_timeout=0.2)
+        service = RegenerationService(
+            warm_store.schema, store=warm_store.store,
+            config=RegenConfig(cursor_idle_timeout=0.2))
         try:
             fingerprint = warm_store.fingerprint
             cursor = service.stream(fingerprint, "S", batch_size=100)
@@ -843,25 +843,66 @@ class TestPinRelease:
 # ---------------------------------------------------------------------- #
 # config knobs
 # ---------------------------------------------------------------------- #
+def _refuses_cold_builds(service, warm_store) -> None:
+    with pytest.raises(ServiceOverloadedError):
+        service.submit(toy_ccs().scaled(7.0))
+
+
+def _runs_background_gc(service, warm_store) -> None:
+    wait_until(lambda: service.stats()["gc_runs"] >= 1,
+               message="a background GC pass")
+
+
+def _reaps_idle_cursors(service, warm_store) -> None:
+    cursor = service.stream(warm_store.fingerprint, "S", batch_size=100)
+    next(cursor)
+    wait_until(lambda: service.store.pin_count(warm_store.fingerprint) == 0,
+               message="the reaper to reclaim the idle cursor's pin")
+
+
+def _sizes_the_worker_pool(service, warm_store) -> None:
+    assert service._executor._max_workers == 3
+
+
+#: Each service knob: a non-default value and a probe that observes it on
+#: the live service.
+SERVICE_KNOBS = {
+    "max_workers": (3, _sizes_the_worker_pool),
+    "max_pending": (0, _refuses_cold_builds),
+    "max_pending_per_tenant": (0, _refuses_cold_builds),
+    "gc_interval": (0.05, _runs_background_gc),
+    "cursor_idle_timeout": (0.1, _reaps_idle_cursors),
+}
+
+#: Each server knob: a non-default value and the server attribute the HTTP
+#: kernel and handlers read it from.
+SERVER_KNOBS = {
+    "max_connections": (3, "max_connections"),
+    "request_timeout": (4.5, "socket_timeout"),
+    "max_request_bytes": (1024, "max_request_bytes"),
+    "batch_size": (17, "default_batch_size"),
+}
+
+
 class TestServingConfig:
     def test_knob_validation(self):
         with pytest.raises(ConfigError):
-            RegenConfig(listen_port=70_000)
+            RegenConfig(max_request_bytes=0)
         with pytest.raises(ConfigError):
             RegenConfig(max_connections=0)
         with pytest.raises(ConfigError):
             RegenConfig(request_timeout=0.0)
         with pytest.raises(ConfigError):
             RegenConfig(cursor_idle_timeout=-1.0)
-        RegenConfig(listen_port=0, max_connections=1, request_timeout=0.5,
-                    cursor_idle_timeout=5.0)
+        RegenConfig(max_request_bytes=1, max_connections=1,
+                    request_timeout=0.5, cursor_idle_timeout=5.0)
 
     def test_serving_knobs_do_not_change_fingerprints(self):
         schema = make_toy_schema()
         base = RegenerationService(schema, config=RegenConfig())
         tuned = RegenerationService(schema, config=RegenConfig(
-            listen_host="0.0.0.0", listen_port=8080, max_connections=2,
-            request_timeout=1.5, cursor_idle_timeout=9.0))
+            max_connections=2, request_timeout=1.5, max_request_bytes=1024,
+            cursor_idle_timeout=9.0))
         try:
             assert base.fingerprint(toy_ccs()) == tuned.fingerprint(toy_ccs())
         finally:
@@ -873,13 +914,23 @@ class TestServingConfig:
         service = RegenerationService(
             schema, config=RegenConfig(cursor_idle_timeout=123.0))
         try:
-            assert service.cursor_idle_timeout == 123.0
             assert service._reaper_thread is not None
         finally:
             service.close()
 
-    def test_server_rejects_bad_knobs(self, service):
-        with pytest.raises(ServiceError):
-            RegenerationServer(service, max_connections=0)
-        with pytest.raises(ServiceError):
-            RegenerationServer(service, request_timeout=0.0)
+    @pytest.mark.parametrize("knob", sorted(SERVICE_KNOBS))
+    def test_service_knob_reaches_the_live_service(self, knob, warm_store):
+        value, probe = SERVICE_KNOBS[knob]
+        with RegenerationService(warm_store.schema, store=warm_store.store,
+                                 config=RegenConfig(**{knob: value})) \
+                as service:
+            probe(service, warm_store)
+
+    @pytest.mark.parametrize("knob", sorted(SERVER_KNOBS))
+    def test_server_knob_reaches_the_live_server(self, knob, warm_store):
+        value, attribute = SERVER_KNOBS[knob]
+        with RegenerationService(warm_store.schema, store=warm_store.store,
+                                 config=RegenConfig(**{knob: value})) \
+                as service:
+            with RegenerationServer(service) as server:
+                assert getattr(server, attribute) == value

@@ -6,7 +6,8 @@ a third party knowing only the CLI flags — talks to it with ``urllib``:
 fingerprint-exact warm summarize over the wire, sharded NDJSON streaming,
 ``/metrics`` showing zero LP solves, and a clean SIGTERM shutdown.  A cold
 store under ``--require-warm`` must exit :data:`repro.cli.EXIT_NOT_WARM`
-*before* binding the socket.
+*before* binding the socket.  Every ``serve`` flag that names a serving
+knob lands on the :class:`~repro.api.RegenConfig` the server reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXIT_NOT_WARM
+from repro.api import RegenConfig
+from repro.cli import EXIT_NOT_WARM, _config, build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 FLAGS = ["--scale", "0.0002", "--queries", "3", "--workload", "simple"]
@@ -165,3 +167,27 @@ class TestServeListenCLI:
         missing = run_cli("serve", "--store", str(tmp_path / "s"), *FLAGS)
         assert missing.returncode == 2
         assert "--relation is required" in missing.stderr
+
+
+class TestServeFlagsReachTheConfig:
+    @staticmethod
+    def parse(tmp_path, *argv: str):
+        return build_parser().parse_args(
+            ["serve", "--store", str(tmp_path / "s"), *argv])
+
+    def test_defaults_are_the_config_defaults(self, tmp_path):
+        assert _config(self.parse(tmp_path)) == RegenConfig()
+
+    @pytest.mark.parametrize("flag, knob, value", [
+        ("--max-connections", "max_connections", 3),
+        ("--request-timeout", "request_timeout", 4.5),
+        ("--max-request-bytes", "max_request_bytes", 1024),
+        ("--batch-size", "batch_size", 17),
+        ("--cursor-idle-timeout", "cursor_idle_timeout", 9.0),
+        ("--workers", "workers", 3),
+        ("--store-url", "store_url", "http://127.0.0.1:7400"),
+    ])
+    def test_flag_sets_its_knob(self, tmp_path, flag, knob, value):
+        config = _config(self.parse(tmp_path, flag, str(value)))
+        assert getattr(config, knob) == value
+        assert config == RegenConfig(**{knob: value})

@@ -1,8 +1,8 @@
 """Conformance suite of the :class:`repro.cluster.StoreBackend` protocol.
 
 Every backend shape the serving layers can mount — the plain disk store,
-the memory-only store, a leader-attached :class:`ReplicatedStore` and a
-:class:`ShardedStore` over two disk shards — must satisfy the same
+the memory-only store and a leader-attached :class:`ReplicatedStore` —
+must satisfy the same
 observable contract: summary/component round-trips, listings, deletion,
 pin/compact interplay, counters and corruption rejection.  The suite is
 parametrized so a new backend only needs a fixture branch to inherit the
@@ -17,7 +17,6 @@ import pytest
 from repro.cluster import (
     DiskBackend,
     ReplicatedStore,
-    ShardedStore,
     StoreBackend,
     StoreServer,
 )
@@ -26,7 +25,7 @@ from repro.lp.model import LPSolution
 from repro.service.store import SummaryStore
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
 
-BACKENDS = ("disk", "memory", "replicated", "sharded")
+BACKENDS = ("disk", "memory", "replicated")
 
 
 def make_summary(rows: int = 100, values: int = 4) -> DatabaseSummary:
@@ -62,20 +61,13 @@ def backend(request, tmp_path):
     if request.param == "memory":
         yield SummaryStore(None)
         return
-    if request.param == "replicated":
-        leader = DiskBackend(tmp_path / "leader")
-        server = StoreServer(leader, port=0).start()
-        replica = ReplicatedStore(server.url, tmp_path / "replica",
-                                  poll_interval=0.05)
-        yield replica
-        replica.close()
-        server.shutdown()
-        return
-    shards = {
-        "a": DiskBackend(tmp_path / "shard-a"),
-        "b": DiskBackend(tmp_path / "shard-b"),
-    }
-    yield ShardedStore(shards)
+    leader = DiskBackend(tmp_path / "leader")
+    server = StoreServer(leader, port=0).start()
+    replica = ReplicatedStore(server.url, tmp_path / "replica",
+                              poll_interval=0.05)
+    yield replica
+    replica.close()
+    server.shutdown()
 
 
 class TestConformance:
@@ -186,31 +178,3 @@ class TestDiskSpecific:
         assert isinstance(DiskBackend(tmp_path / "store").get_summary(key),
                           DatabaseSummary)
         assert issubclass(DiskBackend, SummaryStore)
-
-
-class TestShardedSpecific:
-    def test_routing_is_deterministic_and_total(self, tmp_path):
-        shards = {name: SummaryStore(None) for name in ("a", "b", "c")}
-        store = ShardedStore(shards)
-        keys = [fp(f"k{i}") for i in range(30)]
-        owners = {key: store.shard_for(key) for key in keys}
-        assert set(owners.values()) <= set(shards)
-        for key in keys:
-            store.put_summary(key, make_summary())
-        # every key landed on exactly the shard the ring names
-        for key, owner in owners.items():
-            assert shards[owner].has_summary(key)
-            assert store.has_summary(key)
-        assert sorted(owners) == store.summary_fingerprints()
-        by_shard = {entry["fingerprint"]: entry["shard"]
-                    for entry in store.entries()}
-        assert by_shard == owners
-
-    def test_fanout_counters_sum(self, tmp_path):
-        shards = {"a": SummaryStore(None), "b": SummaryStore(None)}
-        store = ShardedStore(shards)
-        for i in range(8):
-            store.put_summary(fp(f"s{i}"), make_summary())
-        assert store.counters()["summaries"] == 8
-        assert store.counters()["summaries"] == sum(
-            s.counters()["summaries"] for s in shards.values())
