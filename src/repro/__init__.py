@@ -16,7 +16,7 @@ Typical use (the :mod:`repro.api` session facade)::
 
     session = Session(schema, config=RegenConfig(workers=4))
     constraints = session.extract(client_db, workload)
-    handle = session.summarize(constraints)        # or engine="datasynth"
+    handle = session.summarize(constraints)
     database = session.regenerate(handle)          # lazy, streamable
     report = session.verify(database)
 
@@ -25,15 +25,7 @@ solvers, partitioners...) remain importable for experiments and extensions;
 ``docs/API.md`` maps the old entry points onto the session facade.
 """
 
-from repro.api import (
-    DatabaseHandle,
-    EpochDiff,
-    RegenConfig,
-    Session,
-    SummaryHandle,
-    available_backends,
-    register_backend,
-)
+from repro.api import DatabaseHandle, RegenConfig, Session, SummaryHandle
 from repro.cluster import (
     DiskBackend,
     ReplicatedStore,
@@ -89,9 +81,6 @@ __all__ = [
     "RegenConfig",
     "SummaryHandle",
     "DatabaseHandle",
-    "EpochDiff",
-    "register_backend",
-    "available_backends",
     # schema
     "Schema",
     "Relation",

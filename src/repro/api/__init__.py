@@ -1,45 +1,28 @@
-"""The unified public API: one config, one entry point, pluggable backends.
+"""The unified public API: one config, one entry point, one pipeline.
 
 ``repro.api`` is the supported surface for driving the whole pipeline:
 
 * :class:`RegenConfig` — every result-affecting and performance knob in one
-  frozen dataclass, from which the per-engine configs are derived and which
-  namespaces store fingerprints;
+  frozen dataclass, from which the pipeline's ``HydraConfig`` is derived and
+  which namespaces store fingerprints;
 * :class:`Session` — the facade with the paper's four verbs
-  (``extract`` → ``summarize`` → ``regenerate`` → ``verify``) plus
-  ``serve()`` to lift the same configuration into a concurrent
-  :class:`~repro.service.RegenerationService`;
+  (``extract`` → ``summarize`` → ``regenerate`` → ``verify``), a thin
+  client of the one :class:`~repro.service.RegenerationService` it owns
+  (``session.service``, also returned by ``serve()``);
 * :class:`SummaryHandle` / :class:`DatabaseHandle` — the values flowing
-  between the verbs (summary + fingerprint + diagnostics; lazy database +
-  execute/stream/row_counts);
-* :func:`register_backend` — plug in new engines by name; Hydra and
-  DataSynth are pre-registered, and the serving layer routes through the
-  same registry.
+  between the verbs (summary + fingerprint + provenance; lazy database +
+  execute/stream/row_counts).
 
 Older entry points (``Hydra(schema).build_summary``, ``DataSynth.generate``)
 keep working; see ``docs/API.md`` for the migration mapping.
 """
 
-from repro.api.backends import (
-    BackendBuild,
-    PipelineBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
-from repro.api.config import BUILTIN_ENGINES, RegenConfig
-from repro.api.session import DatabaseHandle, EpochDiff, Session, SummaryHandle
+from repro.api.config import RegenConfig
+from repro.api.session import DatabaseHandle, Session, SummaryHandle
 
 __all__ = [
     "Session",
     "RegenConfig",
     "SummaryHandle",
     "DatabaseHandle",
-    "EpochDiff",
-    "PipelineBackend",
-    "BackendBuild",
-    "register_backend",
-    "available_backends",
-    "create_backend",
-    "BUILTIN_ENGINES",
 ]

@@ -1,14 +1,14 @@
 """The one canonical configuration of the regeneration pipeline.
 
 Before :class:`RegenConfig`, result-affecting knobs were scattered across
-``HydraConfig``, ``DataSynthConfig``, ``ParallelLPSolver``, ``Executor`` and
+``HydraConfig``, ``ParallelLPSolver``, ``Executor`` and
 ``RegenerationService``, each with its own defaults and calling convention.
 ``RegenConfig`` consolidates every knob in one frozen (hashable, immutable)
-dataclass from which the per-engine configs are *derived*, and it is the
-canonical input to store-fingerprint namespacing: two sessions whose configs
-differ in a result-affecting knob can never share a store entry, while
-performance-only knobs (workers, cache sizes, batch size) never split the
-store.
+dataclass from which the pipeline's ``HydraConfig`` is *derived*, and it is
+the canonical input to store-fingerprint namespacing: two sessions whose
+configs differ in a result-affecting knob can never share a store entry,
+while performance-only knobs (workers, cache sizes, batch size) never split
+the store.
 
 It is also the only place a serving knob is set: ``RegenerationService``,
 ``Session.serve()`` and ``RegenerationServer`` read their worker pool,
@@ -22,8 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # the engine configs are derived lazily to avoid cycles
-    from repro.datasynth.pipeline import DataSynthConfig
+if TYPE_CHECKING:  # the pipeline config is derived lazily to avoid cycles
     from repro.hydra.pipeline import HydraConfig
 
 from repro.engine.executor import EXECUTOR_MODES
@@ -41,10 +40,6 @@ from repro.lp.solver import (
 #: generator — config must stay import-light).
 DEFAULT_BATCH_SIZE = 65_536
 
-#: Engines shipped with the library (more can be added via
-#: :func:`repro.api.register_backend`).
-BUILTIN_ENGINES = ("hydra", "datasynth")
-
 
 @dataclass(frozen=True)
 class RegenConfig:
@@ -59,8 +54,7 @@ class RegenConfig:
     * ``milp_variable_limit`` / ``time_limit`` — bounds of the exact MILP
       pass (per connected component);
     * ``max_grid_variables`` / ``max_region_variables`` — partitioning
-      budgets;
-    * ``seed`` — the DataSynth sampling seed.
+      budgets.
 
     Error-mode knob: ``strict`` raises
     :class:`~repro.errors.InfeasibleLPError` on residual constraint
@@ -98,7 +92,6 @@ class RegenConfig:
     :func:`repro.obs.configure_logging`).
     """
 
-    engine: str = "hydra"
     # -- result-affecting pipeline knobs ------------------------------- #
     strategy: str = STRATEGY_REGION
     prefer_integer: bool = True
@@ -106,7 +99,6 @@ class RegenConfig:
     time_limit: Optional[float] = DEFAULT_MILP_TIME_LIMIT
     max_grid_variables: int = 200_000
     max_region_variables: int = 8_000
-    seed: int = 7
     # -- error mode ---------------------------------------------------- #
     strict: bool = False
     # -- performance knobs --------------------------------------------- #
@@ -180,7 +172,7 @@ class RegenConfig:
             )
 
     # ------------------------------------------------------------------ #
-    # derivation of the per-engine configs
+    # derivation of the pipeline config
     # ------------------------------------------------------------------ #
     def replace(self, **changes: object) -> "RegenConfig":
         """A copy with the given knobs changed (the config is frozen)."""
@@ -200,21 +192,5 @@ class RegenConfig:
             workers=self.workers,
             cache_size=self.cache_size,
             use_processes=self.use_processes,
-            strict=self.strict,
-        )
-
-    def datasynth_config(self) -> "DataSynthConfig":
-        """Derive the :class:`~repro.datasynth.pipeline.DataSynthConfig`
-        slice (``time_limit`` only affects the MILP pass, which DataSynth's
-        continuous formulation never takes, so it is passed through
-        verbatim)."""
-        from repro.datasynth.pipeline import DataSynthConfig
-
-        return DataSynthConfig(
-            max_grid_variables=self.max_grid_variables,
-            seed=self.seed,
-            time_limit=self.time_limit,
-            workers=self.workers,
-            cache_size=self.cache_size,
             strict=self.strict,
         )

@@ -4,8 +4,7 @@ The paper's workflow is one conceptual pipeline: extract cardinality
 constraints at the client, summarize them at the vendor, regenerate data on
 demand, verify volumetric similarity.  ``Session`` exposes exactly those
 four verbs over one schema, one :class:`~repro.api.RegenConfig` and one
-optional :class:`~repro.service.SummaryStore`, routing engine selection
-through the pluggable backend registry::
+:class:`~repro.service.RegenerationService`, of which it is a thin client::
 
     session = Session(schema, config=RegenConfig(workers=4))
     constraints = session.extract(client_db, workload)
@@ -13,30 +12,23 @@ through the pluggable backend registry::
     database = session.regenerate(handle, scale=10.0)  # DatabaseHandle (lazy)
     report = session.verify(database)                  # SimilarityReport
 
-``session.serve()`` lifts the same configuration into a concurrent
-:class:`~repro.service.RegenerationService` front-end.
+``session.service`` (also returned by ``session.serve()``) is the one
+copy of the vendor pipeline: summarize runs through its worker pool and
+store, and epochs (``resummarize``/``diff``/``lineage``) and fingerprints
+are its methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Union)
 
 if TYPE_CHECKING:  # service imports stay lazy to keep import order flexible
     from repro.service.service import RegenerationService
     from repro.service.store import SummaryStore
 
-from repro.api.backends import PipelineBackend, create_backend
 from repro.api.config import RegenConfig
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
@@ -56,49 +48,20 @@ from repro.workload.query import Workload
 
 
 @dataclass(frozen=True)
-class EpochDiff:
-    """Per-component reuse report between two stored workload epochs.
-
-    ``reused`` components are shared by both epochs (an incremental build of
-    ``b`` from ``a`` serves them from cache with zero solves), ``added``
-    exist only in epoch ``b``, ``retired`` only in epoch ``a``.
-    """
-
-    fingerprint_a: str
-    fingerprint_b: str
-    reused: tuple
-    added: tuple
-    retired: tuple
-
-    @property
-    def total(self) -> int:
-        """Component count of epoch ``b``."""
-        return len(self.reused) + len(self.added)
-
-    @property
-    def reuse_ratio(self) -> float:
-        """Fraction of epoch ``b``'s components shared with epoch ``a``."""
-        return len(self.reused) / self.total if self.total else 1.0
-
-
-@dataclass(frozen=True)
 class SummaryHandle:
     """A built database summary plus everything needed to reuse it.
 
     Carries the summary itself, the canonical store ``fingerprint`` of the
-    request (engine- and config-namespaced), the constraints it was built
-    from, and the backend's solver/timing ``diagnostics``.  ``from_store``
-    records provenance: ``True`` when the build was served warm without
-    running the pipeline.
+    request (config-namespaced) and the constraints it was built from.
+    ``from_store`` records provenance: ``True`` when the build was served
+    warm without running the pipeline.
     """
 
     summary: DatabaseSummary
     fingerprint: str
-    engine: str
     config: RegenConfig
     schema: Schema
     constraints: Optional[ConstraintSet] = None
-    diagnostics: Mapping[str, object] = field(default_factory=dict)
     from_store: bool = False
 
     def total_rows(self) -> int:
@@ -159,7 +122,7 @@ class DatabaseHandle:
 
 
 class Session:
-    """One configured regeneration pipeline: schema + config + store.
+    """One configured regeneration pipeline: a client of one service.
 
     Parameters
     ----------
@@ -168,44 +131,25 @@ class Session:
     config:
         A :class:`RegenConfig`; defaults are the paper's Hydra settings.
     store:
-        Optional :class:`~repro.service.SummaryStore` (or a directory path to
-        open one at).  When given, summaries and LP component solutions are
-        persisted and warm requests skip the pipeline.
+        Optional store backend or directory path, opened by the service.
+        Without one the service keeps summaries and LP component solutions
+        in memory, so a repeated request is warm either way; with one they
+        are persisted and survive the process.
     """
 
     def __init__(self, schema: Schema, config: Optional[RegenConfig] = None,
                  store: Union["SummaryStore", str, Path, None] = None) -> None:
+        # Imported here: the service module imports ``repro.api.config``,
+        # whose package imports this module.
+        from repro.service.service import RegenerationService
+
         self.schema = schema
-        self.config = config or RegenConfig()
-        # Observability knobs apply to standalone sessions exactly as they
-        # do to `serve()`: one registry per session, opt-in trace sampling,
-        # opt-in JSON log handler.
-        from repro.obs.logging import configure_logging
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.trace import get_tracer
-
-        self.registry = MetricsRegistry(enabled=self.config.obs_enabled)
-        if self.config.trace_sample > 0.0:
-            get_tracer().configure(sample=self.config.trace_sample)
-        if self.config.log_format == "json":
-            configure_logging(log_format="json")
-        if store is None and self.config.store_url:
-            # A leader URL without an explicit store: mount the network
-            # backend with a memory-only local replica.
-            from repro.cluster.factory import open_store
-
-            store = open_store(None, config=self.config, registry=self.registry)
-        elif store is not None and not hasattr(store, "get_summary"):
-            from repro.cluster.factory import open_store
-
-            # A path opens whichever backend the config's cluster knobs ask
-            # for (plain disk by default) and inherits the session's
-            # lifecycle caps, so `Session` and `Session.serve()` GC with the
-            # same policy.
-            store = open_store(store, config=self.config,
-                               registry=self.registry)
-        self.store = store
-        self._backends: Dict[str, PipelineBackend] = {}
+        #: The one pipeline surface: builds, fingerprints, epochs and
+        #: telemetry all live here.
+        self.service = RegenerationService(schema, store, config)
+        self.config = self.service.config
+        self.store = self.service.store
+        self.registry = self.service.registry
 
     # ------------------------------------------------------------------ #
     # the four pipeline verbs
@@ -225,130 +169,33 @@ class Session:
         return package.constraints
 
     def summarize(self, constraints: ConstraintSet,
-                  engine: Optional[str] = None,
                   relations: Optional[Sequence[str]] = None) -> SummaryHandle:
-        """Vendor side: build (or fetch warm) the database summary."""
-        backend = self._backend(engine)
-        fingerprint = backend.fingerprint(constraints, relations)
-        build = backend.build(constraints, relations)
-        return SummaryHandle(
-            summary=build.summary,
-            fingerprint=fingerprint,
-            engine=backend.name,
-            config=self.config,
-            schema=self.schema,
-            constraints=constraints,
-            diagnostics=build.diagnostics,
-            from_store=build.from_store,
-        )
+        """Vendor side: build (or fetch warm) the database summary.
 
-    def resummarize(self, base_fingerprint: str, constraints: ConstraintSet,
-                    engine: Optional[str] = None,
-                    relations: Optional[Sequence[str]] = None) -> SummaryHandle:
-        """Incrementally re-summarize a drifted workload against a warm epoch.
-
-        Diffs the drifted workload's component manifest against the base
-        epoch's provenance, builds reusing every unchanged component's cached
-        solution verbatim (only changed/new constraint-graph components are
-        solved) and links the new epoch to its parent in the store.  The
-        result is byte-identical to a cold :meth:`summarize` of the drifted
-        workload; the handle's ``diagnostics`` carry the reuse report
-        (``parent_fingerprint``, ``components_reused`` / ``_solved`` /
-        ``_retired``).
+        The request is submitted to :attr:`service`, so a cold build runs on
+        its worker pool under its admission caps and a repeated request is
+        served warm from its store.
         """
-        if self.store is None:
-            raise ServiceError("resummarize needs a store holding the base epoch")
-        base_summary = self.store.get_summary(base_fingerprint)
-        if base_summary is None:
-            raise ServiceError(
-                f"no stored summary for base fingerprint {base_fingerprint[:12]}…;"
-                " summarize the base workload first"
-            )
-        from repro.service.fingerprint import manifest_diff
-
-        backend = self._backend(engine)
-        manifest_fn = getattr(backend.pipeline, "component_manifest", None)
-        new_manifest: List[str] = []
-        if manifest_fn is not None:
-            per_relation = manifest_fn(constraints, relations)
-            new_manifest = sorted(
-                {key for keys in per_relation.values() for key in keys}
-            )
-        diff = manifest_diff(base_summary.component_manifest(), new_manifest)
-        fingerprint = backend.fingerprint(constraints, relations)
-        build = backend.build(constraints, relations)
-        if fingerprint != base_fingerprint:
-            link = getattr(self.store, "link_parent", None)
-            if link is not None:
-                link(fingerprint, base_fingerprint)
-        # A drifted epoch already in the store ran nothing: every component
-        # was reused (the service counts the same way).
-        solved = 0 if build.from_store else len(diff.added)
-        diagnostics = dict(build.diagnostics)
-        diagnostics.update({
-            "parent_fingerprint": base_fingerprint,
-            "components_reused": diff.total - solved,
-            "components_solved": solved,
-            "components_retired": len(diff.retired),
-        })
+        ticket = self.service.submit(constraints, relations)
         return SummaryHandle(
-            summary=build.summary,
-            fingerprint=fingerprint,
-            engine=backend.name,
+            summary=ticket.result(),
+            fingerprint=ticket.fingerprint,
             config=self.config,
             schema=self.schema,
             constraints=constraints,
-            diagnostics=diagnostics,
-            from_store=build.from_store,
+            from_store=ticket.warm,
         )
-
-    def diff(self, fingerprint_a: str, fingerprint_b: str) -> EpochDiff:
-        """Per-component reuse report between two stored workload epochs."""
-        if self.store is None:
-            raise ServiceError("diff needs a store holding both epochs")
-        from repro.service.fingerprint import manifest_diff
-
-        summaries = []
-        for fingerprint in (fingerprint_a, fingerprint_b):
-            summary = self.store.get_summary(fingerprint)
-            if summary is None:
-                raise ServiceError(
-                    f"no stored summary for fingerprint {fingerprint[:12]}…;"
-                    " cannot diff epochs"
-                )
-            summaries.append(summary)
-        report = manifest_diff(summaries[0].component_manifest(),
-                               summaries[1].component_manifest())
-        return EpochDiff(
-            fingerprint_a=fingerprint_a,
-            fingerprint_b=fingerprint_b,
-            reused=tuple(report.reused),
-            added=tuple(report.added),
-            retired=tuple(report.retired),
-        )
-
-    def lineage(self, fingerprint: str) -> List[Mapping[str, object]]:
-        """The epoch chain ending at ``fingerprint`` (newest first)."""
-        if self.store is None:
-            raise ServiceError("lineage needs a store")
-        walk = getattr(self.store, "list_lineage", None)
-        if walk is None:
-            return [{"fingerprint": fingerprint,
-                     "present": self.store.get_summary(fingerprint) is not None}]
-        return walk(fingerprint)
 
     def load(self, fingerprint: str) -> SummaryHandle:
         """Rehydrate a handle for a fingerprint already in the store."""
-        if self.store is None:
-            raise ServiceError("session has no store to load summaries from")
         summary = self.store.get_summary(fingerprint)
         if summary is None:
             raise ServiceError(
                 f"no stored summary for fingerprint {fingerprint[:12]}…"
             )
         return SummaryHandle(summary=summary, fingerprint=fingerprint,
-                             engine=self.config.engine, config=self.config,
-                             schema=self.schema, from_store=True)
+                             config=self.config, schema=self.schema,
+                             from_store=True)
 
     def regenerate(self, handle: Union[SummaryHandle, DatabaseSummary],
                    scale: Optional[float] = None,
@@ -362,7 +209,6 @@ class Session:
         """
         if isinstance(handle, DatabaseSummary):
             handle = SummaryHandle(summary=handle, fingerprint="",
-                                   engine=self.config.engine,
                                    config=self.config, schema=self.schema)
         summary = handle.summary
         if scale is not None and scale != 1.0:
@@ -372,7 +218,7 @@ class Session:
         batch = batch_size or self.config.batch_size
         database = dynamic_database(
             summary, self.schema, batch_size=batch,
-            name=f"regen-{handle.fingerprint[:12] or handle.engine}",
+            name=f"regen-{handle.fingerprint[:12] or 'summary'}",
         )
         return DatabaseHandle(handle, database, summary, self.config,
                               batch_size=batch, scale=scale or 1.0)
@@ -411,40 +257,11 @@ class Session:
             return report
         return evaluate_on_summary(constraints, handle.summary, self.schema)
 
-    # ------------------------------------------------------------------ #
-    # serving and identity
-    # ------------------------------------------------------------------ #
     def serve(self) -> "RegenerationService":
-        """Lift this session into a concurrent serving front-end.
+        """The session's concurrent serving front-end: :attr:`service` itself.
 
-        The service shares the session's schema, store and config, so its
-        engine, worker pool, admission caps and store lifecycle knobs are
-        the config's, and submissions and session-built summaries hit the
-        same fingerprints and the same GC policy.
+        Submissions and session-built summaries share one store, one worker
+        pool and one metrics registry.  Closing it (for instance by leaving
+        a ``with session.serve()`` block) ends the session's cold builds.
         """
-        from repro.service.service import RegenerationService
-
-        return RegenerationService(self.schema, store=self.store,
-                                   config=self.config)
-
-    def fingerprint(self, constraints: ConstraintSet,
-                    relations: Optional[Sequence[str]] = None,
-                    engine: Optional[str] = None) -> str:
-        """The store/dedup fingerprint this session assigns to a request."""
-        return self._backend(engine).fingerprint(constraints, relations)
-
-    def _backend(self, engine: Optional[str] = None) -> PipelineBackend:
-        name = engine or self.config.engine
-        backend = self._backends.get(name)
-        if backend is None:
-            backend = create_backend(name, self.schema, self.config, self.store)
-            # Re-home the engine's solver telemetry onto the session registry
-            # so one export covers store + solver (the service does the same).
-            from repro.lp.solver import SolverStats
-
-            solver = getattr(backend.pipeline, "solver", None)
-            if solver is not None and isinstance(getattr(solver, "stats", None),
-                                                SolverStats):
-                solver.stats = SolverStats(registry=self.registry)
-            self._backends[name] = backend
-        return backend
+        return self.service

@@ -49,7 +49,6 @@ import sys
 import threading
 from typing import Callable, List, Optional, Tuple
 
-from repro.api.backends import available_backends
 from repro.api.config import DEFAULT_BATCH_SIZE, RegenConfig
 from repro.api.session import Session
 from repro.constraints.workload import ConstraintSet
@@ -84,7 +83,7 @@ def _benchmark_environment(args: argparse.Namespace) -> Tuple[Schema, Constraint
 def _config(args: argparse.Namespace) -> RegenConfig:
     knobs = {name: getattr(args, name) for name in CONFIG_FLAGS
              if getattr(args, name, None) is not None}
-    return RegenConfig(engine=args.engine, **knobs)
+    return RegenConfig(**knobs)
 
 
 def _session(args: argparse.Namespace, schema: Schema) -> Session:
@@ -173,23 +172,24 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     """Per-component reuse report between two stored workload epochs."""
     from repro.benchdata.tpcds import tpcds_schema
 
-    session = _session(args, tpcds_schema(scale_factor=args.scale))
+    service = _session(args, tpcds_schema(scale_factor=args.scale)).service
     try:
-        report = session.diff(args.fingerprint_a, args.fingerprint_b)
+        report = service.diff(args.fingerprint_a, args.fingerprint_b)
     except ServiceError as error:
         print(f"diff: {error}", file=sys.stderr)
         return 2
-    print(f"epoch_a={report.fingerprint_a}")
-    print(f"epoch_b={report.fingerprint_b}")
+    reuse_ratio = len(report.reused) / report.total if report.total else 1.0
+    print(f"epoch_a={args.fingerprint_a}")
+    print(f"epoch_b={args.fingerprint_b}")
     print(f"components_total={report.total}"
           f" reused={len(report.reused)} added={len(report.added)}"
           f" retired={len(report.retired)}"
-          f" reuse_ratio={report.reuse_ratio:.4f}")
+          f" reuse_ratio={reuse_ratio:.4f}")
     for label, keys in (("reused", report.reused), ("added", report.added),
                         ("retired", report.retired)):
         for key in keys:
             print(f"  {label} component={key[:16]}")
-    lineage = session.lineage(args.fingerprint_b)
+    lineage = service.lineage(args.fingerprint_b)
     if len(lineage) > 1:
         chain = " -> ".join(str(link["fingerprint"])[:12] for link in lineage)
         print(f"lineage: {chain}")
@@ -210,7 +210,7 @@ def _cmd_regenerate(args: argparse.Namespace) -> int:
         handle = session.summarize(constraints)
     database = session.regenerate(handle, scale=args.scale_factor,
                                   batch_size=args.batch_size)
-    print(f"fingerprint={handle.fingerprint} engine={handle.engine}"
+    print(f"fingerprint={handle.fingerprint}"
           f" warm={handle.from_store} scale_factor={database.scale}")
     for relation, rows in sorted(database.row_counts().items()):
         print(f"  relation={relation} rows={rows}")
@@ -232,8 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     handle = session.summarize(constraints)
     database = session.regenerate(handle, scale=args.scale_factor)
     report = session.verify(database)
-    print(f"fingerprint={handle.fingerprint} engine={handle.engine}"
-          f" warm={handle.from_store}")
+    print(f"fingerprint={handle.fingerprint} warm={handle.from_store}")
     print(f"verified constraints={len(report.results)}"
           f" max_error={report.max_error():.6f}"
           f" fraction_exact={report.fraction_exact():.4f}"
@@ -424,7 +423,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = get_tracer()
     tracer.clear()
     with session.serve() as service:
-        with trace_span("cli.trace", engine=args.engine) as root:
+        with trace_span("cli.trace") as root:
             ticket = service.submit(constraints, tenant=args.tenant)
             summary = ticket.result()
             relation = args.relation or sorted(summary.relations)[0]
@@ -573,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--datagen-seed", type=int, default=7)
         p.add_argument("--workers", type=int, default=2,
                        help="LP solver workers for cold builds")
-        p.add_argument("--engine", choices=available_backends(),
-                       default="hydra", help="pipeline backend")
         p.add_argument("--tenant", default="default",
                        help="tenant tag for fair cold-build admission")
         p.add_argument("--trace-sample", type=float, default=0.0,
@@ -622,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--scale", type=float, default=0.0002,
                       help="TPC-DS scale factor (schema shape only)")
     diff.add_argument("--workers", type=int, default=2)
-    diff.add_argument("--engine", choices=available_backends(),
-                      default="hydra", help="pipeline backend")
     diff.set_defaults(func=_cmd_diff)
 
     regenerate = sub.add_parser(

@@ -4,7 +4,7 @@
 ``SummaryStore``: everything the :class:`~repro.api.Session` facade, the
 :class:`~repro.service.RegenerationService` and the LP solver cache actually
 call — get/put/has/entries/delete/pin for ``summaries`` and ``components``,
-plus lifecycle (``compact``) and telemetry (``counters``/``stats``).  The
+plus lifecycle (``compact``) and telemetry (``counters``).  The
 serving layers type against this protocol only, so a replicated or future
 backend slots in without those layers changing.
 
@@ -81,9 +81,6 @@ class StoreBackend(Protocol):
     def counters(self) -> Dict[str, int]: ...
 
     def store_bytes(self) -> int: ...
-
-    @property
-    def stats(self) -> Dict[str, int]: ...
 
 
 class DiskBackend(SummaryStore):

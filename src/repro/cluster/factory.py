@@ -10,8 +10,8 @@
   follower: local replica at the path, writes through the leader at the
   URL.
 
-``Session`` and ``RegenerationService`` call this instead of constructing
-``SummaryStore`` directly, so they only ever see the protocol.
+``RegenerationService`` (and so every ``Session``) calls this instead of
+constructing ``SummaryStore`` directly, so it only ever sees the protocol.
 """
 
 from __future__ import annotations

@@ -518,10 +518,6 @@ class ReplicatedStore:
     def store_bytes(self) -> int:
         return self.local.store_bytes()
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        return self.local.stats
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.root) if self.root is not None else "memory"
         return (f"ReplicatedStore({self.leader_url!r}, {where!r},"

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # runtime import would create a service<->pipeline cycle
-    from repro.service.store import SummaryStore
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,20 +97,13 @@ class DataSynthResult:
 
 
 class DataSynth:
-    """The DataSynth baseline regenerator.
+    """The DataSynth baseline regenerator (materialises full instances, not
+    summaries)."""
 
-    ``store`` optionally backs the LP component-solution cache with a
-    :class:`~repro.service.store.SummaryStore`, so repeated baseline runs
-    (and other processes mounting the same store) skip already-solved
-    components.  DataSynth materialises full instances rather than summaries,
-    so — unlike Hydra — there is no whole-result fast path.
-    """
-
-    def __init__(self, schema: Schema, config: Optional[DataSynthConfig] = None,
-                 store: Optional["SummaryStore"] = None) -> None:
+    def __init__(self, schema: Schema,
+                 config: Optional[DataSynthConfig] = None) -> None:
         self.schema = schema
         self.config = config or DataSynthConfig()
-        self.store = store
         self.preprocessor = Preprocessor(schema)
         # DataSynth works with a continuous LP solution (the sampling step
         # does not need integrality).
@@ -123,10 +113,6 @@ class DataSynth:
             prefer_integer=False,
             time_limit=self.config.time_limit,
             strict=self.config.strict,
-            cache_backend=(
-                store.solution_cache(self.config.cache_size) if store is not None
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------ #

@@ -88,10 +88,6 @@ class ServiceClosedError(ServiceError):
     The flight is failed and unregistered — waiters never hang on it."""
 
 
-class UnknownBackendError(ReproError):
-    """No pipeline backend is registered under the requested engine name."""
-
-
 class ConfigError(ReproError):
     """A :class:`~repro.api.RegenConfig` knob is out of its valid range."""
 

@@ -288,7 +288,6 @@ class _Handler(Request):
         draining = app.draining
         return self.send_json(503 if draining else 200, {
             "status": "draining" if draining else "ok",
-            "engine": app.service.config.engine,
             "active_requests": app.active_requests(),
             "require_warm": app.require_warm,
         })
@@ -349,7 +348,6 @@ class _Handler(Request):
             "fingerprint": ticket.fingerprint,
             "warm": ticket.warm,
             "tenant": ticket.tenant,
-            "engine": service.config.engine,
         }
         if not wait:
             payload["status"] = "done" if ticket.done() else "building"
@@ -403,7 +401,6 @@ class _Handler(Request):
             "parent_fingerprint": report.parent_fingerprint,
             "warm": report.warm,
             "tenant": tenant,
-            "engine": service.config.engine,
             "components_total": report.total_components,
             "components_reused": len(report.reused_components),
             "components_solved": len(report.solved_components),

@@ -16,8 +16,9 @@ one-shot pipeline into a reusable serving system:
   identical in-flight requests, serves warm requests straight from the store
   without touching the LP solver, admits cold builds through a weighted-fair
   per-tenant queue (global ``max_pending`` plus ``max_pending_per_tenant``
-  caps), optionally GCs the store from a background thread and routes cold
-  builds through the :mod:`repro.api.backends` registry.
+  caps), optionally GCs the store from a background thread and runs cold
+  builds through the one :class:`~repro.hydra.pipeline.Hydra` pipeline it
+  owns.
 
 The CLI door is the unified ``python -m repro`` (see :mod:`repro.cli`).
 """

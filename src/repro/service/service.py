@@ -1,9 +1,9 @@
 """The concurrent regeneration serving front-end.
 
-:class:`RegenerationService` sits in front of a pipeline backend (selected
-by name from the :mod:`repro.api.backends` registry — Hydra by default) and
-a :class:`~repro.service.store.SummaryStore` and turns one-shot summary
-builds into a request/serve loop:
+:class:`RegenerationService` sits in front of the
+:class:`~repro.hydra.pipeline.Hydra` pipeline and a
+:class:`~repro.service.store.SummaryStore` and turns one-shot summary builds
+into a request/serve loop:
 
 * ``submit(workload, tenant=...)`` returns a :class:`Ticket` immediately;
   identical requests already in flight are *single-flighted* — they attach
@@ -50,7 +50,6 @@ from typing import (
     Union,
 )
 
-from repro.api.backends import create_backend
 from repro.api.config import RegenConfig
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
@@ -63,6 +62,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from repro.hydra.pipeline import Hydra
 from repro.lp.solver import SolverStats
 from repro.metrics.similarity import SimilarityReport, evaluate_with_executor
 from repro.obs.logging import configure_logging, get_logger
@@ -258,7 +258,9 @@ class ResummarizeReport:
     from the component-solution cache with zero solves, ``solved`` is the
     delta plan (components only the new epoch has — an upper bound on actual
     solves, since an "added" component may still hit a cache entry written
-    by an unrelated build), ``retired`` existed only in the base.
+    by an unrelated build), ``retired`` existed only in the base.  A
+    ``warm`` report ran nothing, so every new-epoch component is ``reused``
+    and none is ``solved``.
     """
 
     fingerprint: str
@@ -335,8 +337,8 @@ class RegenerationService:
         lifecycle caps (``max_store_bytes`` / ``max_entries`` /
         ``ttl_seconds``).
     config:
-        The :class:`~repro.api.RegenConfig` every serving knob is read from:
-        ``engine`` (the backend cold builds route through), ``max_workers``
+        The :class:`~repro.api.RegenConfig` every pipeline and serving knob
+        is read from: ``max_workers``
         (concurrent cold builds; warm requests and streams never occupy a
         worker), ``max_pending`` (global backpressure: further cold
         submissions raise :class:`~repro.errors.ServiceOverloadedError`),
@@ -384,13 +386,12 @@ class RegenerationService:
 
             self.store = open_store(store, config=config,
                                     registry=self.registry)
-        self.backend = create_backend(config.engine, schema, config, self.store)
+        #: The one pipeline every cold build, fingerprint and manifest runs
+        #: through.
+        self.pipeline = Hydra(schema, config.hydra_config(), store=self.store)
         # Re-home the solver's stats onto the service registry, so one
         # export (`stats --prometheus`) covers service, store and solver.
-        solver = getattr(self.backend.pipeline, "solver", None)
-        if solver is not None and isinstance(getattr(solver, "stats", None),
-                                             SolverStats):
-            solver.stats = SolverStats(registry=self.registry)
+        self.pipeline.solver.stats = SolverStats(registry=self.registry)
         self.tenant_weights: Dict[str, int] = dict(tenant_weights or {})
         self._executor = ThreadPoolExecutor(
             max_workers=config.max_workers, thread_name_prefix="regen"
@@ -437,7 +438,7 @@ class RegenerationService:
                 "Cold submissions refused by an admission cap"),
             "pipeline_runs": self.registry.counter(
                 "repro_service_pipeline_runs_total",
-                "Cold builds handed to the pipeline backend"),
+                "Cold builds handed to the pipeline"),
             "pipeline_failures": self.registry.counter(
                 "repro_service_pipeline_failures_total",
                 "Builds that raised (including dispatch failures)"),
@@ -504,12 +505,12 @@ class RegenerationService:
                     relations: Optional[Sequence[str]] = None) -> str:
         """The content fingerprint this service assigns to a request.
 
-        Delegates to the backend so the service's dedup/warm detection and
+        Delegates to the pipeline so the service's dedup/warm detection and
         the store entries the pipeline writes always agree (the fingerprint
-        covers the engine and its result-affecting configuration, not just
-        the workload).
+        covers the pipeline's result-affecting configuration, not just the
+        workload).
         """
-        return self.backend.fingerprint(workload, relations)
+        return self.pipeline.request_fingerprint(workload, relations)
 
     def submit(self, workload: ConstraintSet,
                relations: Optional[Sequence[str]] = None,
@@ -623,16 +624,8 @@ class RegenerationService:
     def component_manifest(self, workload: ConstraintSet,
                            relations: Optional[Sequence[str]] = None,
                            ) -> List[str]:
-        """The structural component manifest of a request, without solving.
-
-        Delegates to the backend pipeline's formulation; backends without a
-        decomposable LP formulation (e.g. DataSynth) report an empty
-        manifest, which makes every incremental build a full rebuild.
-        """
-        manifest_fn = getattr(self.backend.pipeline, "component_manifest", None)
-        if manifest_fn is None:
-            return []
-        per_relation = manifest_fn(workload, relations)
+        """The structural component manifest of a request, without solving."""
+        per_relation = self.pipeline.component_manifest(workload, relations)
         return sorted({key for keys in per_relation.values() for key in keys})
 
     def resummarize(self, base_fingerprint: str, new_constraints: ConstraintSet,
@@ -665,37 +658,37 @@ class RegenerationService:
                     f" {base_fingerprint[:12]}…; summarize the base workload"
                     " first"
                 )
-            diff = manifest_diff(
-                base_summary.component_manifest(),
-                self.component_manifest(new_constraints, relations),
-            )
+            manifest = self.component_manifest(new_constraints, relations)
+            diff = manifest_diff(base_summary.component_manifest(), manifest)
             ticket = self.submit(new_constraints, relations, tenant=tenant)
             summary = ticket.result(timeout)
             fingerprint = ticket.fingerprint
-            # A warm drifted epoch ran nothing: the whole summary — all its
-            # components — was reused; otherwise the intersection was served
-            # from cache and the added components were (at most) solved.
-            reused = diff.total if ticket.warm else len(diff.reused)
-            solved = 0 if ticket.warm else len(diff.added)
-            self._counters["components_reused"].inc(reused)
-            self._counters["components_resolved"].inc(solved)
+            # A warm drifted epoch ran nothing: every one of its components
+            # was reused; otherwise the intersection was served from cache
+            # and the added components were (at most) solved.
+            if ticket.warm:
+                reused, solved = tuple(manifest), ()
+            else:
+                reused, solved = tuple(diff.reused), tuple(diff.added)
+            self._counters["components_reused"].inc(len(reused))
+            self._counters["components_resolved"].inc(len(solved))
             if fingerprint != base_fingerprint:
                 self._link_epoch(fingerprint, base_fingerprint, summary)
             span.set_attribute("fingerprint", fingerprint[:12])
             span.set_attribute("warm", ticket.warm)
-            span.set_attribute("components_reused", reused)
-            span.set_attribute("components_resolved", solved)
+            span.set_attribute("components_reused", len(reused))
+            span.set_attribute("components_resolved", len(solved))
             logger.info(
                 "resummarized %s -> %s: reused=%d solved=%d retired=%d warm=%s",
-                base_fingerprint[:12], fingerprint[:12], reused, solved,
-                len(diff.retired), ticket.warm)
+                base_fingerprint[:12], fingerprint[:12], len(reused),
+                len(solved), len(diff.retired), ticket.warm)
         return ResummarizeReport(
             fingerprint=fingerprint,
             parent_fingerprint=base_fingerprint,
             summary=summary,
             warm=ticket.warm,
-            reused_components=tuple(diff.reused),
-            solved_components=tuple(diff.added),
+            reused_components=reused,
+            solved_components=solved,
             retired_components=tuple(diff.retired),
         )
 
@@ -718,6 +711,14 @@ class RegenerationService:
             summaries.append(summary)
         return manifest_diff(summaries[0].component_manifest(),
                              summaries[1].component_manifest())
+
+    def lineage(self, fingerprint: str) -> List[Mapping[str, object]]:
+        """The epoch chain ending at ``fingerprint`` (newest first)."""
+        walk = getattr(self.store, "list_lineage", None)
+        if walk is None:
+            present = self.store.get_summary(fingerprint) is not None
+            return [{"fingerprint": fingerprint, "present": present}]
+        return walk(fingerprint)
 
     def _link_epoch(self, fingerprint: str, parent: str,
                     summary: DatabaseSummary) -> None:
@@ -810,8 +811,8 @@ class RegenerationService:
             with get_tracer().span("service.build", parent=build.parent_span,
                                    tenant=flight.tenant,
                                    fingerprint=build.fingerprint[:12]):
-                result = self.backend.build(build.workload, build.relations)
-            flight.summary = result.summary
+                flight.summary = self.pipeline.build_summary(
+                    build.workload, build.relations).summary
         except BaseException as caught:  # surfaced to every waiter
             error = caught
         with self._lock:
@@ -1137,14 +1138,11 @@ class RegenerationService:
                 len(queue) for queue in self._queues.values()
             )
         self._g_queue_depth.set(counters["queue_depth"])
-        # Custom backends need not wrap a solver-carrying pipeline; report
-        # zeros rather than crashing the observability path.
-        solver = getattr(getattr(self.backend, "pipeline", None), "solver", None)
-        stats = getattr(solver, "stats", None)
+        stats = self.pipeline.solver.stats
         counters.update({
-            "solver_components_solved": getattr(stats, "components_solved", 0),
-            "solver_cache_hits": getattr(stats, "cache_hits", 0),
-            "solver_cache_misses": getattr(stats, "cache_misses", 0),
+            "solver_components_solved": stats.components_solved,
+            "solver_cache_hits": stats.cache_hits,
+            "solver_cache_misses": stats.cache_misses,
         })
         counters.update(self.store.counters())
         return counters
@@ -1207,7 +1205,7 @@ class RegenerationService:
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
         self._executor.shutdown(wait=True)
-        logger.info("service closed (engine=%s)", self.config.engine)
+        logger.info("service closed")
 
     def __enter__(self) -> "RegenerationService":
         return self

@@ -101,8 +101,7 @@ class SummaryStore:
         :class:`~repro.obs.metrics.MetricsRegistry` backing the store's
         ``repro_store_*`` metrics (hit/miss/corruption/GC counters, occupancy
         gauges, get/put/compact latency histograms).  A private registry is
-        created when omitted; the legacy ``stats`` dict is a read-only view
-        over these counters.
+        created when omitted; :meth:`counters` reads them.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None,
@@ -465,17 +464,6 @@ class SummaryStore:
     # ------------------------------------------------------------------ #
     # summaries
     # ------------------------------------------------------------------ #
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy counter view, now read from the metrics registry."""
-        return {
-            "summary_hits": int(self._c_hits.value()),
-            "summary_misses": int(self._c_misses.value()),
-            "corrupt_entries": int(self._c_corrupt.value()),
-            "evictions": int(self._c_evictions.value()),
-            "expirations": int(self._c_expirations.value()),
-        }
-
     def put_summary(self, fingerprint: str, summary: DatabaseSummary,
                     meta: Optional[Mapping[str, object]] = None) -> None:
         """Persist a summary under its workload fingerprint."""
@@ -516,7 +504,7 @@ class SummaryStore:
 
     def get_summary(self, fingerprint: str) -> Optional[DatabaseSummary]:
         """Serving-path read: ``None`` on miss *and* on corrupted entries
-        (counted in ``stats['corrupt_entries']``), so callers fall back to a
+        (counted in ``counters()['corrupt_entries']``), so callers fall back to a
         rebuild that overwrites the bad file."""
         started = time.perf_counter()
         if tracing_active():
@@ -1028,7 +1016,11 @@ class SummaryStore:
         self._g_entries.labels(kind="summaries").set(summaries)
         self._g_entries.labels(kind="components").set(components)
         return {
-            **self.stats,
+            "summary_hits": int(self._c_hits.value()),
+            "summary_misses": int(self._c_misses.value()),
+            "corrupt_entries": int(self._c_corrupt.value()),
+            "evictions": int(self._c_evictions.value()),
+            "expirations": int(self._c_expirations.value()),
             "summaries": summaries,
             "components": components,
             "store_bytes": occupancy,

@@ -7,8 +7,6 @@ from repro.summary.relation_summary import (
     DatabaseSummary,
     RelationSummary,
     build_relation_summary,
-    summary_from_database,
-    summary_from_table,
 )
 from repro.summary.solution import (
     SolutionRow,
@@ -31,6 +29,4 @@ __all__ = [
     "RelationSummary",
     "DatabaseSummary",
     "build_relation_summary",
-    "summary_from_database",
-    "summary_from_table",
 ]

@@ -14,12 +14,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:  # only needed for annotations; avoids an import cycle
-    from repro.engine.database import Database
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SummaryError
 from repro.schema.schema import Schema
@@ -210,58 +205,6 @@ class DatabaseSummary:
     def load(cls, path: Path) -> "DatabaseSummary":
         """Load a summary previously written by :meth:`save`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def summary_from_table(relation: str, primary_key: str, columns: Sequence[str],
-                       matrix: "np.ndarray") -> RelationSummary:
-    """Run-length encode a materialised relation into a summary.
-
-    ``matrix`` holds the explicit (non-primary-key) columns as an ``(N, C)``
-    integer array in tuple order.  Consecutive identical rows collapse into
-    one summary row, so regenerating the summary reproduces the original
-    relation byte-identically (primary keys are row numbers in both).  This
-    is how instance-producing engines (DataSynth) are adapted to the
-    summary-centric serving/API layer.
-    """
-    rows: List[Tuple[Tuple[int, ...], int]] = []
-    n = int(matrix.shape[0])
-    if n:
-        changed = np.any(matrix[1:] != matrix[:-1], axis=1) if n > 1 else (
-            np.zeros(0, dtype=bool))
-        starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
-        ends = np.concatenate([starts[1:], [n]])
-        rows = [
-            (tuple(int(v) for v in matrix[start]), int(end - start))
-            for start, end in zip(starts, ends)
-        ]
-    return RelationSummary(relation=relation, primary_key=primary_key,
-                           columns=tuple(columns), rows=rows)
-
-
-def summary_from_database(database: "Database") -> DatabaseSummary:
-    """Encode a fully materialised database as an exact database summary.
-
-    Every relation's explicit columns (foreign keys first, then attributes —
-    the :class:`RelationSummary` convention) are run-length encoded; primary
-    keys must be the row numbers ``1..N``, which both pipelines guarantee.
-    Regenerating the returned summary reproduces the database exactly.
-    """
-    schema = database.schema
-    summary = DatabaseSummary()
-    for relation in database.relations:
-        rel = schema.relation(relation)
-        table = database.table(relation)
-        columns = tuple(fk.column for fk in rel.foreign_keys) + tuple(rel.attribute_names)
-        if columns:
-            matrix = np.column_stack(
-                [table.column(c).astype(np.int64) for c in columns]
-            )
-        else:
-            matrix = np.zeros((table.num_rows, 0), dtype=np.int64)
-        summary.relations[relation] = summary_from_table(
-            relation, rel.primary_key, columns, matrix
-        )
-    return summary
 
 
 def build_relation_summary(relation: str, view_summaries: Mapping[str, ViewSummary],

@@ -4,54 +4,42 @@ Covers the acceptance bar of the facade redesign:
 
 * ``Session``-driven end-to-end runs (extract → summarize → regenerate →
   verify) produce byte-identical summaries and AQP results to the legacy
-  entry points, for both engines, property-tested across batch sizes;
+  entry points, property-tested across batch sizes;
 * ``RegenConfig`` consolidates the knobs and namespaces store fingerprints
   (result-affecting knobs split the store, performance knobs never do,
   ``HydraConfig`` and ``RegenConfig`` spellings of the same config collide
   on the same fingerprint);
-* the backend registry routes both ``Session`` and ``RegenerationService``,
-  including user-registered engines;
+* ``Session`` is a client of one ``RegenerationService``: ``serve()`` is
+  that service, a storeless session serves repeats warm, and dropped
+  sessions release their worker threads;
 * ``max_pending`` backpressure rejects cold submissions with
   ``ServiceOverloadedError`` while warm/deduped requests stay admitted.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    DataSynth,
-    DataSynthConfig,
     Executor,
     Hydra,
     HydraConfig,
+    HydraResult,
     Query,
     Workload,
     col,
     evaluate_on_database,
     materialize_database,
 )
-from repro.api import (
-    BackendBuild,
-    PipelineBackend,
-    RegenConfig,
-    Session,
-    available_backends,
-    register_backend,
-)
-from repro.errors import (
-    ConfigError,
-    ServiceError,
-    ServiceOverloadedError,
-    UnknownBackendError,
-)
-from repro.service.fingerprint import workload_fingerprint
+from repro.api import RegenConfig, Session
+from repro.errors import ConfigError, ServiceError, ServiceOverloadedError
 from repro.service.service import RegenerationService
 from repro.service.store import SummaryStore
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
@@ -165,41 +153,23 @@ class TestSessionEquivalence:
         handle = Session(schema).summarize(constraints)
         legacy = Hydra(schema).build_summary(constraints)
         assert _relations_json(handle.summary) == _relations_json(legacy.summary)
-        assert handle.engine == "hydra" and not handle.from_store
+        assert not handle.from_store
         assert handle.fingerprint == Hydra(schema).request_fingerprint(constraints)
 
-    def test_datasynth_database_byte_identical(self, env):
-        schema, _, _, constraints = env
-        session = Session(schema)
-        handle = session.summarize(constraints, engine="datasynth")
-        regenerated = session.regenerate(handle).database
-        legacy = DataSynth(schema, DataSynthConfig()).generate(constraints).database
-        for relation in legacy.relations:
-            ours, theirs = regenerated.table(relation), legacy.table(relation)
-            assert ours.column_names == theirs.column_names
-            for column in theirs.column_names:
-                assert np.array_equal(ours.column(column), theirs.column(column)), \
-                    (relation, column)
-
     @settings(deadline=None, max_examples=6)
-    @given(engine=st.sampled_from(["hydra", "datasynth"]),
-           batch_size=st.sampled_from([1, 7, 65_536]))
-    def test_aqp_results_match_legacy_paths(self, env, engine, batch_size):
+    @given(batch_size=st.sampled_from([1, 7, 65_536]))
+    def test_aqp_results_match_legacy_paths(self, env, batch_size):
         """The acceptance property: session-driven execution produces the
-        same AQP cardinalities as the legacy entry points, at any batch
-        size, for both engines."""
+        same AQP cardinalities as the legacy entry point, at any batch
+        size."""
         schema, _, workload, constraints = env
-        session = Session(schema, config=RegenConfig(engine=engine))
+        session = Session(schema)
         handle = session.summarize(constraints)
         database = session.regenerate(handle, batch_size=batch_size)
         plans = database.execute(workload)
 
-        if engine == "hydra":
-            legacy_db = materialize_database(
-                Hydra(schema).build_summary(constraints).summary, schema)
-        else:
-            legacy_db = DataSynth(schema, DataSynthConfig()).generate(
-                constraints).database
+        legacy_db = materialize_database(
+            Hydra(schema).build_summary(constraints).summary, schema)
         legacy_plans = Executor(legacy_db, mode="materialize").execute_workload(workload)
         assert _cardinalities(plans) == _cardinalities(legacy_plans)
 
@@ -291,7 +261,8 @@ class TestFingerprintIntegration:
         schema, _, _, constraints = env
         legacy = Hydra(schema, HydraConfig(milp_variable_limit=2_000))
         session = Session(schema, config=RegenConfig(milp_variable_limit=2_000))
-        assert legacy.request_fingerprint(constraints) == session.fingerprint(constraints)
+        assert legacy.request_fingerprint(constraints) \
+            == session.service.fingerprint(constraints)
 
     def test_result_affecting_knobs_never_share_store_entries(self, env, tmp_path):
         schema, _, _, constraints = env
@@ -319,12 +290,6 @@ class TestFingerprintIntegration:
         assert _relations_json(first.summary) == _relations_json(second.summary)
         assert len(store.summary_fingerprints()) == 1
 
-    def test_engines_are_namespaced(self, env):
-        schema, _, _, constraints = env
-        session = Session(schema)
-        assert (session.fingerprint(constraints, engine="hydra")
-                != session.fingerprint(constraints, engine="datasynth"))
-
     def test_load_rehydrates_stored_summary(self, env, tmp_path):
         schema, _, _, constraints = env
         session = Session(schema, store=tmp_path / "store")
@@ -337,90 +302,80 @@ class TestFingerprintIntegration:
 
 
 # ---------------------------------------------------------------------- #
-# backend registry
+# one pipeline surface: Session is a client of one RegenerationService
 # ---------------------------------------------------------------------- #
-class _ConstantBackend(PipelineBackend):
-    """Test backend: returns a fixed one-relation summary, optionally
-    blocking until released (for backpressure tests)."""
-
-    name = "constant-test"
-
-    def __init__(self, schema, config, store=None,
-                 gate: "threading.Event | None" = None) -> None:
-        self.schema = schema
-        self.config = config
-        self.gate = gate
-        self.builds = 0
-        # deliberately no .pipeline/.solver: the minimal backend contract is
-        # fingerprint() + build(); service.stats() must not crash on it
-
-    def fingerprint(self, constraints, relations=None):
-        return workload_fingerprint(self.schema, constraints,
-                                    relations=relations,
-                                    profile=[self.name])
-
-    def build(self, constraints, relations=None):
-        if self.gate is not None:
-            self.gate.wait(timeout=30)
-        self.builds += 1
+def _constant_build(gate: "threading.Event | None" = None):
+    """A stand-in for ``Hydra.build_summary``: a fixed one-relation summary,
+    optionally blocking until ``gate`` is set (for backpressure tests)."""
+    def build_summary(constraints, relations=None):
+        if gate is not None:
+            gate.wait(timeout=30)
         summary = DatabaseSummary()
         summary.relations["S"] = RelationSummary(
             relation="S", primary_key="S_pk", columns=("A", "B"),
             rows=[((1, 2), len(constraints))],
         )
-        return BackendBuild(summary=summary)
+        return HydraResult(summary=summary)
+    return build_summary
 
 
 class TestBackendRegistry:
-    def test_builtins_registered(self):
-        names = available_backends()
-        assert "hydra" in names and "datasynth" in names
-
-    def test_unknown_engine(self, env):
-        schema, _, _, constraints = env
-        with pytest.raises(UnknownBackendError):
-            Session(schema).summarize(constraints, engine="no-such-engine")
-        with pytest.raises(UnknownBackendError):
-            RegenerationService(schema,
-                                config=RegenConfig(engine="no-such-engine"))
-
     def test_service_refuses_a_legacy_engine_config(self, env):
         schema = env[0]
         with pytest.raises(ConfigError, match="RegenConfig"):
             RegenerationService(schema, None, HydraConfig())
 
-    def test_custom_backend_via_session_and_service(self, env):
+
+class TestSessionService:
+    def test_serve_is_the_session_service(self, env):
         schema, _, _, constraints = env
-        register_backend("constant-test", _ConstantBackend)
-        config = RegenConfig(engine="constant-test")
-        handle = Session(schema, config=config).summarize(constraints)
-        assert handle.engine == "constant-test"
-        assert handle.summary.relation("S").total_rows() == len(constraints)
-        with RegenerationService(schema, config=config) as service:
-            summary = service.summarize(constraints, timeout=30)
-            assert summary.relation("S").total_rows() == len(constraints)
-            # observability must survive a backend without a solver pipeline
-            stats = service.stats()
-            assert stats["pipeline_runs"] == 1
-            assert stats["solver_components_solved"] == 0
+        session = Session(schema, config=RegenConfig(max_workers=1))
+        assert session.serve() is session.service
+        assert session.config is session.service.config
+        assert session.store is session.service.store
+        handle = session.summarize(constraints)
+        assert session.service.stats()["pipeline_runs"] == 1
+        assert handle.fingerprint == session.service.fingerprint(constraints)
+
+    def test_storeless_session_serves_a_repeat_warm(self, env):
+        schema, _, _, constraints = env
+        session = Session(schema)
+        assert not session.summarize(constraints).from_store
+        assert session.serve().submit(constraints).warm is True
+        assert session.summarize(constraints).from_store
+
+    def test_dropped_sessions_release_their_worker_threads(self, env):
+        schema, _, _, constraints = env
+        config = RegenConfig(max_workers=2)
+        start = threading.active_count()
+        for _ in range(20):
+            session = Session(schema, config=config)
+            session.service.pipeline.build_summary = _constant_build()
+            session.summarize(constraints)
+        del session
+        deadline = time.monotonic() + 5.0
+        while True:
+            gc.collect()
+            if threading.active_count() <= start + config.max_workers \
+                    or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert threading.active_count() <= start + config.max_workers
 
 
 # ---------------------------------------------------------------------- #
 # max_pending backpressure
 # ---------------------------------------------------------------------- #
 class TestBackpressure:
-    def test_cold_submissions_rejected_above_max_pending(self, env):
+    def test_cold_submissions_rejected_above_max_pending(self, env,
+                                                         monkeypatch):
         schema, _, _, constraints = env
         gate = threading.Event()
-        register_backend(
-            "blocking-test",
-            lambda schema, config, store=None: _ConstantBackend(
-                schema, config, store, gate=gate),
-        )
         other = constraints.scaled(2.0)  # different fingerprint
-        config = RegenConfig(engine="blocking-test", max_workers=1,
-                             max_pending=1)
+        config = RegenConfig(max_workers=1, max_pending=1)
         with RegenerationService(schema, config=config) as service:
+            monkeypatch.setattr(service.pipeline, "build_summary",
+                                _constant_build(gate))
             ticket = service.submit(constraints)      # occupies the only slot
             # identical request: in-flight dedup is always admitted
             again = service.submit(constraints)
@@ -436,22 +391,16 @@ class TestBackpressure:
             service.submit(other).result(timeout=30)
         assert service.stats()["rejected_submissions"] == 1
 
-    def test_session_serve_threads_max_pending(self, env):
+    def test_session_serve_threads_max_pending(self, env, monkeypatch):
         schema, _, _, constraints = env
-        gate = threading.Event()
-        gate.set()
-        register_backend(
-            "blocking-test",
-            lambda schema, config, store=None: _ConstantBackend(
-                schema, config, store, gate=gate),
-        )
-        session = Session(schema, config=RegenConfig(engine="blocking-test",
-                                                     max_pending=0))
+        session = Session(schema, config=RegenConfig(max_pending=0))
         with session.serve() as service:
             assert service.config is session.config
             with pytest.raises(ServiceOverloadedError):
                 service.submit(constraints)
         roomy = Session(schema, config=session.config.replace(max_pending=5))
+        monkeypatch.setattr(roomy.service.pipeline, "build_summary",
+                            _constant_build())
         with roomy.serve() as service:
             service.submit(constraints).result(timeout=30)
 

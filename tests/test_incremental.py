@@ -19,9 +19,9 @@ Covers the acceptance bar of the epoch refactor:
   LP solves (asserted via the solver metrics), maintains the
   ``repro_service_components_{reused,resolved}_total`` counters, records a
   ``service.resummarize`` span, and ``diff`` reports per-component reuse;
-* **API and HTTP** — ``Session.resummarize`` / ``Session.diff`` /
-  ``Session.lineage`` and ``POST /v1/resummarize`` with the 404 (unknown
-  base) / 409 (require_warm) / 400 (bad wire body) status contracts.
+* **API and HTTP** — the same epochs through ``session.service`` and
+  ``POST /v1/resummarize`` with the 404 (unknown base) / 409
+  (require_warm) / 400 (bad wire body) status contracts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EpochDiff, RegenConfig, Session
+from repro.api import RegenConfig, Session
 from repro.benchdata.datagen import generate_database
 from repro.benchdata.job import job_schema, job_workload
 from repro.benchdata.tpcds import simple_workload, tpcds_schema
@@ -450,6 +450,24 @@ class TestServiceResummarize:
             assert after["solver_components_solved"] \
                 == before["solver_components_solved"]
 
+    def test_warm_report_lists_every_component_reused_none_solved(
+            self, toy_store):
+        # Regression: a drifted epoch already in the store ran nothing, but
+        # the report listed the manifest diff's added components as solved
+        # while the counters (rightly) moved by zero solves.
+        with RegenerationService(toy_store.schema,
+                                 store=toy_store.store) as service:
+            first = service.resummarize(toy_store.base_fingerprint,
+                                        toy_drifted(), timeout=300)
+            again = service.resummarize(toy_store.base_fingerprint,
+                                        toy_drifted(), timeout=300)
+        assert again.warm
+        assert again.solved_components == ()
+        assert set(again.reused_components) == \
+            set(first.reused_components) | set(first.solved_components)
+        assert again.total_components == first.total_components
+        assert again.retired_components == first.retired_components
+
     def test_missing_base_raises(self, toy_store):
         with RegenerationService(toy_store.schema,
                                  store=toy_store.store) as service:
@@ -463,8 +481,13 @@ class TestServiceResummarize:
                                          toy_drifted(), timeout=300)
             diff = service.diff(toy_store.base_fingerprint,
                                 report.fingerprint)
-            assert tuple(diff.reused) == report.reused_components
-            assert tuple(diff.added) == report.solved_components
+            if report.warm:  # an earlier test already stored this epoch
+                assert report.reused_components \
+                    == tuple(sorted(diff.reused + diff.added))
+                assert report.solved_components == ()
+            else:
+                assert tuple(diff.reused) == report.reused_components
+                assert tuple(diff.added) == report.solved_components
             assert tuple(diff.retired) == report.retired_components
             chain = service.store.list_lineage(report.fingerprint)
             assert chain[1]["fingerprint"] == toy_store.base_fingerprint
@@ -492,67 +515,63 @@ class TestServiceResummarize:
 
 
 # ---------------------------------------------------------------------- #
-# Session facade
+# Session facade: epochs are the one service's methods
 # ---------------------------------------------------------------------- #
 class TestSessionEpochs:
     def test_resummarize_diff_and_lineage(self, tmp_path):
         schema = make_toy_schema()
         session = Session(schema, store=str(tmp_path / "store"))
         base = session.summarize(toy_ccs())
-        handle = session.resummarize(base.fingerprint, toy_drifted())
-        assert handle.diagnostics["parent_fingerprint"] == base.fingerprint
-        assert handle.diagnostics["components_reused"] > 0
+        report = session.service.resummarize(base.fingerprint, toy_drifted())
+        assert report.parent_fingerprint == base.fingerprint
+        assert len(report.reused_components) > 0
         cold = Session(schema).summarize(toy_drifted())
-        assert handle.summary.content_digest() \
+        assert report.summary.content_digest() \
             == cold.summary.content_digest()
 
-        diff = session.diff(base.fingerprint, handle.fingerprint)
-        assert isinstance(diff, EpochDiff)
-        assert len(diff.reused) == handle.diagnostics["components_reused"]
-        assert len(diff.added) == handle.diagnostics["components_solved"]
-        assert 0.0 < diff.reuse_ratio <= 1.0
-        assert diff.total == len(diff.reused) + len(diff.added)
+        diff = session.service.diff(base.fingerprint, report.fingerprint)
+        assert isinstance(diff, ManifestDiff)
+        assert tuple(diff.reused) == report.reused_components
+        assert tuple(diff.added) == report.solved_components
+        assert diff.total == report.total_components
 
-        chain = session.lineage(handle.fingerprint)
+        chain = session.service.lineage(report.fingerprint)
         assert [link["fingerprint"] for link in chain] == \
-            [handle.fingerprint, base.fingerprint]
+            [report.fingerprint, base.fingerprint]
 
     def test_stored_drift_counts_like_the_service(self, tmp_path):
         # Re-summarizing a drifted epoch that is already stored runs
-        # nothing: the session must report full reuse and zero solves, the
-        # same numbers the service counts for the same request.
+        # nothing: the report must list full reuse and zero solves, the same
+        # numbers the service counts for the same request.
         schema = make_toy_schema()
-        store = str(tmp_path / "store")
-        session = Session(schema, store=store)
+        session = Session(schema, store=str(tmp_path / "store"))
         base = session.summarize(toy_ccs())
-        session.resummarize(base.fingerprint, toy_drifted())
-        again = session.resummarize(base.fingerprint, toy_drifted())
-        assert again.from_store
-        total = session.diff(base.fingerprint, again.fingerprint).total
-        assert again.diagnostics["components_reused"] == total
-        assert again.diagnostics["components_solved"] == 0
-        with RegenerationService(schema, store=store) as service:
-            before = service.stats()
-            report = service.resummarize(base.fingerprint, toy_drifted(),
-                                         timeout=300)
-            after = service.stats()
-        assert report.warm
-        assert again.diagnostics["components_reused"] \
+        service = session.service
+        service.resummarize(base.fingerprint, toy_drifted())
+        before = service.stats()
+        again = service.resummarize(base.fingerprint, toy_drifted())
+        after = service.stats()
+        assert again.warm
+        total = service.diff(base.fingerprint, again.fingerprint).total
+        assert len(again.reused_components) == total
+        assert again.solved_components == ()
+        assert len(again.reused_components) \
             == after["components_reused"] - before["components_reused"]
-        assert again.diagnostics["components_solved"] \
-            == after["components_resolved"] - before["components_resolved"]
+        assert after["components_resolved"] == before["components_resolved"]
 
     def test_requires_a_store(self):
-        session = Session(make_toy_schema())
+        # A storeless session's service keeps epochs in memory: a base it
+        # never built is unknown, exactly as with a directory store.
+        service = Session(make_toy_schema()).service
         with pytest.raises(ServiceError):
-            session.resummarize("f" * 64, toy_drifted())
+            service.resummarize("f" * 64, toy_drifted())
         with pytest.raises(ServiceError):
-            session.diff("f" * 64, "0" * 64)
+            service.diff("f" * 64, "0" * 64)
 
     def test_missing_base_raises(self, tmp_path):
         session = Session(make_toy_schema(), store=str(tmp_path / "store"))
         with pytest.raises(ServiceError):
-            session.resummarize("f" * 64, toy_drifted())
+            session.service.resummarize("f" * 64, toy_drifted())
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.backends import BackendBuild, PipelineBackend, register_backend
 from repro.api.config import RegenConfig
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
@@ -28,8 +27,8 @@ from repro.errors import (
     ServiceOverloadedError,
     SummaryStoreError,
 )
+from repro.hydra.pipeline import HydraResult
 from repro.predicates.dnf import DNFPredicate
-from repro.service.fingerprint import workload_fingerprint
 from repro.service.service import RegenerationService
 from repro.service.store import SummaryStore
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
@@ -63,26 +62,19 @@ def put_with_time(store: SummaryStore, fingerprint: str,
     store._touch("summaries", fingerprint, now=at)
 
 
-class _RecordingBackend(PipelineBackend):
-    """Registry backend for scheduling tests: fast synthetic builds, an
+class _RecordingBuild:
+    """Stands in for ``Hydra.build_summary`` in scheduling tests: fast
+    synthetic builds stored under the pipeline's own fingerprint, an
     optional start gate, a record of build start order, and scripted
     failures (any constraint set whose name contains ``fail`` raises)."""
 
-    name = "lifecycle-test"
-
-    def __init__(self, schema, config, store=None) -> None:
-        self.schema = schema
-        self.config = config
-        self.store = store
+    def __init__(self, pipeline) -> None:
+        self.pipeline = pipeline
         self.gate: "threading.Event | None" = None
         self.started: list = []
         self.first_started = threading.Event()
 
-    def fingerprint(self, constraints, relations=None):
-        return workload_fingerprint(self.schema, constraints,
-                                    relations=relations, profile=[self.name])
-
-    def build(self, constraints, relations=None):
+    def __call__(self, constraints, relations=None):
         self.started.append(constraints.name)
         self.first_started.set()
         if self.gate is not None:
@@ -90,20 +82,20 @@ class _RecordingBackend(PipelineBackend):
         if "fail" in constraints.name:
             raise RuntimeError(f"scripted failure for {constraints.name}")
         summary = make_summary(rows=sum(cc.cardinality for cc in constraints))
-        if self.store is not None:
-            self.store.put_summary(self.fingerprint(constraints, relations),
-                                   summary)
-        return BackendBuild(summary=summary)
-
-
-register_backend("lifecycle-test", _RecordingBackend)
+        self.pipeline.store.put_summary(
+            self.pipeline.request_fingerprint(constraints, relations), summary)
+        return HydraResult(summary=summary)
 
 
 def lifecycle_service(schema, store=None, tenant_weights=None,
                       **knobs) -> RegenerationService:
-    config = RegenConfig(engine="lifecycle-test", **knobs)
-    return RegenerationService(schema, store=store, config=config,
-                               tenant_weights=tenant_weights)
+    """A service whose pipeline builds through a :class:`_RecordingBuild`
+    (reachable as ``service.pipeline.build_summary``)."""
+    service = RegenerationService(schema, store=store,
+                                  config=RegenConfig(**knobs),
+                                  tenant_weights=tenant_weights)
+    service.pipeline.build_summary = _RecordingBuild(service.pipeline)
+    return service
 
 
 # ---------------------------------------------------------------------- #
@@ -164,12 +156,13 @@ class TestStoreLifecycle:
         put_with_time(store, "a" * 64, make_summary(), time.time() - 5)
         store.put_summary("b" * 64, make_summary())
         store.compact()
-        before = dict(store.stats)
+        before = store.counters()
         # The surviving entry still serves straight from the memory layer:
         # a hit, no corruption, no pipeline involvement.
         assert store.get_summary("b" * 64) is not None
-        assert store.stats["summary_hits"] == before["summary_hits"] + 1
-        assert store.stats["summary_misses"] == before["summary_misses"]
+        after = store.counters()
+        assert after["summary_hits"] == before["summary_hits"] + 1
+        assert after["summary_misses"] == before["summary_misses"]
         reopened = SummaryStore(tmp_path / "store")
         assert reopened.get_summary("b" * 64) is not None
 
@@ -347,10 +340,10 @@ class TestFairAdmission:
         service = lifecycle_service(toy_schema, max_workers=1,
                                     max_pending_per_tenant=2)
         gate = threading.Event()
-        service.backend.gate = gate
+        service.pipeline.build_summary.gate = gate
         tickets = []
         tickets.append(service.submit(make_ccs(101), tenant="noisy"))
-        service.backend.first_started.wait(timeout=30)
+        service.pipeline.build_summary.first_started.wait(timeout=30)
         tickets.append(service.submit(make_ccs(102), tenant="noisy"))
         for cardinality in (103, 104):  # cold burst beyond the tenant cap
             with pytest.raises(ServiceOverloadedError, match="noisy"):
@@ -377,11 +370,11 @@ class TestFairAdmission:
 
     def test_fifo_within_tenant_round_robin_across(self, toy_schema):
         service = lifecycle_service(toy_schema, max_workers=1)
-        backend = service.backend
+        recorder = service.pipeline.build_summary
         gate = threading.Event()
-        backend.gate = gate
+        recorder.gate = gate
         first = service.submit(make_ccs(100, name="a-0"), tenant="a")
-        backend.first_started.wait(timeout=30)
+        recorder.first_started.wait(timeout=30)
         later = [
             service.submit(make_ccs(101, name="a-1"), tenant="a"),
             service.submit(make_ccs(102, name="a-2"), tenant="a"),
@@ -393,7 +386,7 @@ class TestFairAdmission:
         # Tenant b activates at a's clock (one dispatch), so from b's
         # arrival the slots alternate fairly — b's build runs ahead of a's
         # backlog tail — while a's own builds stay FIFO.
-        assert backend.started == ["a-0", "a-1", "b-0", "a-2"]
+        assert recorder.started == ["a-0", "a-1", "b-0", "a-2"]
         service.close()
 
     def test_new_tenant_gets_no_catch_up_credit(self, toy_schema):
@@ -402,11 +395,11 @@ class TestFairAdmission:
         # slot until it "caught up".  Clocks now start at the least-served
         # active tenant's clock, so slots alternate from arrival onward.
         service = lifecycle_service(toy_schema, max_workers=1)
-        backend = service.backend
+        recorder = service.pipeline.build_summary
         gate = threading.Event()
-        backend.gate = gate
+        recorder.gate = gate
         first = service.submit(make_ccs(100, name="old-0"), tenant="old")
-        backend.first_started.wait(timeout=30)
+        recorder.first_started.wait(timeout=30)
         established = [
             service.submit(make_ccs(101 + i, name=f"old-{1 + i}"), tenant="old")
             for i in range(3)
@@ -420,7 +413,7 @@ class TestFairAdmission:
             ticket.result(timeout=30)
         # The newcomer's backlog must not run as one uninterrupted block
         # ahead of the established tenant's queued builds.
-        tail = backend.started[1:]
+        tail = recorder.started[1:]
         assert tail != ["new-0", "new-1", "new-2", "old-1", "old-2", "old-3"]
         assert sum(1 for name in tail[:4] if name.startswith("old")) >= 2
         service.close()
@@ -430,11 +423,11 @@ class TestFairAdmission:
             toy_schema, max_workers=1,
             tenant_weights={"heavy": 2, "light": 1},
         )
-        backend = service.backend
+        recorder = service.pipeline.build_summary
         gate = threading.Event()
-        backend.gate = gate
+        recorder.gate = gate
         warmup = service.submit(make_ccs(1, name="warmup"), tenant="other")
-        backend.first_started.wait(timeout=30)
+        recorder.first_started.wait(timeout=30)
         tickets = [
             service.submit(make_ccs(100 + i, name=f"heavy-{i}"), tenant="heavy")
             for i in range(3)
@@ -445,7 +438,7 @@ class TestFairAdmission:
         gate.set()
         for ticket in [warmup, *tickets]:
             ticket.result(timeout=30)
-        dispatched = backend.started[1:]  # drop the warmup build
+        dispatched = recorder.started[1:]  # drop the warmup build
         # Weight 2 vs 1: heavy gets 3 of the first 4 slots under contention.
         assert sum(1 for name in dispatched[:4] if name.startswith("heavy")) == 3
         assert [n for n in dispatched if n.startswith("heavy")] == \
@@ -455,10 +448,10 @@ class TestFairAdmission:
     def test_single_flight_dedups_across_tenants(self, toy_schema):
         service = lifecycle_service(toy_schema, max_workers=1)
         gate = threading.Event()
-        service.backend.gate = gate
+        service.pipeline.build_summary.gate = gate
         ccs = make_ccs(42)
         one = service.submit(ccs, tenant="a")
-        service.backend.first_started.wait(timeout=30)
+        service.pipeline.build_summary.first_started.wait(timeout=30)
         two = service.submit(ccs, tenant="b")
         assert two.fingerprint == one.fingerprint
         gate.set()
@@ -661,7 +654,7 @@ class TestLifecycleConfig:
     def test_session_threads_lifecycle_knobs(self, toy_schema, tmp_path):
         from repro.api.session import Session
 
-        config = RegenConfig(engine="lifecycle-test", max_store_bytes=1 << 20,
+        config = RegenConfig(max_store_bytes=1 << 20,
                              max_entries=8, ttl_seconds=60.0,
                              max_pending_per_tenant=2)
         session = Session(toy_schema, config=config, store=tmp_path / "store")
@@ -678,7 +671,7 @@ class TestLifecycleConfig:
             assert service._gc_thread is not None
 
     def test_service_opens_path_store_with_config_caps(self, toy_schema, tmp_path):
-        config = RegenConfig(engine="lifecycle-test", max_entries=3,
+        config = RegenConfig(max_entries=3,
                              ttl_seconds=120.0)
         with RegenerationService(toy_schema, store=tmp_path / "store",
                                  config=config) as service:

@@ -25,15 +25,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import (
-    BackendBuild,
-    PipelineBackend,
-    RegenConfig,
-    register_backend,
-)
+from repro.api import RegenConfig
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
 from repro.errors import ConfigError, ServiceError, ServiceOverloadedError
+from repro.hydra.pipeline import HydraResult
 from repro.obs.trace import build_tree, get_tracer, parse_jsonl
 from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
@@ -416,7 +412,7 @@ class TestWarmServing:
         assert response.status == 200
         body = as_json(response)
         assert body["status"] == "ok"
-        assert body["engine"] == "hydra"
+        assert "engine" not in body
 
     def test_stats_endpoint(self, server):
         http_post_json(server, "/v1/summarize", {
@@ -657,41 +653,28 @@ class TestStatusContracts:
 # ---------------------------------------------------------------------- #
 # concurrent multi-tenant admission over HTTP
 # ---------------------------------------------------------------------- #
-class _GatedBackend(PipelineBackend):
-    """Backend whose builds block on an event (per-tenant admission tests
-    need cold builds that stay pending without burning LP time)."""
-
-    name = "server-gated"
-
-    def __init__(self, schema, config, store=None, gate=None) -> None:
-        self.schema = schema
-        self.config = config
-        self.gate = gate
-
-    def fingerprint(self, constraints, relations=None):
-        return workload_fingerprint(self.schema, constraints,
-                                    relations=relations, profile=[self.name])
-
-    def build(self, constraints, relations=None):
-        if self.gate is not None:
-            self.gate.wait(timeout=60)
+def _gated_build(gate: threading.Event):
+    """A stand-in for ``Hydra.build_summary`` whose builds block on ``gate``
+    (per-tenant admission tests need cold builds that stay pending without
+    burning LP time)."""
+    def build_summary(constraints, relations=None):
+        gate.wait(timeout=60)
         summary = DatabaseSummary()
         summary.relations["S"] = RelationSummary(
             relation="S", primary_key="S_pk", columns=("A", "B"),
             rows=[((1, 2), len(constraints))])
-        return BackendBuild(summary=summary)
+        return HydraResult(summary=summary)
+    return build_summary
 
 
 class TestMultiTenant:
-    def test_noisy_tenant_throttled_quiet_admitted(self):
+    def test_noisy_tenant_throttled_quiet_admitted(self, monkeypatch):
         schema = make_toy_schema()
         gate = threading.Event()
-        register_backend(
-            "server-gated",
-            lambda schema, config, store=None: _GatedBackend(
-                schema, config, store, gate=gate))
         service = RegenerationService(schema, config=RegenConfig(
-            engine="server-gated", max_workers=1, max_pending_per_tenant=1))
+            max_workers=1, max_pending_per_tenant=1))
+        monkeypatch.setattr(service.pipeline, "build_summary",
+                            _gated_build(gate))
         try:
             with RegenerationServer(service) as server:
                 def submit(tenant: str, scale: float, out: list) -> None:

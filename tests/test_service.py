@@ -219,7 +219,7 @@ class TestSummaryStore:
             fresh.read_summary(fingerprint)
         # The serving path degrades to a miss and counts the corruption.
         assert fresh.get_summary(fingerprint) is None
-        assert fresh.stats["corrupt_entries"] == 1
+        assert fresh.counters()["corrupt_entries"] == 1
 
     def test_partial_entry_rejected_cleanly(self, toy_schema, tmp_path):
         summary = Hydra(toy_schema).build_summary(toy_ccs()).summary
@@ -337,13 +337,13 @@ class TestRegenerationService:
 
     def test_concurrent_identical_cold_requests_single_flight(self, toy_schema, tmp_path):
         service = RegenerationService(toy_schema, store=tmp_path / "store")
-        inner = service.backend.pipeline.build_summary
+        inner = service.pipeline.build_summary
 
         def slow_build(*args, **kwargs):
             time.sleep(0.25)
             return inner(*args, **kwargs)
 
-        service.backend.pipeline.build_summary = slow_build  # type: ignore[method-assign]
+        service.pipeline.build_summary = slow_build  # type: ignore[method-assign]
         ccs = toy_ccs()
         barrier = threading.Barrier(6)
         summaries = []
@@ -404,7 +404,7 @@ class TestRegenerationService:
         def failing_build(*args, **kwargs):
             raise RuntimeError("boom")
 
-        service.backend.pipeline.build_summary = failing_build  # type: ignore[method-assign]
+        service.pipeline.build_summary = failing_build  # type: ignore[method-assign]
         ticket = service.submit(toy_ccs())
         with pytest.raises(RuntimeError, match="boom"):
             ticket.result(timeout=10.0)

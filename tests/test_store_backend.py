@@ -132,14 +132,12 @@ class TestConformance:
         backend.get_summary(fp("absent"))
         counters = backend.counters()
         for name in ("summaries", "components", "store_bytes",
-                     "summary_hits", "summary_misses", "corrupt_entries"):
+                     "summary_hits", "summary_misses", "corrupt_entries",
+                     "evictions", "expirations"):
             assert name in counters, name
             assert counters[name] >= 0
         assert counters["summaries"] >= 1
         assert backend.store_bytes() == counters["store_bytes"]
-        # `stats` is the legacy five-counter view — a subset of counters().
-        for name, value in backend.stats.items():
-            assert counters[name] == value, name
 
     def test_corrupt_payload_rejected(self, backend):
         key = fp("corrupt")
