@@ -16,7 +16,8 @@ import time
 
 from conftest import QUICK
 
-from repro.cluster import DiskBackend, ReplicatedStore, StoreServer
+from repro.cluster import ReplicatedStore, StoreServer
+from repro.service.store import SummaryStore
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
 
 REPL_PUTS = 12 if QUICK else 60
@@ -50,7 +51,7 @@ def _percentile(samples, fraction: float) -> float:
 
 
 def test_store_replication(tmp_path):
-    leader = DiskBackend(tmp_path / "leader")
+    leader = SummaryStore(tmp_path / "leader")
     server = StoreServer(leader, port=0).start()
     writer = ReplicatedStore(server.url, tmp_path / "writer",
                              poll_interval=POLL_INTERVAL)
@@ -74,7 +75,7 @@ def test_store_replication(tmp_path):
 
         # -- follower warm-hit vs plain local disk --------------------- #
         hot = _fp("repl-0")
-        local = DiskBackend(tmp_path / "local")
+        local = SummaryStore(tmp_path / "local")
         local.put_summary(hot, _summary(0))
 
         def read_many(store) -> float:

@@ -27,7 +27,6 @@ solvers, partitioners...) remain importable for experiments and extensions;
 
 from repro.api import DatabaseHandle, RegenConfig, Session, SummaryHandle
 from repro.cluster import (
-    DiskBackend,
     ReplicatedStore,
     StoreBackend,
     StoreServer,
@@ -139,7 +138,6 @@ __all__ = [
     "ResummarizeReport",
     # cluster
     "StoreBackend",
-    "DiskBackend",
     "StoreServer",
     "ReplicatedStore",
     "open_store",

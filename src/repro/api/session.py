@@ -133,8 +133,9 @@ class Session:
     store:
         Optional store backend or directory path, opened by the service.
         Without one the service keeps summaries and LP component solutions
-        in memory, so a repeated request is warm either way; with one they
-        are persisted and survive the process.
+        in a private temporary store directory, deleted with the store, so a
+        repeated request is warm either way; with one they are persisted and
+        survive the process.
     """
 
     def __init__(self, schema: Schema, config: Optional[RegenConfig] = None,

@@ -5,9 +5,9 @@ kilobyte-scale declarative summary regenerates an arbitrarily large
 database on any node that holds it.  This package turns the single-node
 disk store into that fleet:
 
-* :class:`StoreBackend` / :class:`DiskBackend` — the protocol the serving
-  layers type against, and the original disk store as its reference
-  implementation (byte-identical layout);
+* :class:`StoreBackend` — the protocol the serving layers type against;
+  :class:`~repro.service.store.SummaryStore`, the disk store, is its
+  reference implementation;
 * :class:`ChangeLog` — the leader's append-only, fsynced, offset-indexed
   mutation journal (``log.jsonl`` segments);
 * :class:`StoreServer` — a threaded HTTP leader serving entries, listings
@@ -23,7 +23,7 @@ disk store into that fleet:
 failure modes.
 """
 
-from repro.cluster.backend import DiskBackend, StoreBackend
+from repro.cluster.backend import StoreBackend
 from repro.cluster.factory import open_store
 from repro.cluster.log import ChangeLog
 from repro.cluster.replica import LeaderClient, ReplicatedStore
@@ -32,7 +32,6 @@ from repro.cluster.server import STORE_WIRE_VERSION, StoreServer
 __all__ = [
     "STORE_WIRE_VERSION",
     "ChangeLog",
-    "DiskBackend",
     "LeaderClient",
     "ReplicatedStore",
     "StoreBackend",

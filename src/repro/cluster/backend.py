@@ -1,17 +1,14 @@
-"""The store-backend protocol and the disk implementation behind it.
+"""The store-backend protocol.
 
-:class:`StoreBackend` is the contract extracted from the original
-``SummaryStore``: everything the :class:`~repro.api.Session` facade, the
+:class:`StoreBackend` is the contract extracted from
+:class:`~repro.service.store.SummaryStore`: everything the
+:class:`~repro.api.Session` facade, the
 :class:`~repro.service.RegenerationService` and the LP solver cache actually
 call — get/put/has/entries/delete/pin for ``summaries`` and ``components``,
-plus lifecycle (``compact``) and telemetry (``counters``).  The
-serving layers type against this protocol only, so a replicated or future
-backend slots in without those layers changing.
-
-:class:`DiskBackend` is the existing content-addressed disk store under its
-protocol name — same class, same byte-identical on-disk layout, same format
-marker.  Single-node users see zero behavior change; the cluster layer sees
-one implementation of many.
+plus lifecycle (``compact``) and telemetry (``counters``).  The serving
+layers type against this protocol only; ``SummaryStore`` (the disk store)
+and :class:`~repro.cluster.replica.ReplicatedStore` (a follower) are its
+two implementations.
 """
 
 from __future__ import annotations
@@ -19,14 +16,14 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, ContextManager, Dict, List, Mapping,
                     Optional, Protocol, runtime_checkable)
 
-from repro.service.store import STORE_FORMAT, SummaryStore
+from repro.service.store import STORE_FORMAT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lp.model import LPSolution
     from repro.lp.solver import SolutionCache
     from repro.summary.relation_summary import DatabaseSummary
 
-__all__ = ["StoreBackend", "DiskBackend", "STORE_FORMAT"]
+__all__ = ["StoreBackend", "STORE_FORMAT"]
 
 
 @runtime_checkable
@@ -81,16 +78,3 @@ class StoreBackend(Protocol):
     def counters(self) -> Dict[str, int]: ...
 
     def store_bytes(self) -> int: ...
-
-
-class DiskBackend(SummaryStore):
-    """The content-addressed disk store, as a :class:`StoreBackend`.
-
-    This *is* the original ``SummaryStore`` — inherited unchanged so
-    existing store directories open byte-identically (same ``store.json``
-    format marker, same ``summaries/``/``components/`` layout, same
-    ``.touch`` recency sidecars) — under the name the cluster layer routes
-    through.  A leader's :class:`~repro.cluster.server.StoreServer` attaches
-    its change log via :meth:`~repro.service.store.SummaryStore.attach_journal`;
-    a follower's replica applies replayed records via ``apply_entry``.
-    """

@@ -4,8 +4,8 @@
 :class:`~repro.cluster.backend.StoreBackend` a path + config pair means:
 
 * no ``store_url`` → a plain local
-  :class:`~repro.cluster.backend.DiskBackend` (or memory-only store when
-  the path is ``None``) — exactly the pre-cluster behavior;
+  :class:`~repro.service.store.SummaryStore` (in a private temporary
+  directory when the path is ``None``) — exactly the pre-cluster behavior;
 * ``store_url=`` → a :class:`~repro.cluster.replica.ReplicatedStore`
   follower: local replica at the path, writes through the leader at the
   URL.
@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.api.config import RegenConfig
-from repro.cluster.backend import DiskBackend
 from repro.cluster.replica import ReplicatedStore
 from repro.obs.metrics import MetricsRegistry
+from repro.service.store import SummaryStore
 
 
 def open_store(root: Optional[Union[str, Path]] = None, *,
@@ -43,4 +43,4 @@ def open_store(root: Optional[Union[str, Path]] = None, *,
     }
     if config.store_url:
         return ReplicatedStore(config.store_url, root, registry=registry, **caps)
-    return DiskBackend(root, registry=registry, **caps)
+    return SummaryStore(root, registry=registry, **caps)

@@ -2,7 +2,7 @@
 
 A :class:`ReplicatedStore` is what a follower node mounts instead of a plain
 disk store.  Reads (the serving hot path) are served from a local
-:class:`~repro.cluster.backend.DiskBackend` replica — zero network hops,
+:class:`~repro.service.store.SummaryStore` replica — zero network hops,
 zero LP solves for warmed fingerprints — while writes are forwarded to the
 leader's :class:`~repro.cluster.server.StoreServer` and become visible
 locally by replaying the leader's change log:
@@ -130,8 +130,8 @@ class ReplicatedStore:
         Base URL of the shard leader's :class:`StoreServer`.
     root:
         Local replica directory (same byte-identical layout as any disk
-        store — a plain ``repro serve`` can mount it), or ``None`` for an
-        in-memory replica.
+        store — a plain ``repro serve`` can mount it), or ``None`` for a
+        private temporary one, deleted with the replica.
     poll_interval:
         Seconds between background change-log polls.
     timeout:
@@ -183,8 +183,7 @@ class ReplicatedStore:
         self._tail_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._state_path = (self.root / REPLICA_STATE
-                            if self.root is not None else None)
+        self._state_path = self.root / REPLICA_STATE
         self._applied = 0
         self._log_id: Optional[str] = None
         self._load_state()
@@ -196,7 +195,7 @@ class ReplicatedStore:
     # replication state
     # ------------------------------------------------------------------ #
     def _load_state(self) -> None:
-        if self._state_path is None or not self._state_path.exists():
+        if not self._state_path.exists():
             return
         try:
             state = json.loads(self._state_path.read_text())
@@ -211,8 +210,6 @@ class ReplicatedStore:
 
     def _save_state(self) -> None:
         self._g_applied.set(self._applied)
-        if self._state_path is None:
-            return
         payload = json.dumps({"format": 1, "applied_offset": self._applied,
                               "log_id": self._log_id})
         SummaryStore._atomic_write(self._state_path, payload.encode("utf-8"))
@@ -519,6 +516,5 @@ class ReplicatedStore:
         return self.local.store_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.root) if self.root is not None else "memory"
-        return (f"ReplicatedStore({self.leader_url!r}, {where!r},"
+        return (f"ReplicatedStore({self.leader_url!r}, {str(self.root)!r},"
                 f" applied={self._applied})")

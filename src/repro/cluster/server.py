@@ -1,6 +1,6 @@
 """The store server: one backend exposed over versioned wire JSON + a log.
 
-A :class:`StoreServer` makes a :class:`~repro.cluster.backend.DiskBackend`
+A :class:`StoreServer` makes a :class:`~repro.service.store.SummaryStore`
 the *leader* of a replication group: every mutation that reaches the store —
 HTTP puts and deletes, and the deletes a ``compact()`` pass performs — is
 appended to an :class:`~repro.cluster.log.ChangeLog` (fsynced ``log.jsonl``
@@ -60,10 +60,9 @@ class StoreServer(HTTPKernel):
     Parameters
     ----------
     store:
-        A disk-backed :class:`~repro.service.store.SummaryStore` /
-        :class:`~repro.cluster.backend.DiskBackend`.  The server attaches
-        the change log as the store's journal, so *every* mutation — HTTP
-        or in-process — is replicated.
+        The :class:`~repro.service.store.SummaryStore` to serve.  The
+        server attaches the change log as the store's journal, so *every*
+        mutation — HTTP or in-process — is replicated.
     host / port:
         Listen address; ``port=0`` binds an ephemeral port.
     max_request_bytes:
@@ -73,10 +72,6 @@ class StoreServer(HTTPKernel):
 
     def __init__(self, store: SummaryStore, host: str = "127.0.0.1",
                  port: int = 0, *, max_request_bytes: int = MAX_BODY_BYTES) -> None:
-        if store.root is None:
-            raise ClusterError(
-                "a store server needs a disk-backed store (root=None is"
-                " memory-only)")
         if max_request_bytes < 1:
             raise ServiceError("max_request_bytes must be at least 1")
         self.store = store

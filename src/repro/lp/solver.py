@@ -319,14 +319,11 @@ class SolutionCache:
 
 
 class LRUSolutionCache(SolutionCache):
-    """The default backend: a thread-safe in-process LRU.
+    """The default backend: a thread-safe in-process LRU of ``capacity``
+    entries (also the summary store's hot layer in front of its files)."""
 
-    ``capacity=None`` disables eviction (unbounded); the summary store's
-    memory-only mode relies on that, since evicting there would lose data.
-    """
-
-    def __init__(self, capacity: Optional[int]) -> None:
-        if capacity is not None and capacity < 1:
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
             raise LPError("LRUSolutionCache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[str, LPSolution]" = OrderedDict()
@@ -343,14 +340,8 @@ class LRUSolutionCache(SolutionCache):
         with self._lock:
             self._entries[key] = solution
             self._entries.move_to_end(key)
-            if self.capacity is not None:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-
-    def keys(self) -> List[str]:
-        """Current keys, least recently used first."""
-        with self._lock:
-            return list(self._entries)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
     def pop(self, key: str) -> Optional[LPSolution]:
         """Drop one entry (the summary store's GC evicts through this)."""

@@ -1068,9 +1068,19 @@ class RegenerationService:
         """One store GC pass (TTL expiration + LRU eviction to caps).
 
         Safe to call any time: entries backing in-flight streams are pinned
-        and survive.  Returns the store's compaction report.
+        and survive.  The tuple generators and encoders of summaries that
+        are no longer stored are dropped, so an evicted summary is not kept
+        alive in memory.  Returns the store's compaction report.
         """
         report = self.store.compact()
+        with self._lock:
+            held = {key[0] for key in (*self._generators, *self._encoders)}
+        gone = {fp for fp in held if not self.store.has_summary(fp)}
+        if gone:
+            with self._lock:
+                for cache in (self._generators, self._encoders):
+                    for key in [key for key in cache if key[0] in gone]:
+                        del cache[key]
         self._counters["gc_runs"].inc()
         if report["expired"] or report["evicted"]:
             logger.info("gc pass: expired=%d evicted=%d reclaimed=%dB",

@@ -20,9 +20,10 @@ fingerprint echo) and rejected with :class:`~repro.errors.SummaryStoreError`
 on the strict path or treated as misses on the serving path.
 
 Reads go through an LRU-bounded in-memory layer, so a serving process pays
-the disk round-trip once per hot entry.  A store with ``root=None`` keeps the
-same interface but lives purely in memory (useful for tests and ephemeral
-services).
+the disk round-trip once per hot entry.  A store opened with ``root=None`` is
+the same disk store in a private temporary directory (``repro-store-*``),
+removed when the store is garbage-collected or the interpreter exits — the
+way tests and storeless services ask for an ephemeral store.
 
 Lifecycle: a store can be bounded with ``max_store_bytes`` / ``max_entries``
 / ``ttl_seconds``.  :meth:`compact` is the GC pass — it drops entries whose
@@ -40,9 +41,11 @@ import contextlib
 import gzip
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -61,7 +64,7 @@ logger = get_logger("service.store")
 #: On-disk format version; bump on incompatible layout/payload changes.
 STORE_FORMAT = 1
 
-#: Default capacity of the in-memory summary layer of a disk-backed store.
+#: Default capacity of the in-memory summary layer of a store.
 DEFAULT_MEMORY_ENTRIES = 64
 
 #: Default capacity of the in-memory layer of :class:`StoreSolutionCache`.
@@ -75,17 +78,27 @@ TOUCH_SUFFIX = ".touch"
 _UNSET = object()
 
 
+def _decode_component(payload: Mapping[str, object]) -> LPSolution:
+    """The :class:`LPSolution` of a component entry payload."""
+    return LPSolution(
+        values=np.asarray(payload["values"], dtype=np.int64),
+        feasible=bool(payload["feasible"]),
+        method=str(payload["method"]),
+        max_violation=float(payload["max_violation"]),
+        solve_seconds=0.0,
+    )
+
+
 class SummaryStore:
     """Persistent, content-addressed store of regeneration artefacts.
 
     Parameters
     ----------
     root:
-        Store directory (created if missing), or ``None`` for a memory-only
-        store with the same interface.
+        Store directory (created if missing), or ``None`` for a private
+        temporary directory that is deleted with the store.
     memory_entries:
-        Capacity of the in-memory summary layer.  Ignored (unbounded) when
-        ``root`` is ``None`` — memory is then the only copy.
+        Capacity of the in-memory summary layer.
     max_store_bytes:
         Total size cap (entry payload bytes, summaries + components).
         :meth:`compact` evicts LRU-first until the store fits; a fresh
@@ -115,19 +128,18 @@ class SummaryStore:
                             ("ttl_seconds", ttl_seconds)):
             if value is not None and value < 0:
                 raise SummaryStoreError(f"{name} must be non-negative (or None)")
-        self.root = Path(root) if root is not None else None
+        if root is None:
+            root = tempfile.mkdtemp(prefix="repro-store-")
+            weakref.finalize(self, shutil.rmtree, root, ignore_errors=True)
+        self.root = Path(root)
         # Plain-string root for the per-read _touch fast path: building the
         # sidecar path with os.path.join is several times cheaper than three
         # chained pathlib joins, and _touch runs on every warm read.
-        self._root_str = str(self.root) if self.root is not None else None
+        self._root_str = str(self.root)
         self.max_store_bytes = max_store_bytes
         self.max_entries = max_entries
         self.ttl_seconds = ttl_seconds
-        # The in-memory layer is unbounded for memory-only stores (it is the
-        # only copy) and LRU-bounded over a disk backing.
-        self._summaries = LRUSolutionCache(
-            None if self.root is None else memory_entries
-        )
+        self._summaries = LRUSolutionCache(memory_entries)
         self._metas: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
         # Optional mutation journal (the cluster change log).  When attached
@@ -165,15 +177,6 @@ class SummaryStore:
         #: Refcounted pins: ``{fingerprint: count}``.  Pinned summaries are
         #: immune to TTL expiration and LRU eviction while the pin is held.
         self._pins: Dict[str, int] = {}
-        # In-memory recency ledger ``(kind, key) -> last_used_at``.  For a
-        # disk store the ``.touch`` files are the cross-process source of
-        # truth; this dict is the memory-only store's only record.
-        self._last_used: Dict[Tuple[str, str], float] = {}
-        # Memory-only occupancy: component payloads and per-entry size
-        # estimates (a disk store accounts real file sizes instead).
-        self._mem_components: Dict[str, LPSolution] = {}
-        self._entry_sizes: Dict[Tuple[str, str], int] = {}
-        self._memory_bytes = 0
         # Running disk accounting, maintained by our own writes so the hot
         # paths never re-walk the directory tree.  Initialised with one scan
         # at open; writes by *other* processes after that are not reflected
@@ -181,15 +184,14 @@ class SummaryStore:
         # ledger).
         self._disk_bytes = 0
         self._disk_entries = {"summaries": 0, "components": 0}
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._check_format()
-            for kind in ("summaries", "components"):
-                base = self.root / kind
-                if base.is_dir():
-                    for path in base.glob("*/*.json.gz"):
-                        self._disk_bytes += path.stat().st_size
-                        self._disk_entries[kind] += 1
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._check_format()
+        for kind in ("summaries", "components"):
+            base = self.root / kind
+            if base.is_dir():
+                for path in base.glob("*/*.json.gz"):
+                    self._disk_bytes += path.stat().st_size
+                    self._disk_entries[kind] += 1
 
     # ------------------------------------------------------------------ #
     # layout helpers
@@ -212,8 +214,6 @@ class SummaryStore:
         self._atomic_write(marker, json.dumps({"format": STORE_FORMAT}).encode())
 
     def _entry_path(self, kind: str, key: str) -> Path:
-        if self.root is None:
-            raise SummaryStoreError("memory-only store has no entry files")
         return self.root / kind / key[:2] / f"{key}.json.gz"
 
     def _touch_path(self, kind: str, key: str) -> Path:
@@ -236,16 +236,13 @@ class SummaryStore:
             raise
 
     def _touch(self, kind: str, key: str, now: Optional[float] = None) -> None:
-        """Record a use of ``(kind, key)`` — in memory, and for a disk store
-        in the entry's ``.touch`` sidecar so other processes see it too."""
+        """Record a use of ``(kind, key)`` in the entry's ``.touch`` sidecar,
+        so every process mounting the store sees it."""
         stamp = time.time() if now is None else now
-        # The whole update happens under the lock so a concurrent GC pass
-        # (whose deletions re-check recency under the same lock) can never
-        # interleave between the ledger update and the sidecar utime.
+        # The update happens under the lock so a concurrent GC pass (whose
+        # deletions re-check recency under the same lock) can never remove
+        # an entry between its recency check and this utime.
         with self._lock:
-            self._last_used[(kind, key)] = stamp
-            if self._root_str is None:
-                return
             # Hot path: the sidecar exists for every entry this store wrote,
             # so build its path as a plain string (pathlib joins are ~4x the
             # cost of the utime itself) and fall back to the Path-based
@@ -269,20 +266,15 @@ class SummaryStore:
 
     def _last_used_at(self, kind: str, key: str) -> Optional[float]:
         """Best-effort last-use timestamp of an entry (``None`` if unknown)."""
-        if self.root is not None:
+        try:
+            return self._touch_path(kind, key).stat().st_mtime
+        except OSError:
             try:
-                return self._touch_path(kind, key).stat().st_mtime
+                return self._entry_path(kind, key).stat().st_mtime
             except OSError:
-                try:
-                    return self._entry_path(kind, key).stat().st_mtime
-                except OSError:
-                    pass
-        with self._lock:
-            return self._last_used.get((kind, key))
+                return None
 
     def _write_entry(self, kind: str, key: str, payload: Mapping[str, object]) -> None:
-        if self.root is None:
-            return
         blob = gzip.compress(
             json.dumps(payload, separators=(",", ":")).encode("utf-8")
         )
@@ -305,13 +297,6 @@ class SummaryStore:
             if self._journal is not None:
                 self._journal.append("put", kind, key, payload)
 
-    def _account_memory_entry(self, kind: str, key: str, size: int) -> None:
-        """Memory-only occupancy ledger (mirrors the disk byte counter)."""
-        with self._lock:
-            previous = self._entry_sizes.get((kind, key), 0)
-            self._entry_sizes[(kind, key)] = size
-            self._memory_bytes += size - previous
-
     def _read_entry(self, kind: str, key: str) -> Dict[str, object]:
         """Strict read: raise :class:`SummaryStoreError` on anything that is
         not a complete, well-formed entry of the current format."""
@@ -332,10 +317,6 @@ class SummaryStore:
         return payload
 
     def _iter_keys(self, kind: str) -> Iterator[str]:
-        if self.root is None:
-            if kind == "components":
-                yield from sorted(self._mem_components)
-            return
         base = self.root / kind
         if not base.is_dir():
             return
@@ -358,29 +339,10 @@ class SummaryStore:
     def entry_payload(self, kind: str, key: str) -> Dict[str, object]:
         """Strict raw payload of one entry, exactly as stored on disk.
 
-        For a memory-only store the payload is re-encoded from the in-memory
-        object.  Raises :class:`SummaryStoreError` on missing/corrupt."""
+        Raises :class:`SummaryStoreError` on missing/corrupt."""
         if kind not in ("summaries", "components"):
             raise SummaryStoreError(f"unknown entry kind {kind!r}")
-        if self.root is not None:
-            return self._read_entry(kind, key)
-        if kind == "summaries":
-            summary = self._summaries.get(key)
-            if summary is None:
-                raise SummaryStoreError(f"store has no {kind} entry {key}")
-            with self._lock:
-                meta = dict(self._metas.get(key, {}))
-            return {"format": STORE_FORMAT, "key": key, "meta": meta,
-                    "summary": summary.to_dict()}
-        with self._lock:
-            solution = self._mem_components.get(key)
-        if solution is None:
-            raise SummaryStoreError(f"store has no {kind} entry {key}")
-        return {"format": STORE_FORMAT, "key": key,
-                "values": [int(v) for v in solution.values],
-                "feasible": bool(solution.feasible),
-                "method": solution.method,
-                "max_violation": float(solution.max_violation)}
+        return self._read_entry(kind, key)
 
     def apply_entry(self, kind: str, key: str,
                     payload: Mapping[str, object]) -> None:
@@ -407,29 +369,14 @@ class SummaryStore:
             meta = payload.get("meta")
             with self._lock:
                 self._metas[key] = dict(meta) if isinstance(meta, dict) else {}
-            self._write_entry(kind, key, payload)
-            if self.root is None:
-                self._account_memory_entry(kind, key, int(summary.nbytes()))
         else:
             try:
-                solution = LPSolution(
-                    values=np.asarray(payload["values"], dtype=np.int64),
-                    feasible=bool(payload["feasible"]),
-                    method=str(payload["method"]),
-                    max_violation=float(payload["max_violation"]),
-                    solve_seconds=0.0,
-                )
+                _decode_component(payload)
             except (KeyError, TypeError, ValueError) as error:
                 raise SummaryStoreError(
                     f"replicated component entry {key} does not decode: {error}"
                 ) from error
-            if self.root is None:
-                with self._lock:
-                    self._mem_components[key] = solution
-                self._account_memory_entry(
-                    "components", key, int(solution.values.nbytes) + 64)
-            else:
-                self._write_entry(kind, key, payload)
+        self._write_entry(kind, key, payload)
         self._touch(kind, key)
 
     def delete_entry(self, kind: str, key: str) -> bool:
@@ -441,20 +388,10 @@ class SummaryStore:
         entry counters exact."""
         if kind not in ("summaries", "components"):
             raise SummaryStoreError(f"unknown entry kind {kind!r}")
-        if self.root is not None:
-            try:
-                size = self._entry_path(kind, key).stat().st_size
-            except OSError:
-                return False
-        else:
-            with self._lock:
-                if kind == "summaries":
-                    exists = any(k == key for k in self._summaries.keys())
-                else:
-                    exists = key in self._mem_components
-                size = self._entry_sizes.get((kind, key), 0)
-            if not exists:
-                return False
+        try:
+            size = self._entry_path(kind, key).stat().st_size
+        except OSError:
+            return False
         return self._delete_entry(kind, key, size)
 
     def component_keys(self) -> List[str]:
@@ -489,9 +426,6 @@ class SummaryStore:
             "meta": entry_meta,
             "summary": summary.to_dict(),
         })
-        if self.root is None:
-            self._account_memory_entry("summaries", fingerprint,
-                                       int(summary.nbytes()))
         self._touch("summaries", fingerprint)
         # Opportunistic GC: a store over its size caps compacts right after
         # the write that pushed it over (TTL-only stores are compacted by
@@ -522,7 +456,7 @@ class SummaryStore:
             self._c_hits.inc()
             self._touch("summaries", fingerprint)
             return cached  # type: ignore[return-value]
-        if self.root is None or not self._entry_path("summaries", fingerprint).exists():
+        if not self._entry_path("summaries", fingerprint).exists():
             self._c_misses.inc()
             return None
         try:
@@ -562,7 +496,7 @@ class SummaryStore:
             meta = self._metas.get(fingerprint)
             if meta is not None:
                 return dict(meta)
-        if self.root is None or not self._entry_path("summaries", fingerprint).exists():
+        if not self._entry_path("summaries", fingerprint).exists():
             return None
         try:
             payload = self._read_entry("summaries", fingerprint)
@@ -628,25 +562,17 @@ class SummaryStore:
         return chain
 
     def has_summary(self, fingerprint: str) -> bool:
-        """``True`` when a summary entry exists (memory or disk).
+        """``True`` when a summary entry exists.
 
         A pure peek: unlike :meth:`get_summary` it does not refresh the
-        entry's recency."""
-        if self.root is None:
-            return self._summaries.get(fingerprint) is not None
-        # Disk is the source of truth for a backed store: an entry evicted
-        # from disk (possibly by another process's GC) no longer exists even
-        # if a stale copy lingers in this process's memory layer.
+        entry's recency.  Disk is the source of truth: an entry evicted
+        (possibly by another process's GC) no longer exists even if a stale
+        copy lingers in this process's memory layer."""
         return self._entry_path("summaries", fingerprint).exists()
 
     def summary_fingerprints(self) -> List[str]:
         """All stored workload fingerprints."""
-        if self.root is None:
-            return sorted(self._summaries.keys())
-        keys = set(self._iter_keys("summaries"))
-        # Memory-layer entries not (or no longer) on disk are not listed:
-        # disk is the source of truth for a backed store.
-        return sorted(keys)
+        return list(self._iter_keys("summaries"))
 
     def entries(self) -> List[Dict[str, object]]:
         """Per-summary metadata for inspection tooling."""
@@ -655,7 +581,7 @@ class SummaryStore:
             with self._lock:
                 meta = self._metas.get(fingerprint)
                 pinned = fingerprint in self._pins
-            if meta is None and self.root is not None:
+            if meta is None:
                 try:
                     meta = self._read_entry("summaries", fingerprint).get("meta", {})
                 except SummaryStoreError:
@@ -712,35 +638,18 @@ class SummaryStore:
     def _scan_candidates(self) -> List[Tuple[float, str, str, int]]:
         """Every entry as ``(last_used_at, kind, key, size)``, oldest first."""
         candidates: List[Tuple[float, str, str, int]] = []
-        if self.root is not None:
-            for kind in ("summaries", "components"):
-                base = self.root / kind
-                if not base.is_dir():
-                    continue
-                for path in base.glob("*/*.json.gz"):
-                    key = path.name[: -len(".json.gz")]
-                    try:
-                        size = path.stat().st_size
-                    except OSError:
-                        continue  # raced with a concurrent deleter
-                    last_used = self._last_used_at(kind, key)
-                    if last_used is None:
-                        last_used = 0.0
-                    candidates.append((last_used, kind, key, size))
-        else:
-            with self._lock:
-                for key in self._summaries.keys():
-                    candidates.append((
-                        self._last_used.get(("summaries", key), 0.0),
-                        "summaries", key,
-                        self._entry_sizes.get(("summaries", key), 0),
-                    ))
-                for key in self._mem_components:
-                    candidates.append((
-                        self._last_used.get(("components", key), 0.0),
-                        "components", key,
-                        self._entry_sizes.get(("components", key), 0),
-                    ))
+        for kind in ("summaries", "components"):
+            base = self.root / kind
+            if not base.is_dir():
+                continue
+            for path in base.glob("*/*.json.gz"):
+                key = path.name[: -len(".json.gz")]
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    continue  # raced with a concurrent deleter
+                last_used = self._last_used_at(kind, key)
+                candidates.append((last_used or 0.0, kind, key, size))
         candidates.sort()
         return candidates
 
@@ -758,40 +667,30 @@ class SummaryStore:
         """
         with self._lock:
             if seen_last_used is not None:
-                if self.root is not None:
-                    try:
-                        current = self._touch_path(kind, key).stat().st_mtime
-                    except OSError:
-                        current = None
-                else:
-                    current = self._last_used.get((kind, key))
+                try:
+                    current = self._touch_path(kind, key).stat().st_mtime
+                except OSError:
+                    current = None
                 if current is not None and current > seen_last_used + 1e-6:
                     return False  # used/rebuilt since the scan: keep it
-            if self.root is not None:
-                removed = True
-                try:
-                    os.unlink(self._entry_path(kind, key))
-                except FileNotFoundError:
-                    removed = False  # another process already dropped it
-                except OSError:
-                    return False  # file may still exist: leave the ledger
-                try:
-                    os.unlink(self._touch_path(kind, key))
-                except OSError:
-                    pass
-                if removed:
-                    self._disk_bytes -= size
-                    self._disk_entries[kind] -= 1
-                    if self._journal is not None:
-                        self._journal.append("delete", kind, key, None)
-            self._last_used.pop((kind, key), None)
-            dropped = self._entry_sizes.pop((kind, key), None)
-            if dropped is not None:
-                self._memory_bytes -= dropped
+            removed = True
+            try:
+                os.unlink(self._entry_path(kind, key))
+            except FileNotFoundError:
+                removed = False  # another process already dropped it
+            except OSError:
+                return False  # file may still exist: leave the ledger
+            try:
+                os.unlink(self._touch_path(kind, key))
+            except OSError:
+                pass
+            if removed:
+                self._disk_bytes -= size
+                self._disk_entries[kind] -= 1
+                if self._journal is not None:
+                    self._journal.append("delete", kind, key, None)
             if kind == "summaries":
                 self._metas.pop(key, None)
-            else:
-                self._mem_components.pop(key, None)
         if kind == "summaries":
             self._summaries.pop(key)
         return True
@@ -800,8 +699,6 @@ class SummaryStore:
         """Drop recency sidecars whose entry file no longer exists (e.g.
         evicted by another process) so a shared store never accumulates
         orphan touch files."""
-        if self.root is None:
-            return
         for kind in ("summaries", "components"):
             base = self.root / kind
             if not base.is_dir():
@@ -823,8 +720,6 @@ class SummaryStore:
         writes/deletes by *other* processes are folded back in and the
         counters stay exact — the GC pass is the one place already paying a
         directory scan."""
-        if self.root is None:
-            return
         total = 0
         entries = {"summaries": 0, "components": 0}
         for kind in ("summaries", "components"):
@@ -931,14 +826,6 @@ class SummaryStore:
     # ------------------------------------------------------------------ #
     def put_component(self, key: str, solution: LPSolution) -> None:
         """Persist one LP component solution under its canonical key."""
-        if self.root is None:
-            with self._lock:
-                self._mem_components[key] = solution
-            self._account_memory_entry(
-                "components", key, int(solution.values.nbytes) + 64
-            )
-            self._touch("components", key)
-            return
         self._write_entry("components", key, {
             "format": STORE_FORMAT,
             "key": key,
@@ -951,24 +838,10 @@ class SummaryStore:
 
     def get_component(self, key: str) -> Optional[LPSolution]:
         """Read one component solution; ``None`` on miss or corruption."""
-        if self.root is None:
-            with self._lock:
-                solution = self._mem_components.get(key)
-            if solution is not None:
-                self._touch("components", key)
-            return solution
         if not self._entry_path("components", key).exists():
             return None
         try:
-            payload = self._read_entry("components", key)
-            values = np.asarray(payload["values"], dtype=np.int64)
-            solution = LPSolution(
-                values=values,
-                feasible=bool(payload["feasible"]),
-                method=str(payload["method"]),
-                max_violation=float(payload["max_violation"]),
-                solve_seconds=0.0,
-            )
+            solution = _decode_component(self._read_entry("components", key))
         except (SummaryStoreError, KeyError, TypeError, ValueError) as error:
             self._c_corrupt.inc()
             logger.warning("component entry %s rejected on read: %s",
@@ -990,28 +863,20 @@ class SummaryStore:
     # statistics
     # ------------------------------------------------------------------ #
     def store_bytes(self) -> int:
-        """Total bytes of all entry payloads (real file sizes on disk, the
-        per-entry size estimates for a memory-only store).
+        """Total bytes of all entry files (gzip sizes on disk).
 
         Served from the running counters — no directory walk; bytes written
         by other processes appear after reopening or compacting the store.
         """
         with self._lock:
-            if self.root is None:
-                return self._memory_bytes
             return self._disk_bytes
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/corruption/GC counters plus current occupancy."""
         with self._lock:
-            if self.root is None:
-                summaries = len(self._summaries)
-                components = len(self._mem_components)
-                occupancy = self._memory_bytes
-            else:
-                summaries = self._disk_entries["summaries"]
-                components = self._disk_entries["components"]
-                occupancy = self._disk_bytes
+            summaries = self._disk_entries["summaries"]
+            components = self._disk_entries["components"]
+            occupancy = self._disk_bytes
         self._g_bytes.set(occupancy)
         self._g_entries.labels(kind="summaries").set(summaries)
         self._g_entries.labels(kind="components").set(components)
@@ -1027,8 +892,8 @@ class SummaryStore:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.root) if self.root is not None else "memory"
-        return f"SummaryStore({where!r}, {len(self.summary_fingerprints())} summaries)"
+        return (f"SummaryStore({str(self.root)!r},"
+                f" {len(self.summary_fingerprints())} summaries)")
 
 
 class StoreSolutionCache(SolutionCache):
@@ -1044,7 +909,6 @@ class StoreSolutionCache(SolutionCache):
         self.store = store
         self.capacity = memory_size
         self._memory = LRUSolutionCache(memory_size)
-        self.disk_hits = 0
 
     def get(self, key: str) -> Optional[LPSolution]:
         cached = self._memory.get(key)
@@ -1052,7 +916,6 @@ class StoreSolutionCache(SolutionCache):
             return cached  # type: ignore[return-value]
         solution = self.store.get_component(key)
         if solution is not None:
-            self.disk_hits += 1
             self._memory.put(key, solution)
         return solution
 

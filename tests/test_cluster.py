@@ -22,13 +22,12 @@ import pytest
 
 from repro.cluster import (
     ChangeLog,
-    DiskBackend,
     LeaderClient,
     ReplicatedStore,
     StoreServer,
 )
 from repro.cluster.server import STORE_WIRE_VERSION
-from repro.errors import ChangeLogError, ClusterError, LeaderUnavailableError
+from repro.errors import ChangeLogError, LeaderUnavailableError
 from repro.service.store import SummaryStore
 
 from tests.test_server_cli import cli_env, read_line, run_cli
@@ -105,7 +104,7 @@ class TestChangeLog:
 @pytest.fixture
 def leader(tmp_path):
     """A started leader over a disk store, torn down cleanly."""
-    store = DiskBackend(tmp_path / "leader")
+    store = SummaryStore(tmp_path / "leader")
     server = StoreServer(store, port=0).start()
     yield server
     server.shutdown()
@@ -121,7 +120,7 @@ class TestReplication:
     def test_bootstrap_seeds_full_history(self, tmp_path):
         """A leader opened on a store with pre-server history logs it all,
         so an empty-directory follower catches up without a snapshot."""
-        store = DiskBackend(tmp_path / "leader")
+        store = SummaryStore(tmp_path / "leader")
         key = fp("pre-existing")
         store.put_summary(key, make_summary(rows=40))
         store.put_component("c" * 64, make_solution())
@@ -168,7 +167,7 @@ class TestReplication:
         reopened.close()
 
     def test_lineage_change_forces_full_resync(self, tmp_path):
-        store = DiskBackend(tmp_path / "leader")
+        store = SummaryStore(tmp_path / "leader")
         key = fp("lineage")
         server = StoreServer(store, port=0).start()
         replica = follower(server, tmp_path / "replica")
@@ -208,7 +207,7 @@ class TestReplication:
         replica.close()
 
     def test_leader_down_reads_stay_local(self, tmp_path):
-        store = DiskBackend(tmp_path / "leader")
+        store = SummaryStore(tmp_path / "leader")
         server = StoreServer(store, port=0).start()
         replica = follower(server, tmp_path / "replica")
         key = fp("offline")
@@ -227,7 +226,7 @@ class TestStoreServerWire:
         # The 413 itself (and its counter) is the kernel's, checked for both
         # servers in tests/test_http_kernel.py; what is the store's own is
         # that a refused PUT is neither applied nor journaled.
-        store = DiskBackend(tmp_path / "leader")
+        store = SummaryStore(tmp_path / "leader")
         server = StoreServer(store, port=0, max_request_bytes=512).start()
         try:
             body = json.dumps({"version": 1, "payload": {
@@ -275,10 +274,6 @@ class TestStoreServerWire:
         assert stats["counters"]["summaries"] == 0
         assert stats["first_offset"] == 1
 
-    def test_memory_store_refused(self):
-        with pytest.raises(ClusterError):
-            StoreServer(SummaryStore(None))
-
 
 class TestServiceOverReplicatedStore:
     def test_service_mounts_replicated_store(self, tmp_path, toy_schema):
@@ -287,7 +282,7 @@ class TestServiceOverReplicatedStore:
         from repro.api.config import RegenConfig
         from repro.service.service import RegenerationService
 
-        leader_store = DiskBackend(tmp_path / "leader")
+        leader_store = SummaryStore(tmp_path / "leader")
         key = fp("served")
         leader_store.put_summary(key, make_summary(rows=48))
         with StoreServer(leader_store, port=0) as server:

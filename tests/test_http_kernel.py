@@ -22,9 +22,10 @@ from unittest import mock
 import pytest
 
 from repro.api import RegenConfig
-from repro.cluster import DiskBackend, StoreServer
+from repro.cluster import StoreServer
 from repro.server import RegenerationServer
 from repro.service.service import RegenerationService
+from repro.service.store import SummaryStore
 
 from tests.test_server import make_toy_schema, wait_until
 
@@ -47,7 +48,7 @@ def mounted(request, tmp_path):
             body_route=("POST", "/v1/summarize", "summarize"),
             stats_callee=(service, "service_stats"), close=service.close)
     else:
-        store = DiskBackend(tmp_path / "leader")
+        store = SummaryStore(tmp_path / "leader")
         server = StoreServer(store, max_request_bytes=BODY_CAP)
         kind = SimpleNamespace(
             server=server, counter="repro_cluster_server_requests_total",

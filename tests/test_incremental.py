@@ -560,8 +560,8 @@ class TestSessionEpochs:
         assert after["components_resolved"] == before["components_resolved"]
 
     def test_requires_a_store(self):
-        # A storeless session's service keeps epochs in memory: a base it
-        # never built is unknown, exactly as with a directory store.
+        # A storeless session's service keeps epochs in a private temporary
+        # store: a base it never built is unknown, as with a directory store.
         service = Session(make_toy_schema()).service
         with pytest.raises(ServiceError):
             service.resummarize("f" * 64, toy_drifted())

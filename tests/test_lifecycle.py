@@ -509,6 +509,28 @@ class TestServiceGC:
             abandoned.close()
             assert store.pin_count(fingerprint) == 0
 
+    def test_gc_drops_generators_of_evicted_summaries(self, toy_schema,
+                                                      tmp_path):
+        # Regression: the per-(fingerprint, relation) tuple generators and
+        # wire encoders outlived their store entries, so an evicted summary
+        # stayed in memory for the life of the service.
+        from repro.server.wire import ndjson_encoder
+
+        store = SummaryStore(tmp_path / "store")
+        with lifecycle_service(toy_schema, store=store) as service:
+            for cardinality in (100, 200, 300):
+                ccs = make_ccs(cardinality, name=f"ccs-{cardinality}")
+                assert sum(b.num_rows for b in service.stream(ccs, "S")) \
+                    == cardinality
+                assert b"".join(service.stream_encoded(ccs, "S",
+                                                       ndjson_encoder))
+            assert len(service._generators) == 3
+            assert len(service._encoders) == 3
+            assert store.compact(max_entries=0)["evicted"] == 3
+            service.gc()
+            assert service._generators == {}
+            assert service._encoders == {}
+
     def test_background_gc_thread_expires_entries(self, toy_schema, tmp_path):
         store = SummaryStore(tmp_path / "store", ttl_seconds=0.05)
         service = lifecycle_service(toy_schema, store=store, gc_interval=0.05)

@@ -147,13 +147,14 @@ class TestSummaryStore:
         store = SummaryStore(None)
         store.put_summary("a" * 64, summary)
         assert store.get_summary("a" * 64) is summary
-        # Memory-only occupancy is reported, not left at the disk counters' 0.
-        assert store.store_bytes() == summary.nbytes() > 0
+        # A rootless store counts its entry files like any disk store: the
+        # running counter matches a fresh scan of its directory.
+        assert store.store_bytes() == \
+            SummaryStore(store.root).counters()["store_bytes"] > 0
         assert store.get_summary("b" * 64) is None
 
     def test_memory_only_counters_report_components(self, toy_schema):
-        # Regression: memory-only mode used to fix up only `summaries` and
-        # leave `components`/`store_bytes` at the disk counters' 0.
+        # A rootless store counts both entry kinds, like a disk store.
         summary = Hydra(toy_schema).build_summary(toy_ccs()).summary
         store = SummaryStore(None)
         store.put_summary("a" * 64, summary)

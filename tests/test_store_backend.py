@@ -1,31 +1,32 @@
 """Conformance suite of the :class:`repro.cluster.StoreBackend` protocol.
 
 Every backend shape the serving layers can mount — the plain disk store,
-the memory-only store and a leader-attached :class:`ReplicatedStore` —
-must satisfy the same
-observable contract: summary/component round-trips, listings, deletion,
-pin/compact interplay, counters and corruption rejection.  The suite is
-parametrized so a new backend only needs a fixture branch to inherit the
-whole contract.
+a rootless store (its private temporary directory) and a leader-attached
+:class:`ReplicatedStore` — must satisfy the same observable contract:
+summary/component round-trips, listings, deletion, pin/compact interplay,
+counters and corruption rejection.  The suite is parametrized so a new
+backend only needs a fixture branch to inherit the whole contract.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
-    DiskBackend,
     ReplicatedStore,
     StoreBackend,
     StoreServer,
+    open_store,
 )
 from repro.errors import SummaryStoreError
 from repro.lp.model import LPSolution
 from repro.service.store import SummaryStore
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
 
-BACKENDS = ("disk", "memory", "replicated")
+BACKENDS = ("disk", "rootless", "replicated")
 
 
 def make_summary(rows: int = 100, values: int = 4) -> DatabaseSummary:
@@ -55,13 +56,13 @@ def fp(seed: str) -> str:
 def backend(request, tmp_path):
     """One StoreBackend implementation per param, torn down cleanly."""
     if request.param == "disk":
-        store = DiskBackend(tmp_path / "disk")
+        store = SummaryStore(tmp_path / "disk")
         yield store
         return
-    if request.param == "memory":
+    if request.param == "rootless":
         yield SummaryStore(None)
         return
-    leader = DiskBackend(tmp_path / "leader")
+    leader = SummaryStore(tmp_path / "leader")
     server = StoreServer(leader, port=0).start()
     replica = ReplicatedStore(server.url, tmp_path / "replica",
                               poll_interval=0.05)
@@ -84,14 +85,7 @@ class TestConformance:
         fetched = backend.get_summary(key)
         assert fetched is not None
         assert fetched.total_rows() == summary.total_rows()
-        if isinstance(backend, SummaryStore) and backend.root is None:
-            # Pre-existing contract: strict reads need entry files, so the
-            # memory-only store refuses rather than faking durability.
-            with pytest.raises(SummaryStoreError):
-                backend.read_summary(key)
-        else:
-            assert (backend.read_summary(key).total_rows()
-                    == summary.total_rows())
+        assert backend.read_summary(key).total_rows() == summary.total_rows()
         assert key in backend.summary_fingerprints()
         entries = backend.entries()
         assert any(entry["fingerprint"] == key for entry in entries)
@@ -156,23 +150,43 @@ class TestConformance:
         assert key in backend.component_keys()
 
 
+class TestRootless:
+    def test_directory_lives_and_dies_with_the_store(self):
+        store = SummaryStore(None)
+        root = store.root
+        store.put_summary(fp("ephemeral"), make_summary())
+        assert root.is_dir() and root.name.startswith("repro-store-")
+        del store
+        gc.collect()
+        assert not root.exists()
+
+    def test_two_rootless_stores_never_share_entries(self):
+        first, second = SummaryStore(None), SummaryStore(None)
+        assert first.root != second.root
+        first.put_summary(fp("mine"), make_summary())
+        first.put_component(fp("part") + "-sig", make_solution())
+        assert not second.has_summary(fp("mine"))
+        assert second.summary_fingerprints() == []
+        assert second.component_keys() == []
+
+
 class TestDiskSpecific:
     def test_corrupt_file_counted_not_fatal(self, tmp_path):
-        store = DiskBackend(tmp_path / "store")
+        store = SummaryStore(tmp_path / "store")
         key = fp("gz")
         store.put_summary(key, make_summary())
         path = next((tmp_path / "store" / "summaries").rglob("*.json.gz"))
         path.write_bytes(b"not gzip at all")
-        fresh = DiskBackend(tmp_path / "store")
+        fresh = SummaryStore(tmp_path / "store")
         assert fresh.get_summary(key) is None
         assert fresh.counters()["corrupt_entries"] >= 1
 
     def test_disk_backend_is_summary_store(self, tmp_path):
-        """The refactor is invisible: DiskBackend *is* the disk store, and
-        a directory written by one opens unchanged under the other."""
+        """``open_store``'s single-node backend *is* the disk store, and a
+        directory written by one opens unchanged under the other."""
         old = SummaryStore(tmp_path / "store")
         key = fp("compat")
         old.put_summary(key, make_summary())
-        assert isinstance(DiskBackend(tmp_path / "store").get_summary(key),
-                          DatabaseSummary)
-        assert issubclass(DiskBackend, SummaryStore)
+        reopened = open_store(tmp_path / "store")
+        assert type(reopened) is SummaryStore
+        assert isinstance(reopened.get_summary(key), DatabaseSummary)
