@@ -26,12 +26,6 @@ solvers, partitioners...) remain importable for experiments and extensions;
 """
 
 from repro.api import DatabaseHandle, RegenConfig, Session, SummaryHandle
-from repro.cluster import (
-    ReplicatedStore,
-    StoreBackend,
-    StoreServer,
-    open_store,
-)
 from repro.benchdata import (
     complex_workload,
     generate_database,
@@ -64,6 +58,7 @@ from repro.service import (
     SummaryStore,
     TenantStats,
     Ticket,
+    open_store,
     workload_fingerprint,
 )
 from repro.summary import DatabaseSummary, RelationSummary
@@ -133,14 +128,10 @@ __all__ = [
     "TenantStats",
     "Ticket",
     "SummaryStore",
+    "open_store",
     "workload_fingerprint",
     "ManifestDiff",
     "ResummarizeReport",
-    # cluster
-    "StoreBackend",
-    "StoreServer",
-    "ReplicatedStore",
-    "open_store",
     # metrics
     "SimilarityReport",
     "evaluate_on_database",

@@ -76,11 +76,6 @@ class RegenConfig:
     caps the request body it accepts (oversized POSTs answered 413);
     ``batch_size`` is also its NDJSON chunk size when a stream names none.
 
-    Cluster knob (never fingerprinted — it places the store, not the
-    artefacts): ``store_url`` mounts the store as a
-    :class:`~repro.cluster.replica.ReplicatedStore` follower of the leader
-    at that URL.
-
     Observability knobs (never fingerprinted — they change what is
     *recorded*, not what is produced): ``obs_enabled`` switches the
     :mod:`repro.obs` metrics registry the service/store instrument through
@@ -115,8 +110,6 @@ class RegenConfig:
     max_connections: int = 64
     request_timeout: float = 30.0
     max_request_bytes: int = 64 * 1024 * 1024
-    # -- cluster knob --------------------------------------------------- #
-    store_url: Optional[str] = None
     # -- store lifecycle knobs ----------------------------------------- #
     max_store_bytes: Optional[int] = None
     max_entries: Optional[int] = None

@@ -1,6 +1,6 @@
 """The unified command-line front-end: ``python -m repro <command>``.
 
-Six commands, all built on the :class:`repro.api.Session` facade and the
+Nine commands, built on the :class:`repro.api.Session` facade and the
 deterministic TPC-DS-like benchmark environment (``--scale``, ``--queries``,
 ``--workload`` and the seeds fully determine the workload, so two processes
 passing the same flags compute the same store fingerprint):
@@ -30,11 +30,6 @@ passing the same flags compute the same store fingerprint):
   exposition, or machine-readable JSON; ``--url http://host:port``
   fetches ``/v1/stats`` / ``/metrics`` from a running server instead of
   opening a directory);
-* ``store``      — the replicated store fleet (see ``docs/CLUSTER.md``):
-  ``store serve`` runs a directory as a replication *leader*
-  (:class:`repro.cluster.StoreServer`), ``store replicate`` tails a leader
-  into a local replica (:class:`repro.cluster.ReplicatedStore`), ``store
-  status`` prints a leader's health, change-log offsets and counters;
 * ``trace``      — run one traced submit → result → stream request at
   sample rate 1.0 and emit the finished spans as JSONL (stdout or
   ``--output``), ready for :func:`repro.obs.build_tree`;
@@ -63,7 +58,7 @@ EXIT_NOT_WARM = 3
 #: ``dest`` name); a flag a command does not define keeps the default.
 CONFIG_FLAGS = ("workers", "trace_sample", "log_format", "batch_size",
                 "max_connections", "request_timeout", "cursor_idle_timeout",
-                "max_request_bytes", "store_url")
+                "max_request_bytes")
 
 
 def _benchmark_environment(args: argparse.Namespace) -> Tuple[Schema, ConstraintSet, "Workload", "Database"]:
@@ -338,13 +333,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _fetch_remote_stats(args: argparse.Namespace) -> int:
-    """``stats --url``: scrape a running server instead of opening a dir.
-
-    Works against both HTTP front-ends — the serving layer
-    (:class:`repro.server.RegenerationServer`) and the store leader
-    (:class:`repro.cluster.StoreServer`) expose the same ``/v1/stats`` and
-    ``/metrics`` endpoints.
-    """
+    """``stats --url``: scrape ``/v1/stats`` (or ``/metrics``) from a
+    running :class:`repro.server.RegenerationServer` instead of opening a
+    directory."""
     import json
     import urllib.request
 
@@ -478,63 +469,6 @@ def _run_until_signal(banner: str, on_signal: "Callable[[], None]",
         thread.join()
 
 
-def _cmd_store_serve(args: argparse.Namespace) -> int:
-    """``store serve``: run one store directory as a replication leader."""
-    from repro.cluster import StoreServer
-    from repro.service.store import SummaryStore
-
-    host, port = _parse_listen(args.listen)
-    store = SummaryStore(args.store)
-    server = StoreServer(store, host or "127.0.0.1", port,
-                         max_request_bytes=args.max_request_bytes)
-    _run_until_signal(
-        f"listening on {server.url} role=leader root={args.store}"
-        f" log_id={server.log.log_id} last_offset={server.log.last_offset}",
-        server.shutdown, server.serve_forever)
-    print(f"closed last_offset={server.log.last_offset}")
-    return 0
-
-
-def _cmd_store_replicate(args: argparse.Namespace) -> int:
-    """``store replicate``: tail a leader's change log into a local replica."""
-    from repro.cluster import ReplicatedStore
-
-    if args.oneshot:
-        replica = ReplicatedStore(args.url, args.store,
-                                  poll_interval=args.poll_interval,
-                                  start_tailer=False)
-        applied = replica.catch_up()
-        print(f"caught up url={args.url} store={args.store}"
-              f" applied={applied} offset={replica.applied_offset}")
-        replica.close()
-        return 0
-    replica = ReplicatedStore(args.url, args.store,
-                              poll_interval=args.poll_interval)
-    stop = threading.Event()
-    _run_until_signal(f"replicating url={args.url} store={args.store}"
-                      f" offset={replica.applied_offset}", stop.set, stop.wait)
-    replica.close()
-    print(f"closed offset={replica.applied_offset}")
-    return 0
-
-
-def _cmd_store_status(args: argparse.Namespace) -> int:
-    """``store status``: one leader's health, offsets and counters."""
-    from repro.cluster import LeaderClient
-
-    client = LeaderClient(args.url)
-    stats = client.request("GET", "/v1/stats")
-    print(f"url={args.url} role={stats.get('role')}"
-          f" log_id={stats.get('log_id')}"
-          f" first_offset={stats.get('first_offset')}"
-          f" last_offset={stats.get('last_offset')}")
-    counters = stats.get("counters")
-    if isinstance(counters, dict):
-        print(" ".join(f"{key}={value}"
-                       for key, value in sorted(counters.items())))
-    return 0
-
-
 def _cmd_gc(args: argparse.Namespace) -> int:
     """One store GC pass: TTL expiration + LRU eviction down to the caps
     given on the command line (absent flags mean "no limit" for this pass)."""
@@ -581,17 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", dest="log_format",
                        help="handler format for repro.* log events")
 
-    def add_cluster(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store-url", default=None, dest="store_url",
-                       metavar="URL",
-                       help="follow the store leader at this URL (the local"
-                            " --store directory becomes a tailing replica)")
-
     summarize = sub.add_parser(
         "summarize", help="build the benchmark workload's summary into the store")
     summarize.add_argument("--store", required=True, help="store directory")
     add_env(summarize)
-    add_cluster(summarize)
     summarize.set_defaults(func=_cmd_summarize)
 
     resummarize = sub.add_parser(
@@ -600,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
              " warm --base-queries epoch (component-level delta solving)")
     resummarize.add_argument("--store", required=True, help="store directory")
     add_env(resummarize)
-    add_cluster(resummarize)
     resummarize.add_argument("--base-queries", type=int, required=True,
                              dest="base_queries",
                              help="query count of the warm base epoch (same"
@@ -682,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="max_request_bytes",
                        help="HTTP request-body cap in bytes (oversized"
                             " POSTs answered 413)")
-    add_cluster(serve)
     serve.set_defaults(func=_cmd_serve)
 
     stats = sub.add_parser("stats", help="print store counters")
@@ -716,44 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--output", default=None,
                        help="write the span JSONL here instead of stdout")
     trace.set_defaults(func=_cmd_trace)
-
-    store = sub.add_parser(
-        "store", help="run and inspect the replicated store fleet")
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-
-    store_serve = store_sub.add_parser(
-        "serve", help="serve one store directory as a replication leader")
-    store_serve.add_argument("--store", required=True, help="store directory")
-    store_serve.add_argument("--listen", default="127.0.0.1:0",
-                             metavar="HOST:PORT",
-                             help="listen address (port 0 binds an ephemeral"
-                                  " port, printed on startup)")
-    store_serve.add_argument("--max-request-bytes", type=int,
-                             default=RegenConfig.max_request_bytes,
-                             dest="max_request_bytes",
-                             help="request-body cap in bytes (oversized PUTs"
-                                  " answered 413)")
-    store_serve.set_defaults(func=_cmd_store_serve)
-
-    store_replicate = store_sub.add_parser(
-        "replicate", help="tail a leader's change log into a local replica")
-    store_replicate.add_argument("--store", required=True,
-                                 help="local replica directory")
-    store_replicate.add_argument("--url", required=True,
-                                 help="leader base URL (http://host:port)")
-    store_replicate.add_argument("--poll-interval", type=float, default=0.25,
-                                 dest="poll_interval",
-                                 help="change-log poll period in seconds")
-    store_replicate.add_argument("--oneshot", action="store_true",
-                                 help="catch up once and exit instead of"
-                                      " tailing until SIGTERM")
-    store_replicate.set_defaults(func=_cmd_store_replicate)
-
-    store_status = store_sub.add_parser(
-        "status", help="print a leader's health, offsets and counters")
-    store_status.add_argument("--url", required=True,
-                              help="leader base URL (http://host:port)")
-    store_status.set_defaults(func=_cmd_store_status)
 
     gc = sub.add_parser(
         "gc", help="compact the store: TTL expiration + LRU eviction to caps")

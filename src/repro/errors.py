@@ -97,22 +97,6 @@ class SummaryStoreError(ServiceError):
     partially written entry files, or a missing store directory."""
 
 
-class ClusterError(SummaryStoreError):
-    """A replicated store operation failed: the leader is unreachable, the
-    wire payload is malformed, or the change log and the local replica
-    disagree in a way a resync cannot repair."""
-
-
-class LeaderUnavailableError(ClusterError):
-    """A write (or a required catch-up read) could not reach the
-    leader store server; retry once the leader is back."""
-
-
-class ChangeLogError(ClusterError):
-    """The append-only change log is unreadable or refused an append
-    (corrupt segment, unknown log format, closed log)."""
-
-
 class ObservabilityError(ReproError):
     """Misuse of the :mod:`repro.obs` layer: invalid metric names, label
     sets, bucket layouts or quantile arguments."""

@@ -1,9 +1,8 @@
-"""The one HTTP request kernel both repro servers are mounted on.
+"""The HTTP request kernel the regeneration server is mounted on.
 
-:class:`~repro.server.http.RegenerationServer` and
-:class:`~repro.cluster.server.StoreServer` are a route table plus endpoint
-functions; what an HTTP server does regardless of *what* it serves is here,
-once:
+:class:`~repro.server.http.RegenerationServer` is a route table plus
+endpoint functions; what an HTTP server does regardless of *what* it serves
+is here:
 
 * :class:`HTTPKernel` — the bound listener, its ``url`` / ``serve_forever``
   / ``start`` / ``shutdown`` / context-manager lifecycle and the

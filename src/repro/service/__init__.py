@@ -39,7 +39,7 @@ from repro.service.service import (
     TenantStats,
     Ticket,
 )
-from repro.service.store import StoreSolutionCache, SummaryStore
+from repro.service.store import StoreSolutionCache, SummaryStore, open_store
 
 __all__ = [
     "RegenerationService",
@@ -49,6 +49,7 @@ __all__ = [
     "Ticket",
     "SummaryStore",
     "StoreSolutionCache",
+    "open_store",
     "workload_fingerprint",
     "schema_fingerprint",
     "constraint_set_fingerprint",

@@ -70,7 +70,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer, span as trace_span
 from repro.schema.schema import Schema
 from repro.service.fingerprint import ManifestDiff, manifest_diff
-from repro.service.store import SummaryStore
+from repro.service.store import SummaryStore, open_store
 from repro.summary.relation_summary import DatabaseSummary
 from repro.tuplegen.generator import DEFAULT_BATCH_SIZE, TupleGenerator
 from repro.workload.query import Workload
@@ -329,13 +329,11 @@ class RegenerationService:
     schema:
         The (anonymised) client schema requests are validated against.
     store:
-        Any :class:`~repro.cluster.backend.StoreBackend` (a
-        :class:`SummaryStore`, :class:`~repro.cluster.ReplicatedStore`, …),
-        a directory path, or ``None``.  Paths and ``None`` go through
-        :func:`repro.cluster.open_store`, so the config's ``store_url``
-        picks the topology and a path-opened store inherits the config's
-        lifecycle caps (``max_store_bytes`` / ``max_entries`` /
-        ``ttl_seconds``).
+        A :class:`SummaryStore`, a directory path, or ``None`` (a private
+        temporary store).  Paths and ``None`` go through
+        :func:`~repro.service.store.open_store`, so a path-opened store
+        inherits the config's lifecycle caps (``max_store_bytes`` /
+        ``max_entries`` / ``ttl_seconds``).
     config:
         The :class:`~repro.api.RegenConfig` every pipeline and serving knob
         is read from: ``max_workers``
@@ -375,15 +373,9 @@ class RegenerationService:
             get_tracer().configure(sample=config.trace_sample)
         if config.log_format == "json":
             configure_logging(log_format="json")
-        if store is not None and hasattr(store, "get_summary"):
-            # Any ready-made StoreBackend (disk, replicated, or a
-            # plain SummaryStore) is used as-is.
+        if isinstance(store, SummaryStore):
             self.store = store
         else:
-            # Lazy import: repro.cluster imports the repro.server package,
-            # which imports this module — deferring keeps the DAG acyclic.
-            from repro.cluster.factory import open_store
-
             self.store = open_store(store, config=config,
                                     registry=self.registry)
         #: The one pipeline every cold build, fingerprint and manifest runs
@@ -673,7 +665,7 @@ class RegenerationService:
             self._counters["components_reused"].inc(len(reused))
             self._counters["components_resolved"].inc(len(solved))
             if fingerprint != base_fingerprint:
-                self._link_epoch(fingerprint, base_fingerprint, summary)
+                self.store.link_parent(fingerprint, base_fingerprint)
             span.set_attribute("fingerprint", fingerprint[:12])
             span.set_attribute("warm", ticket.warm)
             span.set_attribute("components_reused", len(reused))
@@ -714,23 +706,7 @@ class RegenerationService:
 
     def lineage(self, fingerprint: str) -> List[Mapping[str, object]]:
         """The epoch chain ending at ``fingerprint`` (newest first)."""
-        walk = getattr(self.store, "list_lineage", None)
-        if walk is None:
-            present = self.store.get_summary(fingerprint) is not None
-            return [{"fingerprint": fingerprint, "present": present}]
-        return walk(fingerprint)
-
-    def _link_epoch(self, fingerprint: str, parent: str,
-                    summary: DatabaseSummary) -> None:
-        """Record the new epoch's parent link in the store metadata."""
-        link = getattr(self.store, "link_parent", None)
-        if link is not None:
-            link(fingerprint, parent)
-            return
-        # Store backends without native lineage support (e.g. remote
-        # replicas) still get the link via a meta-carrying rewrite.
-        self.store.put_summary(fingerprint, summary,
-                               meta={"parent_fingerprint": parent})
+        return self.store.list_lineage(fingerprint)
 
     # ------------------------------------------------------------------ #
     # fair dispatch

@@ -47,7 +47,8 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -58,6 +59,9 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span, tracing_active
 from repro.summary.relation_summary import DatabaseSummary
+
+if TYPE_CHECKING:  # repro.api imports the service, which imports this module
+    from repro.api.config import RegenConfig
 
 logger = get_logger("service.store")
 
@@ -142,12 +146,6 @@ class SummaryStore:
         self._summaries = LRUSolutionCache(memory_entries)
         self._metas: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
-        # Optional mutation journal (the cluster change log).  When attached
-        # via attach_journal(), every completed entry write and delete is
-        # appended as ``journal.append(op, kind, key, payload)`` so followers
-        # can replay this store's history.  ``None`` (the default) keeps
-        # single-node stores on the exact pre-cluster code path.
-        self._journal = None
         self.registry = registry if registry is not None else MetricsRegistry()
         self._c_hits = self.registry.counter(
             "repro_store_summary_hits_total",
@@ -291,11 +289,6 @@ class SummaryStore:
             self._disk_bytes += len(blob) - (previous or 0)
             if previous is None:
                 self._disk_entries[kind] += 1
-            # Journal the mutation under the same lock, so the change log
-            # preserves this store's apply order (a delete scanning the same
-            # key serialises behind us on self._lock).
-            if self._journal is not None:
-                self._journal.append("put", kind, key, payload)
 
     def _read_entry(self, kind: str, key: str) -> Dict[str, object]:
         """Strict read: raise :class:`SummaryStoreError` on anything that is
@@ -322,77 +315,6 @@ class SummaryStore:
             return
         for path in sorted(base.glob("*/*.json.gz")):
             yield path.name[: -len(".json.gz")]
-
-    # ------------------------------------------------------------------ #
-    # replication hooks (the repro.cluster layer builds on these)
-    # ------------------------------------------------------------------ #
-    def attach_journal(self, journal) -> None:
-        """Attach a mutation journal (e.g. a cluster change log).
-
-        ``journal.append(op, kind, key, payload)`` is called for every
-        completed entry write (``op="put"``, with the full on-disk payload)
-        and delete (``op="delete"``, payload ``None``) — including deletes
-        performed by :meth:`compact`.  Pass ``None`` to detach.
-        """
-        self._journal = journal
-
-    def entry_payload(self, kind: str, key: str) -> Dict[str, object]:
-        """Strict raw payload of one entry, exactly as stored on disk.
-
-        Raises :class:`SummaryStoreError` on missing/corrupt."""
-        if kind not in ("summaries", "components"):
-            raise SummaryStoreError(f"unknown entry kind {kind!r}")
-        return self._read_entry(kind, key)
-
-    def apply_entry(self, kind: str, key: str,
-                    payload: Mapping[str, object]) -> None:
-        """Apply one replicated ``put`` payload (a follower replaying the
-        leader's change log).  The payload shape is validated the same way
-        :meth:`_read_entry` validates a disk file, so a corrupt record can
-        never be installed locally."""
-        if kind not in ("summaries", "components"):
-            raise SummaryStoreError(f"unknown entry kind {kind!r}")
-        if not isinstance(payload, Mapping) \
-                or payload.get("format") != STORE_FORMAT \
-                or payload.get("key") != key:
-            raise SummaryStoreError(
-                f"replicated {kind} entry {key} has an unexpected payload"
-                " shape or format")
-        if kind == "summaries":
-            try:
-                summary = DatabaseSummary.from_dict(payload["summary"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError) as error:
-                raise SummaryStoreError(
-                    f"replicated summary entry {key} does not decode: {error}"
-                ) from error
-            self._summaries.put(key, summary)
-            meta = payload.get("meta")
-            with self._lock:
-                self._metas[key] = dict(meta) if isinstance(meta, dict) else {}
-        else:
-            try:
-                _decode_component(payload)
-            except (KeyError, TypeError, ValueError) as error:
-                raise SummaryStoreError(
-                    f"replicated component entry {key} does not decode: {error}"
-                ) from error
-        self._write_entry(kind, key, payload)
-        self._touch(kind, key)
-
-    def delete_entry(self, kind: str, key: str) -> bool:
-        """Remove one entry by key (the cluster protocol's ``delete``).
-
-        Returns ``True`` when an entry was removed, ``False`` when it did
-        not exist.  Unlike :meth:`compact` this ignores recency — it is an
-        explicit deletion, not a GC decision — but still keeps the byte and
-        entry counters exact."""
-        if kind not in ("summaries", "components"):
-            raise SummaryStoreError(f"unknown entry kind {kind!r}")
-        try:
-            size = self._entry_path(kind, key).stat().st_size
-        except OSError:
-            return False
-        return self._delete_entry(kind, key, size)
 
     def component_keys(self) -> List[str]:
         """All stored LP component solution keys."""
@@ -512,8 +434,8 @@ class SummaryStore:
         """Record epoch lineage: mark ``parent`` as the stored epoch
         ``fingerprint`` was incrementally derived from.
 
-        Rewrites the entry with the updated metadata (atomically, and
-        journalled like any other put so followers replicate the link).
+        Rewrites the entry with the updated metadata (atomically, like any
+        other put).
         A no-op when the link is already recorded; raises
         :class:`SummaryStoreError` when ``fingerprint`` is not stored.
         """
@@ -687,8 +609,6 @@ class SummaryStore:
             if removed:
                 self._disk_bytes -= size
                 self._disk_entries[kind] -= 1
-                if self._journal is not None:
-                    self._journal.append("delete", kind, key, None)
             if kind == "summaries":
                 self._metas.pop(key, None)
         if kind == "summaries":
@@ -930,3 +850,17 @@ class StoreSolutionCache(SolutionCache):
 
     def __len__(self) -> int:
         return len(self._memory)
+
+
+def open_store(root: Optional[Union[str, Path]] = None, *,
+               config: Optional["RegenConfig"] = None,
+               registry: Optional[MetricsRegistry] = None) -> SummaryStore:
+    """The store a path + config pair means: a :class:`SummaryStore` at
+    ``root`` (a private temporary directory when ``None``) bounded by the
+    config's lifecycle caps."""
+    if config is None:
+        return SummaryStore(root, registry=registry)
+    return SummaryStore(root, registry=registry,
+                        max_store_bytes=config.max_store_bytes,
+                        max_entries=config.max_entries,
+                        ttl_seconds=config.ttl_seconds)

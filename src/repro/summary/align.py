@@ -67,10 +67,42 @@ def _merge_one(view: ViewSolution, subview: SubViewSolution,
 
     merged: List[SolutionRow] = []
     for key in sorted(set(view_groups) | set(sub_groups)):
-        left_rows = view_groups.get(key, [])
-        right_rows = sub_groups.get(key, [])
-        merged.extend(_align_and_join(left_rows, right_rows))
+        left_rows = view_groups.get(key)
+        right_rows = sub_groups.get(key)
+        if left_rows and right_rows:
+            merged.extend(_align_and_join(left_rows, right_rows))
+            continue
+        # A cell only one side fills (possible only with approximate LP
+        # solutions): its rows borrow the other side's attributes from the
+        # nearest row there, so every row spans the merged attributes.
+        rows, other = (left_rows, sub_groups) if left_rows else (right_rows, view_groups)
+        donor = _nearest_row(other, key)
+        merged.extend(_fill_missing(row, donor) if donor else row for row in rows)
     return ViewSolution(relation=view.relation, attributes=new_attributes, rows=merged)
+
+
+def _nearest_row(groups: Dict[Tuple[int, ...], List[SolutionRow]],
+                 key: Tuple[int, ...]) -> Optional[SolutionRow]:
+    """The last row of the closest group below ``key``, else the first row of
+    the lowest group (``None`` when there are no groups)."""
+    below = [k for k in groups if k < key]
+    if below:
+        return groups[max(below)][-1]
+    return groups[min(groups)][0] if groups else None
+
+
+def _fill_missing(row: SolutionRow, donor: SolutionRow) -> SolutionRow:
+    """``row`` plus the intervals and cells of the attributes only ``donor``
+    has; the row's own intervals, cells and label are kept."""
+    intervals = dict(row.intervals)
+    cells = dict(row.cells)
+    for attr, interval in donor.intervals.items():
+        if attr not in intervals:
+            intervals[attr] = interval
+            if attr in donor.cells:
+                cells[attr] = donor.cells[attr]
+    return SolutionRow(intervals=intervals, count=row.count, label=row.label,
+                       cells=cells)
 
 
 def _group_rows(rows: Sequence[SolutionRow], common: Tuple[str, ...],
@@ -86,15 +118,15 @@ def _align_and_join(left_rows: List[SolutionRow], right_rows: List[SolutionRow],
     """Two-pointer row splitting followed by a positional join.
 
     ``left_rows`` carry the already-merged attributes, ``right_rows`` the new
-    sub-view's attributes; both lists share the same totals when the LP was
-    solved exactly.  Whichever side has leftover tuples is merged against the
-    last row seen on the other side (or emitted as-is when that side is
-    empty), so no tuples are ever lost.
+    sub-view's attributes; neither is empty, and both share the same totals
+    when the LP was solved exactly.  Whichever side has leftover tuples is
+    merged against the last row of the other side, so no tuples are ever
+    lost.
     """
     out: List[SolutionRow] = []
     i = j = 0
-    left_remaining = left_rows[0].count if left_rows else 0
-    right_remaining = right_rows[0].count if right_rows else 0
+    left_remaining = left_rows[0].count
+    right_remaining = right_rows[0].count
 
     while i < len(left_rows) and j < len(right_rows):
         take = min(left_remaining, right_remaining)
@@ -112,16 +144,12 @@ def _align_and_join(left_rows: List[SolutionRow], right_rows: List[SolutionRow],
     # Leftovers (only possible with approximate LP solutions): keep tuples.
     while i < len(left_rows):
         count = left_remaining if left_remaining else left_rows[i].count
-        partner = right_rows[-1] if right_rows else None
-        out.append(_combine(left_rows[i], partner, count) if partner
-                   else SolutionRow(dict(left_rows[i].intervals), count, left_rows[i].label))
+        out.append(_combine(left_rows[i], right_rows[-1], count))
         i += 1
         left_remaining = 0
     while j < len(right_rows):
         count = right_remaining if right_remaining else right_rows[j].count
-        partner = left_rows[-1] if left_rows else None
-        out.append(_combine(partner, right_rows[j], count) if partner
-                   else SolutionRow(dict(right_rows[j].intervals), count, right_rows[j].label))
+        out.append(_combine(left_rows[-1], right_rows[j], count))
         j += 1
         right_remaining = 0
     return out

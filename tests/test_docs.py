@@ -1,9 +1,10 @@
 """Tier-1 documentation drift checks.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``):
-every ``src/repro`` module must carry a module docstring, and every fenced
+every ``src/repro`` module must carry a module docstring, every fenced
 python snippet in README/docs must compile — with ``>>>`` blocks executed
-as doctests — so the documentation layer cannot silently rot.
+as doctests — and every relative link must name a file that exists, so the
+documentation layer cannot silently rot.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ def test_every_module_has_a_docstring():
 def test_fenced_doc_snippets_compile_and_doctests_pass():
     checker = _load_checker()
     assert checker.check_fenced_snippets() == []
+
+
+def test_relative_links_resolve():
+    checker = _load_checker()
+    assert checker.check_links() == []
+
+
+def test_dead_link_is_reported(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "here.md").write_text("x")
+    page = tmp_path / "page.md"
+    page.write_text("[ok](here.md#top) [web](https://example.org)"
+                    " [anchor](#top) [gone](GONE.md)\n")
+    assert checker.check_links([page]) == ["page.md: dead link to GONE.md"]
 
 
 def test_docs_reference_each_other():

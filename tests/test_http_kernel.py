@@ -1,13 +1,11 @@
-"""The HTTP kernel's contract, checked once for both servers mounted on it.
+"""The HTTP kernel's contract, checked on the server mounted on it.
 
-:class:`repro.server.RegenerationServer` and
-:class:`repro.cluster.StoreServer` are route tables on
-:mod:`repro.server.kernel`; everything here is behaviour the kernel owns and
-must therefore be identical on both: the unknown-route 404, the body cap and
-body-shape statuses, ``/metrics``, keep-alive ordering, the
+:class:`repro.server.RegenerationServer` is a route table on
+:mod:`repro.server.kernel`; everything here is behaviour the kernel owns
+rather than an endpoint: the unknown-route 404, the body cap and body-shape
+statuses, ``/metrics``, keep-alive ordering, the
 ``requests_total{endpoint,code}`` labels, one socket write per reply and the
-last-resort JSON 500.  What only one server does stays in
-``tests/test_server.py`` / ``tests/test_cluster.py``.
+last-resort JSON 500.  Endpoint behaviour stays in ``tests/test_server.py``.
 """
 
 from __future__ import annotations
@@ -22,10 +20,8 @@ from unittest import mock
 import pytest
 
 from repro.api import RegenConfig
-from repro.cluster import StoreServer
 from repro.server import RegenerationServer
 from repro.service.service import RegenerationService
-from repro.service.store import SummaryStore
 
 from tests.test_server import make_toy_schema, wait_until
 
@@ -33,30 +29,22 @@ from tests.test_server import make_toy_schema, wait_until
 BODY_CAP = 512
 
 
-@pytest.fixture(params=["regeneration", "store"])
+@pytest.fixture(params=["regeneration"])
 def mounted(request, tmp_path):
-    """One started server per kind, plus what a kernel test needs to know
-    about it: its counter family, a route that reads a JSON body, and a
-    callee one of its GET endpoints depends on."""
-    if request.param == "regeneration":
-        service = RegenerationService(
-            make_toy_schema(), store=str(tmp_path / "store"),
-            config=RegenConfig(max_request_bytes=BODY_CAP))
-        server = RegenerationServer(service)
-        kind = SimpleNamespace(
-            server=server, counter="repro_server_requests_total",
-            body_route=("POST", "/v1/summarize", "summarize"),
-            stats_callee=(service, "service_stats"), close=service.close)
-    else:
-        store = SummaryStore(tmp_path / "leader")
-        server = StoreServer(store, max_request_bytes=BODY_CAP)
-        kind = SimpleNamespace(
-            server=server, counter="repro_cluster_server_requests_total",
-            body_route=("PUT", "/v1/entry/summaries/" + "a" * 64, "entry_put"),
-            stats_callee=(store, "counters"), close=lambda: None)
+    """A started server (the param names it in test ids), plus what a kernel
+    test needs to know about it: its counter family, a route that reads a
+    JSON body, and a callee one of its GET endpoints depends on."""
+    service = RegenerationService(
+        make_toy_schema(), store=str(tmp_path / "store"),
+        config=RegenConfig(max_request_bytes=BODY_CAP))
+    server = RegenerationServer(service)
+    kind = SimpleNamespace(
+        server=server, counter="repro_server_requests_total",
+        body_route=("POST", "/v1/summarize", "summarize"),
+        stats_callee=(service, "service_stats"))
     with server:
         yield kind
-    kind.close()
+    service.close()
 
 
 def exchange(server, request: bytes) -> SimpleNamespace:

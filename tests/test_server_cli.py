@@ -7,7 +7,8 @@ fingerprint-exact warm summarize over the wire, sharded NDJSON streaming,
 ``/metrics`` showing zero LP solves, and a clean SIGTERM shutdown.  A cold
 store under ``--require-warm`` must exit :data:`repro.cli.EXIT_NOT_WARM`
 *before* binding the socket.  Every ``serve`` flag that names a serving
-knob lands on the :class:`~repro.api.RegenConfig` the server reads.
+knob lands on the :class:`~repro.api.RegenConfig` the server reads, and
+``stats --url`` scrapes a running server.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from pathlib import Path
 import pytest
 
 from repro.api import RegenConfig
-from repro.cli import EXIT_NOT_WARM, _config, build_parser
+from repro.cli import EXIT_NOT_WARM, _config, build_parser, main
+from repro.server import RegenerationServer
+from repro.service.service import RegenerationService
+
+from tests.test_server import make_toy_schema
 
 REPO = Path(__file__).resolve().parent.parent
 FLAGS = ["--scale", "0.0002", "--queries", "3", "--workload", "simple"]
@@ -185,9 +190,29 @@ class TestServeFlagsReachTheConfig:
         ("--batch-size", "batch_size", 17),
         ("--cursor-idle-timeout", "cursor_idle_timeout", 9.0),
         ("--workers", "workers", 3),
-        ("--store-url", "store_url", "http://127.0.0.1:7400"),
     ])
     def test_flag_sets_its_knob(self, tmp_path, flag, knob, value):
         config = _config(self.parse(tmp_path, flag, str(value)))
         assert getattr(config, knob) == value
         assert config == RegenConfig(**{knob: value})
+
+
+class TestStatsURL:
+    """``stats --url`` reads a running server's ``/metrics`` and
+    ``/v1/stats`` instead of opening a store directory."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        service = RegenerationService(make_toy_schema(),
+                                      store=str(tmp_path / "store"))
+        with RegenerationServer(service, port=0) as server:
+            yield server
+        service.close()
+
+    def test_prometheus(self, server, capsys):
+        assert main(["stats", "--url", server.url, "--prometheus"]) == 0
+        assert "repro_server_requests_total" in capsys.readouterr().out
+
+    def test_json(self, server, capsys):
+        assert main(["stats", "--url", server.url, "--json"]) == 0
+        assert isinstance(json.loads(capsys.readouterr().out), dict)

@@ -1,11 +1,9 @@
-"""Conformance suite of the :class:`repro.cluster.StoreBackend` protocol.
+"""Conformance suite of the summary store, on both ways to open one.
 
-Every backend shape the serving layers can mount — the plain disk store,
-a rootless store (its private temporary directory) and a leader-attached
-:class:`ReplicatedStore` — must satisfy the same observable contract:
-summary/component round-trips, listings, deletion, pin/compact interplay,
-counters and corruption rejection.  The suite is parametrized so a new
-backend only needs a fixture branch to inherit the whole contract.
+A :class:`SummaryStore` opened on a directory and a rootless one (its
+private temporary directory) must satisfy the same observable contract:
+summary/component round-trips, listings, pin/compact interplay and
+counters.
 """
 
 from __future__ import annotations
@@ -15,18 +13,12 @@ import gc
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ReplicatedStore,
-    StoreBackend,
-    StoreServer,
-    open_store,
-)
-from repro.errors import SummaryStoreError
 from repro.lp.model import LPSolution
-from repro.service.store import SummaryStore
+from repro.api import RegenConfig
+from repro.service.store import SummaryStore, open_store
 from repro.summary.relation_summary import DatabaseSummary, RelationSummary
 
-BACKENDS = ("disk", "rootless", "replicated")
+BACKENDS = ("disk", "rootless")
 
 
 def make_summary(rows: int = 100, values: int = 4) -> DatabaseSummary:
@@ -54,27 +46,13 @@ def fp(seed: str) -> str:
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    """One StoreBackend implementation per param, torn down cleanly."""
+    """One store per way of opening it."""
     if request.param == "disk":
-        store = SummaryStore(tmp_path / "disk")
-        yield store
-        return
-    if request.param == "rootless":
-        yield SummaryStore(None)
-        return
-    leader = SummaryStore(tmp_path / "leader")
-    server = StoreServer(leader, port=0).start()
-    replica = ReplicatedStore(server.url, tmp_path / "replica",
-                              poll_interval=0.05)
-    yield replica
-    replica.close()
-    server.shutdown()
+        return SummaryStore(tmp_path / "disk")
+    return SummaryStore(None)
 
 
 class TestConformance:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, StoreBackend)
-
     def test_summary_round_trip(self, backend):
         key = fp("round-trip")
         summary = make_summary(rows=60)
@@ -100,14 +78,6 @@ class TestConformance:
         assert list(fetched.values) == [1, 2, 3]
         assert key in backend.component_keys()
 
-    def test_delete_entry(self, backend):
-        key = fp("deleted")
-        backend.put_summary(key, make_summary())
-        assert backend.delete_entry("summaries", key) is True
-        assert backend.delete_entry("summaries", key) is False
-        assert not backend.has_summary(key)
-        assert key not in backend.summary_fingerprints()
-
     def test_pin_protects_from_compact(self, backend):
         pinned, victim = fp("pinned"), fp("victim")
         backend.put_summary(pinned, make_summary())
@@ -132,14 +102,6 @@ class TestConformance:
             assert counters[name] >= 0
         assert counters["summaries"] >= 1
         assert backend.store_bytes() == counters["store_bytes"]
-
-    def test_corrupt_payload_rejected(self, backend):
-        key = fp("corrupt")
-        with pytest.raises(SummaryStoreError):
-            backend.apply_entry("summaries", key, {"format": 99})
-        with pytest.raises(SummaryStoreError):
-            backend.apply_entry("summaries", key, "not a mapping")
-        assert not backend.has_summary(key)
 
     def test_solution_cache_shares_backend(self, backend):
         cache = backend.solution_cache(memory_size=4)
@@ -182,11 +144,21 @@ class TestDiskSpecific:
         assert fresh.counters()["corrupt_entries"] >= 1
 
     def test_disk_backend_is_summary_store(self, tmp_path):
-        """``open_store``'s single-node backend *is* the disk store, and a
-        directory written by one opens unchanged under the other."""
+        """``open_store`` returns the disk store, and a directory written by
+        one opens unchanged under the other."""
         old = SummaryStore(tmp_path / "store")
         key = fp("compat")
         old.put_summary(key, make_summary())
         reopened = open_store(tmp_path / "store")
         assert type(reopened) is SummaryStore
         assert isinstance(reopened.get_summary(key), DatabaseSummary)
+
+    def test_open_store_takes_the_config_caps(self, tmp_path):
+        config = RegenConfig(max_store_bytes=4096, max_entries=3,
+                             ttl_seconds=60.0)
+        store = open_store(tmp_path / "store", config=config)
+        assert (store.max_store_bytes, store.max_entries,
+                store.ttl_seconds) == (4096, 3, 60.0)
+        bare = open_store(tmp_path / "bare")
+        assert (bare.max_store_bytes, bare.max_entries,
+                bare.ttl_seconds) == (None, None, None)

@@ -79,11 +79,68 @@ class TestAlignAndMerge:
                                          aligned_attributes=["A"])
         assert merged.total() == 100
 
+    def test_one_sided_cell_rows_span_every_attribute(self):
+        """An aligned cell present on one side only still yields rows over
+        every attribute, so a later merge can align on the other side's
+        attributes."""
+        ab = SubViewSolution(attributes=("A", "B"), rows=[
+            _row({"A": (0, 10), "B": (0, 5)}, 50),
+            _row({"A": (10, 20), "B": (5, 9)}, 10),  # cell A=10: AB only
+        ])
+        ac = SubViewSolution(attributes=("A", "C"), rows=[
+            _row({"A": (0, 10), "C": (0, 4)}, 25),
+            _row({"A": (0, 10), "C": (4, 8)}, 25),
+        ])
+        cd = SubViewSolution(attributes=("C", "D"), rows=[
+            _row({"C": (0, 4), "D": (0, 3)}, 25),
+            _row({"C": (4, 8), "D": (3, 6)}, 35),
+        ])
+        merged = merge_subview_solutions("R", [ab, ac, cd], order=[0, 1, 2],
+                                         aligned_attributes=["A", "C"])
+        assert merged.total() == 60
+        for row in merged.rows:
+            assert set(row.intervals) == {"A", "B", "C", "D"}
+        one_sided = [row for row in merged.rows if row.intervals["A"].lo == 10]
+        assert sum(row.count for row in one_sided) == 10
+        # the row keeps its own intervals and borrows C from the nearest
+        # row of the other side (the last one of cell A=0)
+        assert all(row.intervals["B"] == Interval(5, 9) for row in one_sided)
+        assert all(row.intervals["C"] == Interval(4, 8) for row in one_sided)
+
     def test_single_subview(self):
         only = SubViewSolution(attributes=("A",), rows=[_row({"A": (3, 10)}, 7)])
         merged = merge_subview_solutions("R", [only], order=[0])
         assert merged.total() == 7
         assert merged.rows[0].intervals["A"].lo == 3
+
+
+class TestDataSeeds:
+    def test_wlc_data_seed_2_builds_at_bench_scale(self, monkeypatch):
+        """Data seed 2 gives WLc an aligned cell that only one sub-view
+        fills; the build must still merge every view over all of its
+        attributes.  Smaller scales never hit that cell."""
+        import repro.hydra.pipeline as pipeline
+        from repro.benchdata import complex_workload, generate_database, tpcds_schema
+        from repro.hydra import Hydra, extract_constraints
+
+        merged = []
+
+        def recording(*args, **kwargs):
+            view = merge_subview_solutions(*args, **kwargs)
+            merged.append(view)
+            return view
+
+        monkeypatch.setattr(pipeline, "merge_subview_solutions", recording)
+        schema = tpcds_schema(scale_factor=0.0002, dimension_scale=0.01)
+        database = generate_database(schema, seed=2)
+        constraints = extract_constraints(
+            database, complex_workload(schema, 131), name="wlc").constraints
+        result = Hydra(schema).build_summary(constraints)
+        assert result.summary.relations
+        assert merged
+        for view in merged:
+            for row in view.rows:
+                assert set(row.intervals) == set(view.attributes), view.relation
 
 
 class TestViewSummary:

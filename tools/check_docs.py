@@ -1,6 +1,6 @@
 """Documentation drift checks (run by the CI ``docs`` job and tier-1 tests).
 
-Two guarantees, failing the build on drift:
+Three guarantees, failing the build on drift:
 
 1. **Module docstrings** — every Python module under ``src/repro/`` carries
    a module docstring (packages included), so the package contracts
@@ -10,6 +10,9 @@ Two guarantees, failing the build on drift:
    prompts are executed through :mod:`doctest` (the same machinery as
    ``python -m doctest``) with ``src/`` importable, so documented examples
    and their printed outputs cannot rot.
+3. **Relative links** — every relative Markdown link in ``README.md`` and
+   ``docs/*.md`` names a file that exists, so removing a page cannot leave
+   a dead link behind.
 
 Usage::
 
@@ -23,10 +26,12 @@ import doctest
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import Iterable, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FENCE = re.compile(r"```python[ \t]*\n(.*?)```", re.DOTALL)
+#: The target of an inline Markdown link: ``[text](target)``.
+LINK = re.compile(r"\]\(([^)\s]+)\)")
 
 
 def doc_files() -> List[Path]:
@@ -71,14 +76,27 @@ def check_fenced_snippets() -> List[str]:
     return errors
 
 
+def check_links(paths: Optional[Iterable[Path]] = None) -> List[str]:
+    """Return one error per relative link whose target file is missing."""
+    errors = []
+    for path in doc_files() if paths is None else paths:
+        for target in LINK.findall(path.read_text(encoding="utf-8")):
+            if re.match(r"[a-z]+:", target) or target.startswith("#"):
+                continue  # a URL or an in-page anchor
+            if not (path.parent / target.split("#", 1)[0]).exists():
+                errors.append(f"{path.name}: dead link to {target}")
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))  # make `repro` doctest-importable
-    errors = check_module_docstrings() + check_fenced_snippets()
+    errors = (check_module_docstrings() + check_fenced_snippets()
+              + check_links())
     for error in errors:
         print(f"docs check: {error}", file=sys.stderr)
     if not errors:
-        print(f"docs check: {len(doc_files())} doc files and all"
-              " src/repro module docstrings clean")
+        print(f"docs check: {len(doc_files())} doc files, their links and"
+              " all src/repro module docstrings clean")
     return 1 if errors else 0
 
 
