@@ -116,6 +116,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         print(f"fingerprint={ticket.fingerprint}")
         print(f"warm={ticket.warm} relations={len(summary.relations)}"
               f" total_rows={summary.total_rows()} summary_bytes={summary.nbytes()}")
+        print(f"content_digest={summary.content_digest()}")
         _print_stats(service)
         _print_tenants(service)
     return 0

@@ -21,6 +21,7 @@ from repro.lp.solver import (
     DEFAULT_WORKERS,
     LPSolver,
     ParallelLPSolver,
+    SolverBatch,
     SolverStats,
 )
 
@@ -32,6 +33,7 @@ __all__ = [
     "ViewLP",
     "LPSolver",
     "ParallelLPSolver",
+    "SolverBatch",
     "SolverStats",
     "Decomposition",
     "LPComponent",

@@ -20,10 +20,10 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import optimize, sparse
@@ -245,7 +245,7 @@ class SolverStats:
             "repro_lp_cache_misses_total", "Component-solution cache misses")
         self._solve_seconds = self.registry.histogram(
             "repro_lp_solve_seconds",
-            "Wall-clock latency of ParallelLPSolver.solve_many calls")
+            "Caller wall-clock of ParallelLPSolver batches (submits + results)")
         self._phases = self.registry.histogram(
             "repro_timing_seconds", "Per-phase wall-clock of the LP solver",
             labelnames=("phase",))
@@ -267,7 +267,7 @@ class SolverStats:
         return int(self._misses.value())
 
     def observe_solve(self, seconds: float) -> None:
-        """Record one ``solve_many`` wall-clock latency."""
+        """Record one batch's caller wall-clock (its submits and results)."""
         self._solve_seconds.observe(seconds)
         self._phases.labels(phase="wall").observe(seconds)
 
@@ -362,8 +362,8 @@ class ParallelLPSolver:
 
     Every model is first split into independent connected components of its
     constraint graph (:mod:`repro.lp.decompose`).  Components are solved with
-    the plain :class:`LPSolver` — concurrently on a worker pool when more
-    than one needs solving — and stitched back together.  Solved components
+    the plain :class:`LPSolver` — concurrently on a worker pool when
+    ``workers > 1`` — and stitched back together.  Solved components
     are kept in an LRU cache keyed by the canonical hash of their ``(A, b)``
     system, so repeated regeneration requests (the dynamic-serving scenario
     of Section 6) skip redundant solves entirely.
@@ -445,29 +445,24 @@ class ParallelLPSolver:
         LPs of two similar workloads are each solved once.  Returns one
         solution per input model, in order.
         """
-        started = time.perf_counter()
-        with trace_span("lp.solve_many", models=len(models)) as solve_span:
-            with trace_span("lp.decompose"), self.stats.phase("decompose"):
-                decompositions = [decompose_model(model) for model in models]
+        with self.batch() as batch:
+            for model in models:
+                batch.submit(model)
+            return batch.results()
 
-            resolved = self._resolve_components(decompositions)
+    @contextmanager
+    def batch(self) -> Iterator["SolverBatch"]:
+        """Open a :class:`SolverBatch`: models submitted to it start solving
+        at once, while the caller goes on (e.g. formulating the next LP).
 
-            solutions: List[LPSolution] = []
-            with trace_span("lp.stitch"), self.stats.phase("stitch"):
-                for model, decomposition in zip(models, decompositions):
-                    parts = [resolved[c.key] for c in decomposition.components]
-                    stitched = stitch_solutions(decomposition, parts)
-                    if self.strict and stitched.max_violation > STRICT_VIOLATION_TOLERANCE:
-                        raise InfeasibleLPError(
-                            f"LP {model.name!r} is infeasible: residual violation"
-                            f" {stitched.max_violation:g} after decomposed solve"
-                        )
-                    solutions.append(stitched)
-            self.stats._models.inc(len(models))
-            self.stats.observe_solve(time.perf_counter() - started)
-            solve_span.set_attribute(
-                "components", sum(len(d.components) for d in decompositions))
-        return solutions
+        The batch's worker pool is shut down when the block exits; components
+        still queued are cancelled if it exits early.
+        """
+        batch = SolverBatch(self)
+        try:
+            yield batch
+        finally:
+            batch.close()
 
     @property
     def cache_info(self) -> Dict[str, int]:
@@ -490,72 +485,13 @@ class ParallelLPSolver:
         if self._cache is not None:
             self._cache.clear()
 
-    # ------------------------------------------------------------------ #
-    # component scheduling
-    # ------------------------------------------------------------------ #
-    def _resolve_components(
-            self, decompositions: Sequence[Decomposition]) -> Dict[str, LPSolution]:
-        """Return a solution per unique component key across the batch:
-        cached where possible, freshly solved (and cached) otherwise."""
-        pending: "OrderedDict[str, LPComponent]" = OrderedDict()
-        resolved: Dict[str, LPSolution] = {}
-        for decomposition in decompositions:
-            for component in decomposition.components:
-                key = self._cache_key(component)
-                if key in resolved or key in pending:
-                    continue
-                cached = self._cache_get(key)
-                if cached is not None:
-                    # A cache hit costs no solve time; report it as free so
-                    # aggregated LP-time metrics reflect actual computation.
-                    resolved[key] = replace(cached, solve_seconds=0.0)
-                else:
-                    pending[key] = component
-
-        if not pending:
-            return self._by_component_key(decompositions, resolved)
-        items = list(pending.items())
-        components = [component for _, component in items]
-        with trace_span("lp.solve_components", pending=len(components)), \
-                self.stats.phase("solve"):
-            if self.workers > 1 and len(components) > 1:
-                results = self._solve_pool(components)
-            else:
-                results = [self._solve_one(c.model) for c in components]
-        for (key, _component), solution in zip(items, results):
-            resolved[key] = solution
-            self._cache_put(key, solution)
-        self.stats._components.inc(len(components))
-        logger.debug("solved %d pending components (%d resolved from cache)",
-                     len(components), len(resolved) - len(components))
-        return self._by_component_key(decompositions, resolved)
-
     def _cache_key(self, component: LPComponent) -> str:
         """Content key of a component, namespaced by the solver config."""
         return f"{component.key}-{self._cache_namespace}"
 
-    def _by_component_key(self, decompositions: Sequence[Decomposition],
-                          resolved: Dict[str, LPSolution]) -> Dict[str, LPSolution]:
-        """Re-key resolved solutions by the raw component hash (the key the
-        stitching loop looks components up under)."""
-        return {
-            component.key: resolved[self._cache_key(component)]
-            for decomposition in decompositions
-            for component in decomposition.components
-        }
-
-    def _solve_pool(self, components: Sequence[LPComponent]) -> List[LPSolution]:
-        jobs = [(c.model, self.prefer_integer, self.milp_variable_limit,
-                 self.time_limit) for c in components]
-        max_workers = min(self.workers, len(components))
-        pool_cls = ProcessPoolExecutor if self.use_processes else ThreadPoolExecutor
-        with pool_cls(max_workers=max_workers) as pool:
-            return list(pool.map(_solve_component, jobs))
-
-    def _solve_one(self, model: LPModel) -> LPSolution:
-        return _solve_component(
-            (model, self.prefer_integer, self.milp_variable_limit, self.time_limit)
-        )
+    def _job(self, component: LPComponent) -> Tuple[LPModel, bool, int, Optional[float]]:
+        return (component.model, self.prefer_integer, self.milp_variable_limit,
+                self.time_limit)
 
     # ------------------------------------------------------------------ #
     # cache plumbing (delegates to the pluggable backend)
@@ -571,3 +507,116 @@ class ParallelLPSolver:
     def _cache_put(self, key: str, solution: LPSolution) -> None:
         if self._cache is not None:
             self._cache.put(key, solution)
+
+
+class SolverBatch:
+    """Models solved together on one :class:`ParallelLPSolver`.
+
+    Opened by :meth:`ParallelLPSolver.batch`.  :meth:`submit` decomposes a
+    model, answers its components from the cache and hands the rest to a
+    worker pool that lives as long as the batch, so solves run while the
+    caller prepares the next model.  :meth:`results` waits for them and
+    stitches one solution per submitted model.  With ``workers == 1`` the
+    pending components are solved inline inside :meth:`results`.
+    """
+
+    def __init__(self, solver: ParallelLPSolver) -> None:
+        self._solver = solver
+        self._models: List[LPModel] = []
+        self._decompositions: List[Decomposition] = []
+        #: Cache key -> solution of every component resolved so far.
+        self._resolved: Dict[str, LPSolution] = {}
+        #: Cache key -> in-flight solve (a future, or the component itself
+        #: when it is solved inline), in submission order.
+        self._pending: Dict[str, Union[Future, LPComponent]] = {}
+        self._pool: Optional[Executor] = None
+        #: Caller time spent in submit() calls (the solver's own share of a
+        #: pipelined build; results() adds the wait and the stitch).
+        self._submit_seconds = 0.0
+
+    def submit(self, model: LPModel) -> Decomposition:
+        """Decompose ``model`` and start solving its uncached components.
+
+        Components already resolved or pending in this batch are not solved
+        again.  Returns the model's decomposition.
+        """
+        started = time.perf_counter()
+        solver = self._solver
+        with trace_span("lp.decompose", model=model.name) as submit_span:
+            with solver.stats.phase("decompose"):
+                decomposition = decompose_model(model)
+            dispatched = 0
+            for component in decomposition.components:
+                key = solver._cache_key(component)
+                if key in self._resolved or key in self._pending:
+                    continue
+                cached = solver._cache_get(key)
+                if cached is not None:
+                    # A cache hit costs no solve time; report it as free so
+                    # aggregated LP-time metrics reflect actual computation.
+                    self._resolved[key] = replace(cached, solve_seconds=0.0)
+                else:
+                    self._pending[key] = self._dispatch(component)
+                    dispatched += 1
+            submit_span.set_attribute("components", len(decomposition.components))
+            submit_span.set_attribute("pending", dispatched)
+        self._models.append(model)
+        self._decompositions.append(decomposition)
+        self._submit_seconds += time.perf_counter() - started
+        return decomposition
+
+    def results(self) -> List[LPSolution]:
+        """Wait for every pending solve and return one stitched solution per
+        submitted model, in submission order.
+
+        Raises :class:`~repro.errors.InfeasibleLPError` when the solver is
+        ``strict`` and a stitched solution violates its constraints.
+        """
+        started = time.perf_counter()
+        solver = self._solver
+        with trace_span("lp.solve_many", models=len(self._models)) as solve_span:
+            with solver.stats.phase("solve"):
+                for key, pending in self._pending.items():
+                    if isinstance(pending, Future):
+                        solution = pending.result()
+                    else:
+                        solution = _solve_component(solver._job(pending))
+                    self._resolved[key] = solution
+                    solver._cache_put(key, solution)
+            solver.stats._components.inc(len(self._pending))
+            logger.debug("solved %d pending components (%d resolved from cache)",
+                         len(self._pending), len(self._resolved) - len(self._pending))
+
+            solutions: List[LPSolution] = []
+            with trace_span("lp.stitch"), solver.stats.phase("stitch"):
+                for model, decomposition in zip(self._models, self._decompositions):
+                    parts = [self._resolved[solver._cache_key(c)]
+                             for c in decomposition.components]
+                    stitched = stitch_solutions(decomposition, parts)
+                    if solver.strict and stitched.max_violation > STRICT_VIOLATION_TOLERANCE:
+                        raise InfeasibleLPError(
+                            f"LP {model.name!r} is infeasible: residual violation"
+                            f" {stitched.max_violation:g} after decomposed solve"
+                        )
+                    solutions.append(stitched)
+            solver.stats._models.inc(len(self._models))
+            solver.stats.observe_solve(
+                self._submit_seconds + time.perf_counter() - started)
+            solve_span.set_attribute(
+                "components", sum(len(d.components) for d in self._decompositions))
+        return solutions
+
+    def close(self) -> None:
+        """Shut the worker pool down, cancelling solves not yet started."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def _dispatch(self, component: LPComponent) -> "Union[Future, LPComponent]":
+        solver = self._solver
+        if solver.workers == 1:
+            return component
+        if self._pool is None:
+            pool_cls = ProcessPoolExecutor if solver.use_processes else ThreadPoolExecutor
+            self._pool = pool_cls(max_workers=solver.workers)
+        return self._pool.submit(_solve_component, solver._job(component))

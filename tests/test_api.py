@@ -465,6 +465,9 @@ class TestUnifiedCLIRoundTrip:
         summarize = self.run_cli("repro", "summarize", *flags)
         assert summarize.returncode == 0, summarize.stderr
         assert "pipeline_runs=1" in summarize.stdout
+        digests = [line.split("=", 1)[1] for line in summarize.stdout.splitlines()
+                   if line.startswith("content_digest=")]
+        assert len(digests) == 1 and len(digests[0]) == 64, summarize.stdout
 
         regen = self.run_cli("repro", "regenerate", *flags,
                              "--relation", "store_sales", "--max-batches", "1")

@@ -3,6 +3,8 @@ and the :class:`~repro.lp.solver.ParallelLPSolver`."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.lp.decompose import (
 )
 from repro.lp.formulate import formulate_view_lp
 from repro.lp.model import LPModel, LPSolution
+from repro.lp import solver as solver_module
 from repro.lp.solver import LPSolver, ParallelLPSolver
 from repro.views.preprocess import Preprocessor
 
@@ -208,6 +211,86 @@ class TestParallelLPSolver:
         solution = ParallelLPSolver().solve(LPModel(name="empty"))
         assert solution.feasible
         assert solution.values.size == 0
+
+
+def one_block_model() -> LPModel:
+    """A model whose only component is the first block of
+    :func:`two_block_model`."""
+    model = LPModel(name="first-block", num_variables=2)
+    model.add_constraint([0, 1], 10)
+    model.add_constraint([1], 4)
+    return model
+
+
+class TestSolverBatch:
+    def test_component_shared_by_two_submits_is_solved_once(self):
+        solver = ParallelLPSolver(workers=2, cache_size=16)
+        with solver.batch() as batch:
+            batch.submit(two_block_model())
+            batch.submit(one_block_model())
+            both, first = batch.results()
+        assert solver.stats.components_solved == 2
+        assert solver.stats.cache_misses == 2
+        assert np.array_equal(both.values[:2], first.values)
+
+    def test_second_batch_is_all_cache_hits(self):
+        solver = ParallelLPSolver(workers=2, cache_size=16)
+        with solver.batch() as batch:
+            batch.submit(two_block_model())
+            cold = batch.results()
+        with solver.batch() as batch:
+            decomposition = batch.submit(two_block_model())
+            warm = batch.results()
+        assert solver.stats.components_solved == 2
+        assert solver.stats.cache_hits == len(decomposition.components) == 2
+        assert np.array_equal(cold[0].values, warm[0].values)
+        assert warm[0].solve_seconds == 0.0
+
+    def test_strict_raises_from_results(self):
+        model = LPModel(name="conflict", num_variables=1)
+        model.add_constraint([0], 10)
+        model.add_constraint([0], 20)
+        with ParallelLPSolver(workers=2, strict=True).batch() as batch:
+            batch.submit(model)
+            with pytest.raises(InfeasibleLPError):
+                batch.results()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_exception_propagates_and_leaves_no_thread(
+            self, workers, monkeypatch):
+        def broken(args):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(solver_module, "_solve_component", broken)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            with ParallelLPSolver(workers=workers).batch() as batch:
+                batch.submit(two_block_model())
+                batch.submit(one_block_model())
+                batch.results()
+        assert set(threading.enumerate()) <= before
+
+    def test_early_exit_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        with pytest.raises(KeyError):
+            with ParallelLPSolver(workers=2).batch() as batch:
+                batch.submit(two_block_model())
+                raise KeyError("caller failed before results()")
+        assert set(threading.enumerate()) <= before
+
+    def test_solve_many_matches_component_wise_solves(self):
+        """solve_many stitches exactly the per-component LPSolver solutions."""
+        models = [two_block_model(), one_block_model(), LPModel(name="empty")]
+        solutions = ParallelLPSolver(workers=2).solve_many(models)
+        assert len(solutions) == len(models)
+        for model, solution in zip(models, solutions):
+            decomposition = decompose_model(model)
+            expected = stitch_solutions(decomposition, [
+                LPSolver().solve(c.model) for c in decomposition.components])
+            assert np.array_equal(solution.values, expected.values)
+            assert solution.method == expected.method
+            assert solution.max_violation == expected.max_violation
+        assert solutions[0].values.tolist()[:2] == [6, 4]
 
 
 class TestTierOneWorkloads:

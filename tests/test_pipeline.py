@@ -70,6 +70,16 @@ class TestHydraEndToEnd:
         assert result.lp_seconds() >= 0.0
         assert result.summary.timings["total_seconds"] > 0.0
 
+    def test_lp_seconds_fit_inside_the_build(self, small_tpcds_schema,
+                                             small_tpcds_constraints):
+        """Solves overlap formulation, so the LP time is formulation plus
+        the wait after the last submit — never more than the build."""
+        result = Hydra(small_tpcds_schema).build_summary(small_tpcds_constraints)
+        timings = result.summary.timings
+        assert 0.0 < timings["lp_seconds"] <= timings["total_seconds"]
+        assert result.lp_seconds() == pytest.approx(timings["lp_seconds"])
+        assert timings["lp_wall_seconds"] == result.lp_wall_seconds
+
     def test_grid_strategy_ablation(self, toy_package):
         """Running the Hydra pipeline with grid partitioning still satisfies
         the constraints on this small example (it is just far bigger)."""
