@@ -90,8 +90,7 @@ def main() -> None:
           f"({summary.nbytes()} bytes, fingerprint {handle.fingerprint[:12]}…)")
 
     # Regenerate lazily and verify through the pipelined executor.
-    database = session.regenerate(handle)
-    report = session.verify(database)
+    report = session.verify(handle)
     print("\nVolumetric similarity on the regenerated database:")
     for res in report.results:
         print(f"  expected {res.expected:>8d}   regenerated {res.actual:>8d}   "
@@ -100,8 +99,10 @@ def main() -> None:
 
     # The summary is scale-free: the same handle regenerates any volume.
     big = session.regenerate(handle, scale=10.0)
-    print(f"\nAt scale 10x: {sum(big.row_counts().values())} tuples from the"
+    print(f"\nAt scale 10x: {big.total_rows()} tuples from the"
           f" same {summary.nbytes()}-byte summary (nothing materialised)")
+    scaled = session.verify(handle, scale=10.0)
+    print(f"max relative error at 10x: {scaled.max_error():.3%}")
 
 
 if __name__ == "__main__":

@@ -17,15 +17,15 @@ Typical use (the :mod:`repro.api` session facade)::
     session = Session(schema, config=RegenConfig(workers=4))
     constraints = session.extract(client_db, workload)
     handle = session.summarize(constraints)
-    database = session.regenerate(handle)          # lazy, streamable
-    report = session.verify(database)
+    database = session.regenerate(handle)          # lazy engine Database
+    report = session.verify(handle)
 
 The per-layer symbols (``Hydra``, ``DataSynth``, ``RegenerationService``,
 solvers, partitioners...) remain importable for experiments and extensions;
 ``docs/API.md`` maps the old entry points onto the session facade.
 """
 
-from repro.api import DatabaseHandle, RegenConfig, Session, SummaryHandle
+from repro.api import RegenConfig, Session, SummaryHandle
 from repro.benchdata import (
     complex_workload,
     generate_database,
@@ -74,7 +74,6 @@ __all__ = [
     "Session",
     "RegenConfig",
     "SummaryHandle",
-    "DatabaseHandle",
     # schema
     "Schema",
     "Relation",

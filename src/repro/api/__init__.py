@@ -9,20 +9,19 @@
   (``extract`` → ``summarize`` → ``regenerate`` → ``verify``), a thin
   client of the one :class:`~repro.service.RegenerationService` it owns
   (``session.service``, also returned by ``serve()``);
-* :class:`SummaryHandle` / :class:`DatabaseHandle` — the values flowing
-  between the verbs (summary + fingerprint + provenance; lazy database +
-  execute/stream/row_counts).
+* :class:`SummaryHandle` — the value flowing between the verbs (summary +
+  fingerprint + provenance); ``regenerate`` returns the service's lazy
+  engine :class:`~repro.engine.Database`.
 
 Older entry points (``Hydra(schema).build_summary``, ``DataSynth.generate``)
 keep working; see ``docs/API.md`` for the migration mapping.
 """
 
 from repro.api.config import RegenConfig
-from repro.api.session import DatabaseHandle, Session, SummaryHandle
+from repro.api.session import Session, SummaryHandle
 
 __all__ = [
     "Session",
     "RegenConfig",
     "SummaryHandle",
-    "DatabaseHandle",
 ]

@@ -9,21 +9,21 @@ four verbs over one schema, one :class:`~repro.api.RegenConfig` and one
     session = Session(schema, config=RegenConfig(workers=4))
     constraints = session.extract(client_db, workload)
     handle = session.summarize(constraints)            # SummaryHandle
-    database = session.regenerate(handle, scale=10.0)  # DatabaseHandle (lazy)
-    report = session.verify(database)                  # SimilarityReport
+    database = session.regenerate(handle, scale=10.0)  # Database (lazy)
+    report = session.verify(handle, scale=10.0)        # SimilarityReport
 
 ``session.service`` (also returned by ``session.serve()``) is the one
 copy of the vendor pipeline: summarize runs through its worker pool and
-store, and epochs (``resummarize``/``diff``/``lineage``) and fingerprints
-are its methods.
+store, regenerate and verify are its ``database`` and ``verify`` reads,
+and epochs (``resummarize``/``diff``/``lineage``) and fingerprints are its
+methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Union)
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # service imports stay lazy to keep import order flexible
     from repro.service.service import RegenerationService
@@ -32,18 +32,10 @@ if TYPE_CHECKING:  # service imports stay lazy to keep import order flexible
 from repro.api.config import RegenConfig
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
-from repro.engine.executor import Executor
-from repro.engine.plan import AnnotatedQueryPlan
-from repro.engine.table import Table
 from repro.errors import ServiceError
-from repro.metrics.similarity import (
-    SimilarityReport,
-    evaluate_on_summary,
-    evaluate_with_executor,
-)
+from repro.metrics.similarity import SimilarityReport
 from repro.schema.schema import Schema
 from repro.summary.relation_summary import DatabaseSummary
-from repro.tuplegen.generator import TupleGenerator, dynamic_database
 from repro.workload.query import Workload
 
 
@@ -71,54 +63,6 @@ class SummaryHandle:
     def nbytes(self) -> int:
         """Approximate summary size in bytes."""
         return self.summary.nbytes()
-
-
-class DatabaseHandle:
-    """A lazily regenerated database, ready to execute and stream.
-
-    Wraps a stream-attached :class:`~repro.engine.Database`: nothing is
-    generated until first scan, and :meth:`execute` runs the configured
-    (pipelined by default) executor so relations are never materialised
-    however large the regenerated scale is.
-    """
-
-    def __init__(self, handle: SummaryHandle, database: Database,
-                 summary: DatabaseSummary, config: RegenConfig,
-                 batch_size: int, scale: float) -> None:
-        self.handle = handle
-        self.database = database
-        #: The (possibly scaled) summary this database regenerates from.
-        self.summary = summary
-        self.config = config
-        self.batch_size = batch_size
-        #: Scale factor relative to the handle's summary (1.0 = as built).
-        self.scale = scale
-        #: Executor statistics of the most recent :meth:`execute` call.
-        self.executor_stats = None
-
-    def execute(self, workload: Workload,
-                mode: Optional[str] = None) -> List[AnnotatedQueryPlan]:
-        """Execute an AQP workload over the regenerated database."""
-        executor = Executor(self.database, mode=mode or self.config.executor_mode)
-        plans = executor.execute_workload(workload)
-        self.executor_stats = executor.stats
-        return plans
-
-    def stream(self, relation: str, batch_size: Optional[int] = None,
-               start_row: int = 1, stop_row: Optional[int] = None,
-               ) -> Iterator[Table]:
-        """Stream one relation in columnar batches (independent cursor)."""
-        generator = TupleGenerator(self.summary.relation(relation))
-        return generator.stream_range(start_row, stop_row,
-                                      batch_size=batch_size or self.batch_size)
-
-    def row_counts(self) -> Dict[str, int]:
-        """Rows per relation — computed from the summary, nothing generated."""
-        return self.database.row_counts()
-
-    def materialize(self, relation: str) -> Table:
-        """Materialise one relation as a columnar table (costs O(rows))."""
-        return TupleGenerator(self.summary.relation(relation)).materialize()
 
 
 class Session:
@@ -169,15 +113,16 @@ class Session:
                                       executor_mode=self.config.executor_mode)
         return package.constraints
 
-    def summarize(self, constraints: ConstraintSet,
-                  relations: Optional[Sequence[str]] = None) -> SummaryHandle:
+    def summarize(self, constraints: ConstraintSet) -> SummaryHandle:
         """Vendor side: build (or fetch warm) the database summary.
 
         The request is submitted to :attr:`service`, so a cold build runs on
         its worker pool under its admission caps and a repeated request is
-        served warm from its store.
+        served warm from its store.  The handle's ``fingerprint`` is the
+        fingerprint of its ``constraints``, so :meth:`verify` can resolve
+        either one to the same stored summary.
         """
-        ticket = self.service.submit(constraints, relations)
+        ticket = self.service.submit(constraints)
         return SummaryHandle(
             summary=ticket.result(),
             fingerprint=ticket.fingerprint,
@@ -198,65 +143,32 @@ class Session:
                              config=self.config, schema=self.schema,
                              from_store=True)
 
-    def regenerate(self, handle: Union[SummaryHandle, DatabaseSummary],
-                   scale: Optional[float] = None,
-                   batch_size: Optional[int] = None) -> DatabaseHandle:
-        """Regenerate a lazy database from a summary handle.
+    def regenerate(self, handle: SummaryHandle, scale: float = 1.0,
+                   batch_size: Optional[int] = None) -> Database:
+        """The handle's database, regenerated lazily by :attr:`service`.
 
-        ``scale`` multiplies the regenerated volume (summary-row counts are
-        scaled and foreign keys remapped — see
-        :func:`repro.codd.scaling.scale_summary`); the returned database is
-        stream-attached, so nothing is generated until first scan.
+        ``scale`` multiplies the regenerated volume; nothing is generated
+        until first scan (see
+        :meth:`~repro.service.RegenerationService.database`).
         """
-        if isinstance(handle, DatabaseSummary):
-            handle = SummaryHandle(summary=handle, fingerprint="",
-                                   config=self.config, schema=self.schema)
-        summary = handle.summary
-        if scale is not None and scale != 1.0:
-            from repro.codd.scaling import scale_summary
+        return self.service.database(handle.fingerprint, batch_size,
+                                     scale=scale)
 
-            summary = scale_summary(summary, self.schema, scale)
-        batch = batch_size or self.config.batch_size
-        database = dynamic_database(
-            summary, self.schema, batch_size=batch,
-            name=f"regen-{handle.fingerprint[:12] or 'summary'}",
-        )
-        return DatabaseHandle(handle, database, summary, self.config,
-                              batch_size=batch, scale=scale or 1.0)
-
-    def verify(self, handle: Union[SummaryHandle, DatabaseHandle],
+    def verify(self, handle: SummaryHandle,
                constraints: Optional[ConstraintSet] = None,
-               mode: Optional[str] = None) -> SimilarityReport:
-        """Volumetric-similarity check of a summary or regenerated database.
+               scale: float = 1.0) -> SimilarityReport:
+        """Volumetric-similarity check of the handle's regenerated database.
 
-        A :class:`SummaryHandle` is evaluated analytically (scale-free); a
-        :class:`DatabaseHandle` is evaluated through the engine, streaming
-        run batches by default (one run per summary row, so the cost does
-        not grow with the regeneration scale).  ``constraints`` defaults to
-        the ones the handle was summarized from — scaled by the database's
-        regeneration factor (the Section 7.4 arithmetic), so a 10x
-        regeneration verifies against 10x the cardinalities.  Explicit
-        ``constraints`` are evaluated as given.
+        ``constraints`` defaults to the ones the handle was summarized from,
+        scaled by ``scale``; explicit ``constraints`` are evaluated as given
+        (see :meth:`~repro.service.RegenerationService.verify`).  A handle
+        loaded from the store carries no constraints, so it needs explicit
+        ones.  :func:`~repro.metrics.similarity.evaluate_on_summary` is the
+        analytic (engine-free) check of a summary.
         """
-        if constraints is None:
-            source = handle.handle if isinstance(handle, DatabaseHandle) else handle
-            constraints = source.constraints
-            if constraints is None:
-                raise ServiceError(
-                    "verify needs an explicit constraint set: this handle was"
-                    " not built from one (e.g. loaded from the store)"
-                )
-            if isinstance(handle, DatabaseHandle) and handle.scale != 1.0:
-                from repro.codd.scaling import scale_constraints
-
-                constraints = scale_constraints(constraints, handle.scale)
-        if isinstance(handle, DatabaseHandle):
-            executor = Executor(handle.database,
-                                mode=mode or self.config.executor_mode)
-            report = evaluate_with_executor(constraints, executor)
-            handle.executor_stats = executor.stats
-            return report
-        return evaluate_on_summary(constraints, handle.summary, self.schema)
+        request = handle.fingerprint if handle.constraints is None \
+            else handle.constraints
+        return self.service.verify(request, constraints, scale=scale)
 
     def serve(self) -> "RegenerationService":
         """The session's concurrent serving front-end: :attr:`service` itself.

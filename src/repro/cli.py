@@ -47,7 +47,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.api.config import DEFAULT_BATCH_SIZE, RegenConfig
 from repro.api.session import Session
 from repro.constraints.workload import ConstraintSet
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.schema.schema import Schema
 
 #: ``serve --require-warm`` exit code when the store could not serve the
@@ -169,11 +169,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.benchdata.tpcds import tpcds_schema
 
     service = _session(args, tpcds_schema(scale_factor=args.scale)).service
-    try:
-        report = service.diff(args.fingerprint_a, args.fingerprint_b)
-    except ServiceError as error:
-        print(f"diff: {error}", file=sys.stderr)
-        return 2
+    report = service.diff(args.fingerprint_a, args.fingerprint_b)
     reuse_ratio = len(report.reused) / report.total if report.total else 1.0
     print(f"epoch_a={args.fingerprint_a}")
     print(f"epoch_b={args.fingerprint_b}")
@@ -204,16 +200,17 @@ def _cmd_regenerate(args: argparse.Namespace) -> int:
         schema, constraints, _, _ = _benchmark_environment(args)
         session = _session(args, schema)
         handle = session.summarize(constraints)
-    database = session.regenerate(handle, scale=args.scale_factor,
-                                  batch_size=args.batch_size)
+    service, scale = session.service, args.scale_factor
+    counts = service.database(handle.fingerprint, scale=scale).row_counts()
     print(f"fingerprint={handle.fingerprint}"
-          f" warm={handle.from_store} scale_factor={database.scale}")
-    for relation, rows in sorted(database.row_counts().items()):
+          f" warm={handle.from_store} scale_factor={scale}")
+    for relation, rows in sorted(counts.items()):
         print(f"  relation={relation} rows={rows}")
     if args.relation is not None:
         rows = 0
         batches = 0
-        for batch in database.stream(args.relation, batch_size=args.batch_size):
+        for batch in service.stream(handle.fingerprint, args.relation,
+                                    batch_size=args.batch_size, scale=scale):
             rows += batch.num_rows
             batches += 1
             if args.max_batches is not None and batches >= args.max_batches:
@@ -226,8 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     schema, constraints, _, _ = _benchmark_environment(args)
     session = _session(args, schema)
     handle = session.summarize(constraints)
-    database = session.regenerate(handle, scale=args.scale_factor)
-    report = session.verify(database)
+    report = session.service.verify(constraints, scale=args.scale_factor)
     print(f"fingerprint={handle.fingerprint} warm={handle.from_store}")
     print(f"verified constraints={len(report.results)}"
           f" max_error={report.max_error():.6f}"
@@ -555,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     regenerate.add_argument("--fingerprint", default=None,
                             help="load this stored fingerprint instead of"
                                  " building the benchmark summary")
-    regenerate.add_argument("--scale-factor", type=float, default=None,
+    regenerate.add_argument("--scale-factor", type=float, default=1.0,
                             help="regenerate at this multiple of the"
                                  " summarized volume")
     regenerate.add_argument("--relation", default=None,
@@ -568,7 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="extract, summarize, regenerate and verify end to end")
     verify.add_argument("--store", default=None, help="store directory")
     add_env(verify)
-    verify.add_argument("--scale-factor", type=float, default=None)
+    verify.add_argument("--scale-factor", type=float, default=1.0,
+                        help="verify a regeneration at this multiple of the"
+                             " summarized volume")
     verify.set_defaults(func=_cmd_verify)
 
     serve = sub.add_parser(
@@ -658,7 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

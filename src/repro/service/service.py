@@ -10,8 +10,8 @@ into a request/serve loop:
   to the running build instead of triggering a second pipeline run;
 * warm requests (fingerprint already in the store) never touch the LP
   solver: the summary is read from the store's memory/disk layers;
-* cold builds go through a **weighted-fair admission queue**: FIFO within a
-  tenant, weighted round-robin across tenants for dispatch, per-tenant
+* cold builds go through a **fair admission queue**: FIFO within a
+  tenant, round-robin across tenants for dispatch, per-tenant
   ``max_pending_per_tenant`` caps so one tenant's cold burst can never
   starve the others (warm requests and in-flight dedup are always
   admitted);
@@ -20,8 +20,14 @@ into a request/serve loop:
   an independent cursor, optionally over disjoint row shards.  The backing
   store entry is pinned from the moment the cursor is handed out, so GC
   never evicts it under a live stream;
-* an optional background GC thread (``gc_interval``) periodically
-  :meth:`~repro.service.store.SummaryStore.compact`-s the store;
+* ``database(...)``, ``verify(...)`` and ``execute_workload(...)`` run the
+  engine over the regenerated database — the one regenerate-and-verify
+  path.  Every read takes a ``scale``: a scaled regeneration is a view of
+  the stored summary, never stored itself;
+* one optional background thread periodically
+  :meth:`~repro.service.store.SummaryStore.compact`-s the store
+  (``gc_interval``) and reaps idle stream cursors
+  (``cursor_idle_timeout``);
 * ``stats()`` / ``service_stats()`` expose the serving counters (hits,
   misses, inflight dedups, pipeline runs and failures, queue depth,
   per-tenant admits/rejects, store evictions/expirations) the fleet
@@ -30,6 +36,7 @@ into a request/serve loop:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import weakref
@@ -51,6 +58,7 @@ from typing import (
 )
 
 from repro.api.config import RegenConfig
+from repro.codd.scaling import scale_summary
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
 from repro.engine.executor import Executor
@@ -72,7 +80,7 @@ from repro.schema.schema import Schema
 from repro.service.fingerprint import ManifestDiff, manifest_diff
 from repro.service.store import SummaryStore, open_store
 from repro.summary.relation_summary import DatabaseSummary
-from repro.tuplegen.generator import DEFAULT_BATCH_SIZE, TupleGenerator
+from repro.tuplegen.generator import TupleGenerator
 from repro.workload.query import Workload
 
 #: Tenant tag assigned to submissions that do not name one.
@@ -138,7 +146,8 @@ class _PinnedCursor:
     reaper claims an abandoned cursor (:meth:`reap_if_idle`), or when the
     cursor is garbage collected (an abandoned, never-iterated cursor cannot
     leak its pin even with no reaper configured).  Release is thread-safe:
-    the reaper runs on its own thread while a consumer may be mid-iteration.
+    the reaper runs on a background thread while a consumer may be
+    mid-iteration.
     """
 
     def __init__(self, store: SummaryStore, fingerprint: str,
@@ -170,7 +179,7 @@ class _PinnedCursor:
     def reap_if_idle(self, now: float, idle_seconds: float) -> bool:
         """Release the pin if the cursor sat unused for ``idle_seconds``.
 
-        Called by the service's reaper thread.  A reaped cursor keeps any
+        Called by the service's background thread.  A reaped cursor keeps any
         batch the consumer already holds valid (batches are plain tables),
         but its next ``__next__`` raises :class:`ServiceError` — a consumer
         that merely stalled gets a clear error instead of streaming from an
@@ -346,18 +355,15 @@ class RegenerationService:
         demand) and ``cursor_idle_timeout`` (idle bound after which a
         background reaper reclaims an abandoned stream cursor's store pin;
         :meth:`reap_idle_cursors` always works on demand).  Warm requests
-        and in-flight dedup are always admitted.  ``None`` means the
-        defaults.
-    tenant_weights:
-        Optional relative dispatch weights (default 1 per tenant): a tenant
-        with weight 2 gets twice the cold-build slots of a weight-1 tenant
-        under contention.  Dispatch is FIFO within a tenant.
+        and in-flight dedup are always admitted.  ``executor_mode`` and
+        ``batch_size`` are the defaults of the regenerate-and-verify reads.
+        ``None`` means the defaults.  Cold builds dispatch FIFO within a
+        tenant and round-robin across tenants.
     """
 
     def __init__(self, schema: Schema,
                  store: Union[SummaryStore, str, Path, None] = None,
-                 config: Optional[RegenConfig] = None, *,
-                 tenant_weights: Optional[Mapping[str, int]] = None) -> None:
+                 config: Optional[RegenConfig] = None) -> None:
         self.schema = schema
         if config is not None and not isinstance(config, RegenConfig):
             raise ConfigError(
@@ -384,7 +390,6 @@ class RegenerationService:
         # Re-home the solver's stats onto the service registry, so one
         # export (`stats --prometheus`) covers service, store and solver.
         self.pipeline.solver.stats = SolverStats(registry=self.registry)
-        self.tenant_weights: Dict[str, int] = dict(tenant_weights or {})
         self._executor = ThreadPoolExecutor(
             max_workers=config.max_workers, thread_name_prefix="regen"
         )
@@ -392,24 +397,21 @@ class RegenerationService:
         self._idle = threading.Condition(self._lock)
         self._closed = False
         self._flights: Dict[str, _Flight] = {}
-        self._generators: Dict[Tuple[str, str], TupleGenerator] = {}
-        self._encoders: Dict[Tuple[str, str, object], BatchEncoder] = {}
+        # Shared generators keyed by (fingerprint, relation, scale), and
+        # the encoders built from them keyed by the same plus the template.
+        self._generators: Dict[Tuple[str, str, float], TupleGenerator] = {}
+        self._encoders: Dict[Tuple[str, str, float, object], BatchEncoder] = {}
         # Every handed-out stream cursor, weakly held: the reaper can reach
         # abandoned cursors without keeping them alive (a strong reference
         # would defeat the `__del__` GC backstop when no reaper runs).
         self._cursors: "weakref.WeakSet[_PinnedCursor]" = weakref.WeakSet()
-        # Fair admission queue state: FIFO per tenant, dispatched weighted
-        # round-robin whenever a worker slot frees up.
+        # Fair admission queue state: FIFO per tenant, dispatched
+        # round-robin (in the dict's insertion order) whenever a worker slot
+        # frees up.
         self._queues: Dict[str, Deque[_QueuedBuild]] = {}
         self._running_total = 0
         self._running_by_tenant: Dict[str, int] = {}
         self._pending_by_tenant: Dict[str, int] = {}
-        # Weight-normalised service clocks of the current busy period: a
-        # tenant is charged 1/weight per dispatched build, an (re)activating
-        # tenant starts at the least-served active tenant's clock (no
-        # catch-up credit for past idleness), and the clocks reset whenever
-        # the queue fully drains.
-        self._tenant_clock: Dict[str, float] = {}
         # Every legacy ``stats()`` counter is a registry-backed series; the
         # dict maps the legacy flat key to its metric family, so the registry
         # is the single source of truth and the legacy dict shape is derived.
@@ -475,20 +477,17 @@ class RegenerationService:
             "repro_service_tenant_builds_total",
             "Per-tenant build outcomes of the fair-admission queue",
             labelnames=("tenant", "outcome"))
-        self._gc_stop = threading.Event()
+        # One background housekeeping thread runs store GC and cursor
+        # reaping, each on its own period, when either knob is set.
+        self._stopping = threading.Event()
         self._gc_thread: Optional[threading.Thread] = None
-        if config.gc_interval is not None:
+        if config.gc_interval is not None \
+                or config.cursor_idle_timeout is not None:
             self._gc_thread = threading.Thread(
-                target=self._gc_loop, name="regen-gc", daemon=True
+                target=self._housekeeping_loop, name="regen-housekeeping",
+                daemon=True,
             )
             self._gc_thread.start()
-        self._reaper_stop = threading.Event()
-        self._reaper_thread: Optional[threading.Thread] = None
-        if config.cursor_idle_timeout is not None:
-            self._reaper_thread = threading.Thread(
-                target=self._reaper_loop, name="regen-reaper", daemon=True
-            )
-            self._reaper_thread.start()
 
     # ------------------------------------------------------------------ #
     # request front-end
@@ -511,8 +510,8 @@ class RegenerationService:
 
         Warm requests resolve synchronously from the store.  Cold requests
         are admitted into the fair cold-build queue under ``tenant`` and run
-        on the worker pool — FIFO within the tenant, weighted round-robin
-        across tenants; identical requests submitted while one is in flight
+        on the worker pool — FIFO within the tenant, round-robin across
+        tenants; identical requests submitted while one is in flight
         share that single build (single-flight), whatever their tenant.
         Admission is refused with
         :class:`~repro.errors.ServiceOverloadedError` when the global
@@ -593,8 +592,6 @@ class RegenerationService:
                          fingerprint[:12], tenant)
             flight = _Flight(tenant=tenant)
             self._flights[fingerprint] = flight
-            if pending == 0:
-                self._activate_tenant_locked(tenant)
             self._pending_by_tenant[tenant] = pending + 1
             self._queues.setdefault(tenant, deque()).append(
                 _QueuedBuild(fingerprint, workload, relations, flight,
@@ -711,53 +708,19 @@ class RegenerationService:
     # ------------------------------------------------------------------ #
     # fair dispatch
     # ------------------------------------------------------------------ #
-    def _activate_tenant_locked(self, tenant: str) -> None:
-        """Start (or resume) a tenant's service clock for this busy period.
-
-        A tenant going from idle to having queued work starts at the
-        least-served *active* tenant's clock — never below it.  It gets no
-        catch-up credit for time it spent idle, so a newcomer (or a tenant
-        returning after a long absence) cannot monopolise the build slots
-        against tenants that have been paying their way all along.
-        """
-        active = [self._tenant_clock.get(name, 0.0)
-                  for name in (set(self._running_by_tenant)
-                               | {n for n, q in self._queues.items() if q})
-                  if name != tenant]
-        floor = min(active) if active else 0.0
-        self._tenant_clock[tenant] = max(
-            self._tenant_clock.get(tenant, 0.0), floor
-        )
-
-    def _next_tenant_locked(self) -> Optional[str]:
-        """The tenant whose queue head runs next: weighted-fair selection.
-
-        Among tenants with queued work, pick the one with the lowest service
-        clock — each dispatch charges 1/weight, so within a busy period each
-        tenant's share of cold-build slots converges to its weight, and a
-        burst from one tenant cannot push another tenant's queued build back
-        more than its fair share.  Ties break by name for determinism.
-        """
-        eligible = [t for t, queue in self._queues.items() if queue]
-        if not eligible:
-            return None
-        return min(eligible, key=lambda t: (self._tenant_clock.get(t, 0.0), t))
-
     def _dispatch_locked(self) -> None:
         """Hand queued builds to free worker slots (caller holds the lock)."""
-        while self._running_total < self.config.max_workers:
-            tenant = self._next_tenant_locked()
-            if tenant is None:
-                break
-            queue = self._queues[tenant]
+        while self._queues and self._running_total < self.config.max_workers:
+            # Round-robin: the first tenant runs its queue head and, if it
+            # has more queued, goes to the back of the line.
+            tenant = next(iter(self._queues))
+            queue = self._queues.pop(tenant)
             build = queue.popleft()
-            if not queue:
-                del self._queues[tenant]
+            if queue:
+                self._queues[tenant] = queue
             self._running_total += 1
             self._running_by_tenant[tenant] = \
                 self._running_by_tenant.get(tenant, 0) + 1
-            self._tenant_clock[tenant] = self._tenant_clock.get(tenant, 0.0) \
-                + 1.0 / max(1, self.tenant_weights.get(tenant, 1))
             try:
                 self._executor.submit(self._run_build, build)
             except BaseException as error:
@@ -773,10 +736,6 @@ class RegenerationService:
         self._g_queue_depth.set(
             sum(len(queue) for queue in self._queues.values()))
         if self._running_total == 0 and not self._queues:
-            # Busy period over: the service clocks only measure fairness
-            # within one contended stretch, so drop them rather than letting
-            # history accumulate without bound.
-            self._tenant_clock.clear()
             self._idle.notify_all()
 
     def _run_build(self, build: _QueuedBuild) -> None:
@@ -831,10 +790,11 @@ class RegenerationService:
     # streaming
     # ------------------------------------------------------------------ #
     def stream(self, request: Union[ConstraintSet, str], relation: str,
-               batch_size: int = DEFAULT_BATCH_SIZE,
+               batch_size: Optional[int] = None,
                start_row: int = 1, stop_row: Optional[int] = None,
                timeout: Optional[float] = None,
-               tenant: str = DEFAULT_TENANT) -> Iterator[Table]:
+               tenant: str = DEFAULT_TENANT,
+               scale: float = 1.0) -> Iterator[Table]:
         """Stream a relation of a regenerated database in columnar batches.
 
         ``request`` is either a constraint set (resolved — warm or cold — via
@@ -846,43 +806,48 @@ class RegenerationService:
         shard a relation with ``start_row``/``stop_row``.  The cursor holds
         a store pin from the moment it is handed out until it is exhausted
         (or closed/collected): store GC never evicts an entry backing an
-        in-flight stream.
+        in-flight stream.  ``scale`` multiplies the regenerated volume (see
+        :meth:`database`); ``batch_size`` defaults to the config's.
         """
         return self._stream(request, relation, None, batch_size, start_row,
-                            stop_row, timeout, tenant)
+                            stop_row, timeout, tenant, scale)
 
     def stream_encoded(self, request: Union[ConstraintSet, str], relation: str,
                        template: Callable[[TupleGenerator], BatchEncoder],
-                       batch_size: int = DEFAULT_BATCH_SIZE,
+                       batch_size: Optional[int] = None,
                        start_row: int = 1, stop_row: Optional[int] = None,
                        timeout: Optional[float] = None,
-                       tenant: str = DEFAULT_TENANT) -> Iterator[bytes]:
+                       tenant: str = DEFAULT_TENANT,
+                       scale: float = 1.0) -> Iterator[bytes]:
         """:meth:`stream`, with every batch encoded straight from the
         relation summary instead of built as a :class:`Table`.
 
         ``template(generator)`` is called once per ``(fingerprint,
-        relation)`` — its result is cached beside the shared generator — and
-        returns the function encoding the tuples with primary keys
-        ``start..stop`` (:func:`repro.server.wire.ndjson_encoder` is the one
-        the HTTP front-end passes).  The cursor is the same pinned, reaped,
-        counted and traced cursor :meth:`stream` hands out; only what a
-        batch *is* differs.
+        relation, scale)`` — its result is cached beside the shared
+        generator — and returns the function encoding the tuples with
+        primary keys ``start..stop`` (:func:`repro.server.wire.ndjson_encoder`
+        is the one the HTTP front-end passes).  The cursor is the same
+        pinned, reaped, counted and traced cursor :meth:`stream` hands out;
+        only what a batch *is* differs.
         """
         return self._stream(request, relation, template, batch_size,
-                            start_row, stop_row, timeout, tenant)
+                            start_row, stop_row, timeout, tenant, scale)
 
     def _stream(self, request: Union[ConstraintSet, str], relation: str,
                 template: Optional[Callable[[TupleGenerator], BatchEncoder]],
-                batch_size: int, start_row: int, stop_row: Optional[int],
-                timeout: Optional[float], tenant: str) -> "_PinnedCursor":
+                batch_size: Optional[int], start_row: int,
+                stop_row: Optional[int], timeout: Optional[float],
+                tenant: str, scale: float) -> "_PinnedCursor":
         handed_out = time.perf_counter()
-        fingerprint, summary = self._resolve_summary(request, timeout)
-        generator = self._generator(fingerprint, relation, summary)
+        fingerprint, generators = self._regenerate(request, scale, timeout,
+                                                   (relation,))
+        generator = generators[relation]
+        batch_size = batch_size or self.config.batch_size
         if template is None:
             batches = generator.stream_range(start_row, stop_row,
                                              batch_size=batch_size)
         else:
-            key = (fingerprint, relation, template)
+            key = (fingerprint, relation, scale, template)
             with self._lock:
                 encode = self._encoders.get(key)
                 if encode is None:
@@ -910,9 +875,11 @@ class RegenerationService:
         self._cursors.add(cursor)
         return cursor
 
-    def total_rows(self, request: Union[ConstraintSet, str], relation: str) -> int:
+    def total_rows(self, request: Union[ConstraintSet, str], relation: str,
+                   scale: float = 1.0) -> int:
         """Rows the given relation regenerates to (without generating)."""
-        return self._resolve_summary(request)[1].relation(relation).total_rows()
+        return self._regenerate(request, scale, None,
+                                (relation,))[1][relation].total_rows
 
     def _resolve_summary(self, request: Union[ConstraintSet, str],
                          timeout: Optional[float] = None,
@@ -934,29 +901,65 @@ class RegenerationService:
         ticket = self.submit(request)
         return ticket.fingerprint, ticket.result(timeout)
 
+    def _regenerate(self, request: Union[ConstraintSet, str], scale: float,
+                    timeout: Optional[float],
+                    relations: Optional[Sequence[str]] = None,
+                    ) -> Tuple[str, Dict[str, TupleGenerator]]:
+        """Resolve a request to its fingerprint and the shared generators of
+        ``relations`` (every relation when ``None``) at ``scale``.
+
+        Generators are keyed by ``(fingerprint, relation, scale)``, so
+        repeated reads pay the summary setup once and :meth:`gc` drops them
+        with their fingerprint.  A scaled regeneration is a view of the
+        stored summary (:func:`~repro.codd.scaling.scale_summary`), built on
+        a generator miss and never stored; at ``scale == 1.0`` the stored
+        summary is used as is.
+        """
+        if not (math.isfinite(scale) and scale > 0):
+            raise ServiceError(
+                f"scale must be a positive finite number, got {scale!r}")
+        fingerprint, summary = self._resolve_summary(request, timeout)
+        generators: Dict[str, TupleGenerator] = {}
+        with self._lock:
+            view = summary
+            for relation in relations or summary.relations:
+                key = (fingerprint, relation, scale)
+                generator = self._generators.get(key)
+                if generator is None:
+                    if view is summary and scale != 1.0:
+                        view = scale_summary(summary, self.schema, scale)
+                    generator = self._generators[key] = \
+                        TupleGenerator(view.relation(relation))
+                generators[relation] = generator
+        return fingerprint, generators
+
     # ------------------------------------------------------------------ #
     # regenerate-then-verify (pipelined execution over regenerated data)
     # ------------------------------------------------------------------ #
     def database(self, request: Union[ConstraintSet, str],
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 timeout: Optional[float] = None) -> Database:
+                 batch_size: Optional[int] = None,
+                 timeout: Optional[float] = None,
+                 scale: float = 1.0) -> Database:
         """A lazily regenerated :class:`Database` for the request's summary.
 
         Every relation is attached as a stream of run batches (at most
-        ``batch_size`` summary rows each): nothing is generated until first
-        scan, and pipelined consumers (the default
+        ``batch_size`` summary rows each, the config's by default): nothing
+        is generated until first scan, and pipelined consumers (the default
         :class:`~repro.engine.executor.Executor` mode) work per summary row,
         never expanding a relation into tuples however large the
-        regenerated scale is.  The streams are backed by the service's
-        shared per-``(fingerprint, relation)`` generators — the same ones
-        :meth:`stream` serves shards from — so repeated
-        regenerate-then-verify calls pay the summary setup once.  Scanning
-        streams pin the store entry exactly like :meth:`stream` cursors do.
+        regenerated scale is.  ``scale`` multiplies the regenerated volume:
+        summary-row counts are scaled and foreign keys remapped (see
+        :func:`repro.codd.scaling.scale_summary`); the stored summary and
+        its fingerprint do not change.  The streams are backed by the
+        service's shared generators — the same ones :meth:`stream` serves
+        shards from — so repeated regenerate-then-verify calls pay the
+        summary setup once.  Scanning streams pin the store entry exactly
+        like :meth:`stream` cursors do.
         """
-        fingerprint, summary = self._resolve_summary(request, timeout)
+        fingerprint, generators = self._regenerate(request, scale, timeout)
+        batch_size = batch_size or self.config.batch_size
         database = Database(self.schema, name=f"regen-{fingerprint[:12]}")
-        for relation in summary.relations:
-            generator = self._generator(fingerprint, relation, summary)
+        for relation, generator in generators.items():
 
             def stream_factory(generator: TupleGenerator = generator,
                                ) -> Iterator[RunBatch]:
@@ -973,48 +976,58 @@ class RegenerationService:
 
     def execute_workload(self, request: Union[ConstraintSet, str],
                          workload: Workload,
-                         batch_size: int = DEFAULT_BATCH_SIZE,
-                         mode: str = "pipelined",
+                         batch_size: Optional[int] = None,
+                         mode: Optional[str] = None,
                          timeout: Optional[float] = None,
+                         scale: float = 1.0,
                          ) -> List[AnnotatedQueryPlan]:
         """Execute an AQP workload over the request's regenerated database.
 
         This is the serving half of the paper's client/vendor loop: the
         vendor regenerates the database from the summary and replays the
         workload to produce AQPs, as run batches by default so no relation
-        is ever materialised or expanded.  Executor memory telemetry
+        is ever materialised or expanded.  ``mode`` defaults to the
+        config's ``executor_mode``.  Executor memory telemetry
         (``executor_peak_batch_rows`` and friends) lands in :meth:`stats`.
         """
-        executor = Executor(self.database(request, batch_size, timeout), mode=mode)
+        executor = Executor(self.database(request, batch_size, timeout, scale),
+                            mode=mode or self.config.executor_mode)
         plans = executor.execute_workload(workload)
         self._observe_executor(executor, "workloads_executed")
         return plans
 
     def verify(self, request: Union[ConstraintSet, str],
                constraints: Optional[ConstraintSet] = None,
-               batch_size: int = DEFAULT_BATCH_SIZE,
-               mode: str = "pipelined",
-               timeout: Optional[float] = None) -> SimilarityReport:
+               batch_size: Optional[int] = None,
+               mode: Optional[str] = None,
+               timeout: Optional[float] = None,
+               scale: float = 1.0) -> SimilarityReport:
         """Volumetric-similarity check of the regenerated database.
 
-        Evaluates ``constraints`` (defaulting to the request itself when it
-        is a constraint set) against the regenerated data through the
-        engine, streaming each denormalised view as run batches by default.
-        The ``service.verify`` span records the ``relations`` whose views
-        were counted, the ``runs`` pushed through operators and the
-        ``tuples`` those runs stood for.
+        Evaluates ``constraints`` against the regenerated data through the
+        engine, streaming each denormalised view as run batches by default
+        (``mode`` defaults to the config's ``executor_mode``).  Without
+        ``constraints`` the request itself is evaluated when it is a
+        constraint set, scaled by ``scale`` (the Section 7.4 arithmetic: a
+        10x regeneration verifies against 10x the cardinalities); explicit
+        ``constraints`` are evaluated as given.  The ``service.verify`` span
+        records the ``relations`` whose views were counted, the ``runs``
+        pushed through operators and the ``tuples`` those runs stood for.
         """
-        if constraints is None:
-            if not isinstance(request, ConstraintSet):
-                raise ServiceError(
-                    "verify needs an explicit constraint set when the request"
-                    " is a fingerprint"
-                )
-            constraints = request
-        with trace_span("service.verify", relations=len(
-                {cc.relation for cc in constraints})) as span:
-            executor = Executor(self.database(request, batch_size, timeout),
-                                mode=mode)
+        if constraints is None and not isinstance(request, ConstraintSet):
+            raise ServiceError(
+                "verify needs an explicit constraint set when the request"
+                " is a fingerprint"
+            )
+        with trace_span("service.verify") as span:
+            database = self.database(request, batch_size, timeout, scale)
+            if constraints is None:
+                constraints = request if scale == 1.0 \
+                    else request.scaled(scale)
+            span.set_attribute("relations",
+                               len({cc.relation for cc in constraints}))
+            executor = Executor(database,
+                                mode=mode or self.config.executor_mode)
             report = evaluate_with_executor(constraints, executor)
             span.set_attribute("runs", executor.stats.rows)
             span.set_attribute("tuples", executor.stats.tuples)
@@ -1027,16 +1040,6 @@ class RegenerationService:
         self._counters["executor_batches"].inc(stats.batches)
         self._counters["executor_peak_batch_rows"].set_max(stats.peak_batch_rows)
 
-    def _generator(self, fingerprint: str, relation: str,
-                   summary: DatabaseSummary) -> TupleGenerator:
-        key = (fingerprint, relation)
-        with self._lock:
-            generator = self._generators.get(key)
-            if generator is None:
-                generator = TupleGenerator(summary.relation(relation))
-                self._generators[key] = generator
-            return generator
-
     # ------------------------------------------------------------------ #
     # store lifecycle
     # ------------------------------------------------------------------ #
@@ -1045,8 +1048,9 @@ class RegenerationService:
 
         Safe to call any time: entries backing in-flight streams are pinned
         and survive.  The tuple generators and encoders of summaries that
-        are no longer stored are dropped, so an evicted summary is not kept
-        alive in memory.  Returns the store's compaction report.
+        are no longer stored are dropped — at every scale — so an evicted
+        summary is not kept alive in memory.  Returns the store's
+        compaction report.
         """
         report = self.store.compact()
         with self._lock:
@@ -1064,12 +1068,29 @@ class RegenerationService:
                         report["reclaimed_bytes"])
         return report
 
-    def _gc_loop(self) -> None:
-        while not self._gc_stop.wait(self.config.gc_interval):
-            try:
-                self.gc()
-            except Exception:  # pragma: no cover - GC must never kill serving
-                pass
+    def _housekeeping_loop(self) -> None:
+        """The one background thread: :meth:`gc` every ``gc_interval`` and
+        :meth:`reap_idle_cursors` a few times per ``cursor_idle_timeout``
+        (so reclamation lag stays a fraction of the knob), each on its own
+        period."""
+        config = self.config
+        tasks = []
+        if config.gc_interval is not None:
+            tasks.append((self.gc, config.gc_interval))
+        if config.cursor_idle_timeout is not None:
+            reap_every = max(0.05, min(1.0, config.cursor_idle_timeout / 4.0))
+            tasks.append((self.reap_idle_cursors, reap_every))
+        due = [time.monotonic() + period for _, period in tasks]
+        while not self._stopping.wait(max(0.0, min(due) - time.monotonic())):
+            for index, (task, period) in enumerate(tasks):
+                now = time.monotonic()
+                if now >= due[index]:
+                    due[index] = now + period
+                    try:
+                        task()
+                    except Exception:  # pragma: no cover - keep serving
+                        logger.exception("background %s pass failed",
+                                         task.__name__)
 
     # ------------------------------------------------------------------ #
     # idle-cursor reaping
@@ -1095,16 +1116,6 @@ class RegenerationService:
             logger.info("reaped %d stream cursor(s) idle > %.1fs",
                         reaped, limit)
         return reaped
-
-    def _reaper_loop(self) -> None:
-        # Wake a few times per timeout so reclamation lag stays a fraction
-        # of the knob, without busy-polling for long timeouts.
-        interval = max(0.05, min(1.0, self.config.cursor_idle_timeout / 4.0))
-        while not self._reaper_stop.wait(interval):
-            try:
-                self.reap_idle_cursors()
-            except Exception:  # pragma: no cover - must never kill serving
-                pass
 
     # ------------------------------------------------------------------ #
     # observability / lifecycle
@@ -1184,12 +1195,9 @@ class RegenerationService:
                 lambda: self._running_total == 0 and not self._queues,
                 timeout,
             )
-        self._gc_stop.set()
+        self._stopping.set()
         if self._gc_thread is not None:
             self._gc_thread.join(timeout=5.0)
-        self._reaper_stop.set()
-        if self._reaper_thread is not None:
-            self._reaper_thread.join(timeout=5.0)
         self._executor.shutdown(wait=True)
         logger.info("service closed")
 

@@ -36,6 +36,7 @@ from repro import (
     Workload,
     col,
     evaluate_on_database,
+    evaluate_on_summary,
     materialize_database,
 )
 from repro.api import RegenConfig, Session
@@ -166,7 +167,7 @@ class TestSessionEquivalence:
         session = Session(schema)
         handle = session.summarize(constraints)
         database = session.regenerate(handle, batch_size=batch_size)
-        plans = database.execute(workload)
+        plans = Executor(database).execute_workload(workload)
 
         legacy_db = materialize_database(
             Hydra(schema).build_summary(constraints).summary, schema)
@@ -182,20 +183,28 @@ class TestSessionEquivalence:
         schema, _, _, constraints = env
         session = Session(schema)
         handle = session.summarize(constraints)
-        database = session.regenerate(handle)
-        report = session.verify(database)
+        report = session.verify(handle)
         legacy = evaluate_on_database(
             constraints, materialize_database(handle.summary, schema))
         assert [r.actual for r in report.results] == [r.actual for r in legacy.results]
-        # analytic (scale-free) verification agrees on the summary handle
-        analytic = session.verify(handle)
+        # analytic (scale-free) verification agrees on the summary
+        analytic = evaluate_on_summary(constraints, handle.summary, schema)
         assert [r.actual for r in analytic.results] == [r.actual for r in legacy.results]
+
+    def test_verify_reads_the_handles_stored_summary(self, env):
+        schema, _, _, constraints = env
+        session = Session(schema)
+        handle = session.summarize(constraints)
+        runs = session.service.stats()["pipeline_runs"]
+        session.verify(handle)
+        session.verify(handle, scale=2.0)
+        assert session.service.stats()["pipeline_runs"] == runs
 
     def test_verify_without_constraints_requires_provenance(self, env):
         schema, _, _, constraints = env
         session = Session(schema)
         handle = session.summarize(constraints)
-        bare = session.regenerate(handle.summary)  # raw summary: no provenance
+        bare = session.load(handle.fingerprint)  # from the store: no provenance
         with pytest.raises(ServiceError):
             session.verify(bare)
 
@@ -210,13 +219,11 @@ class TestScaledRegeneration:
         schema, _, _, constraints = env
         session = Session(schema)
         handle = session.summarize(constraints)
-        base_error = session.verify(session.regenerate(handle)).max_error()
-        scaled_error = session.verify(
-            session.regenerate(handle, scale=3.0)).max_error()
+        base_error = session.verify(handle).max_error()
+        scaled_error = session.verify(handle, scale=3.0).max_error()
         assert scaled_error == pytest.approx(base_error, abs=1e-9)
         # explicit constraints are evaluated as given: 3x the rows -> 2.0 error
-        explicit = session.verify(session.regenerate(handle, scale=3.0),
-                                  constraints)
+        explicit = session.verify(handle, constraints, scale=3.0)
         assert explicit.max_error() == pytest.approx(2.0)
 
     def test_scale_multiplies_volume_and_keeps_integrity(self, env):
@@ -229,7 +236,7 @@ class TestScaledRegeneration:
         for relation, rows in base.items():
             assert counts[relation] == 3 * rows
         # foreign keys stay within the scaled parents
-        r_table = scaled.materialize("R")
+        r_table = scaled.table("R")
         assert r_table.column("S_fk").max() <= counts["S"]
         assert r_table.column("T_fk").max() <= counts["T"]
         assert r_table.column("S_fk").min() >= 1
@@ -241,8 +248,8 @@ class TestScaledRegeneration:
         half = session.regenerate(handle, scale=0.5)
         base_total = handle.total_rows()
         # every summary row keeps >= 1 tuple, so the volume roughly halves
-        assert 0 < half.database.total_rows() <= base_total
-        r_table = half.materialize("R")
+        assert 0 < half.total_rows() <= base_total
+        r_table = half.table("R")
         assert r_table.column("S_fk").max() <= half.row_counts()["S"]
 
     def test_invalid_factor(self, env):

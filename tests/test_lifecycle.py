@@ -1,5 +1,5 @@
 """Tests for store lifecycle management (GC/TTL/size caps, pinning) and the
-regeneration service's weighted-fair admission scheduling.
+regeneration service's fair admission scheduling.
 
 Covers the serving-fleet hardening acceptance criteria: a size-capped store
 stays under its cap after ``compact()`` and evicts strictly LRU-first; a
@@ -87,13 +87,11 @@ class _RecordingBuild:
         return HydraResult(summary=summary)
 
 
-def lifecycle_service(schema, store=None, tenant_weights=None,
-                      **knobs) -> RegenerationService:
+def lifecycle_service(schema, store=None, **knobs) -> RegenerationService:
     """A service whose pipeline builds through a :class:`_RecordingBuild`
     (reachable as ``service.pipeline.build_summary``)."""
     service = RegenerationService(schema, store=store,
-                                  config=RegenConfig(**knobs),
-                                  tenant_weights=tenant_weights)
+                                  config=RegenConfig(**knobs))
     service.pipeline.build_summary = _RecordingBuild(service.pipeline)
     return service
 
@@ -333,7 +331,7 @@ class TestSubmitFailure:
 
 
 # ---------------------------------------------------------------------- #
-# weighted-fair admission
+# fair admission
 # ---------------------------------------------------------------------- #
 class TestFairAdmission:
     def test_noisy_tenant_throttled_quiet_tenant_admitted(self, toy_schema):
@@ -383,17 +381,16 @@ class TestFairAdmission:
         gate.set()
         for ticket in [first, *later]:
             ticket.result(timeout=30)
-        # Tenant b activates at a's clock (one dispatch), so from b's
-        # arrival the slots alternate fairly — b's build runs ahead of a's
-        # backlog tail — while a's own builds stay FIFO.
+        # Round-robin: from b's arrival the slots alternate — b's build
+        # runs ahead of a's backlog tail — while a's own builds stay FIFO.
         assert recorder.started == ["a-0", "a-1", "b-0", "a-2"]
         service.close()
 
     def test_new_tenant_gets_no_catch_up_credit(self, toy_schema):
         # Regression: with lifetime dispatch counts, a tenant first seen
         # late in a busy period started at 0 and monopolised every build
-        # slot until it "caught up".  Clocks now start at the least-served
-        # active tenant's clock, so slots alternate from arrival onward.
+        # slot until it "caught up".  Round-robin dispatch keeps no
+        # history, so slots alternate from arrival onward.
         service = lifecycle_service(toy_schema, max_workers=1)
         recorder = service.pipeline.build_summary
         gate = threading.Event()
@@ -416,33 +413,6 @@ class TestFairAdmission:
         tail = recorder.started[1:]
         assert tail != ["new-0", "new-1", "new-2", "old-1", "old-2", "old-3"]
         assert sum(1 for name in tail[:4] if name.startswith("old")) >= 2
-        service.close()
-
-    def test_tenant_weights_bias_dispatch(self, toy_schema):
-        service = lifecycle_service(
-            toy_schema, max_workers=1,
-            tenant_weights={"heavy": 2, "light": 1},
-        )
-        recorder = service.pipeline.build_summary
-        gate = threading.Event()
-        recorder.gate = gate
-        warmup = service.submit(make_ccs(1, name="warmup"), tenant="other")
-        recorder.first_started.wait(timeout=30)
-        tickets = [
-            service.submit(make_ccs(100 + i, name=f"heavy-{i}"), tenant="heavy")
-            for i in range(3)
-        ] + [
-            service.submit(make_ccs(200 + i, name=f"light-{i}"), tenant="light")
-            for i in range(3)
-        ]
-        gate.set()
-        for ticket in [warmup, *tickets]:
-            ticket.result(timeout=30)
-        dispatched = recorder.started[1:]  # drop the warmup build
-        # Weight 2 vs 1: heavy gets 3 of the first 4 slots under contention.
-        assert sum(1 for name in dispatched[:4] if name.startswith("heavy")) == 3
-        assert [n for n in dispatched if n.startswith("heavy")] == \
-            ["heavy-0", "heavy-1", "heavy-2"]  # FIFO within the tenant
         service.close()
 
     def test_single_flight_dedups_across_tenants(self, toy_schema):
@@ -552,6 +522,36 @@ class TestServiceGC:
         assert service._gc_thread is not None
         assert not service._gc_thread.is_alive()
 
+
+    def test_one_background_thread_runs_gc_and_reaping(self, toy_schema,
+                                                       tmp_path):
+        before = set(threading.enumerate())
+        store = SummaryStore(tmp_path / "store", ttl_seconds=60.0)
+        service = lifecycle_service(toy_schema, store=store, gc_interval=0.05,
+                                    cursor_idle_timeout=0.2)
+        try:
+            started = [thread for thread in set(threading.enumerate()) - before
+                       if thread.name.startswith("regen-")]
+            assert started == [service._gc_thread]
+            ticket = service.submit(make_ccs(100))
+            ticket.result(timeout=30)
+            fingerprint = ticket.fingerprint
+            cursor = service.stream(fingerprint, "S", batch_size=10)
+            next(cursor)
+            deadline = time.time() + 10.0
+            while time.time() < deadline:
+                stats = service.stats()
+                if stats["gc_runs"] >= 2 and stats["cursors_reaped"] >= 1:
+                    break
+                time.sleep(0.02)
+            stats = service.stats()
+            assert stats["gc_runs"] >= 2 and stats["cursors_reaped"] == 1
+            assert store.pin_count(fingerprint) == 0
+        finally:
+            service.close()
+        left = [thread.name for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("regen")]
+        assert left == []
 
 # ---------------------------------------------------------------------- #
 # concurrent stress: mixed warm/cold/failing traffic under small caps

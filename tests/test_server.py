@@ -897,7 +897,7 @@ class TestServingConfig:
         service = RegenerationService(
             schema, config=RegenConfig(cursor_idle_timeout=123.0))
         try:
-            assert service._reaper_thread is not None
+            assert service._gc_thread is not None
         finally:
             service.close()
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.constraints.cc import CardinalityConstraint
+from repro.api.config import RegenConfig
 from repro.lp.model import LPSolution
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
@@ -573,8 +574,98 @@ class TestRegenerateThenVerify:
             report = service.verify(ticket.fingerprint, constraints=toy_ccs())
             assert report.max_error() < 0.02
 
+    def test_reads_run_the_configured_executor_mode(self, toy_schema,
+                                                    monkeypatch):
+        # Regression: verify and execute_workload hard-coded the pipelined
+        # executor whatever the config's executor_mode said.
+        from repro.service import service as service_module
+
+        modes = []
+        real_executor = service_module.Executor
+
+        def recording_executor(database, mode):
+            modes.append(mode)
+            return real_executor(database, mode=mode)
+
+        monkeypatch.setattr(service_module, "Executor", recording_executor)
+        config = RegenConfig(executor_mode="materialize")
+        with RegenerationService(toy_schema, config=config) as service:
+            assert service.verify(toy_ccs()).max_error() < 0.02
+            service.execute_workload(toy_ccs(), self._workload())
+            service.verify(toy_ccs(), mode="pipelined")
+        assert modes == ["materialize", "materialize", "pipelined"]
+
     def test_database_is_lazy(self, toy_schema):
         with RegenerationService(toy_schema) as service:
             database = service.database(toy_ccs(), batch_size=10_000)
             assert all(database.is_dynamic(rel) for rel in ("R", "S", "T"))
             assert database.row_count("R") == 80_000
+
+
+# ---------------------------------------------------------------------- #
+# scale: a view of the stored summary on every service read
+# ---------------------------------------------------------------------- #
+class TestScaledServiceReads:
+    def test_verify_is_scale_independent(self, toy_schema):
+        with RegenerationService(toy_schema) as service:
+            base = service.verify(toy_ccs())
+            scaled = service.verify(toy_ccs(), scale=10**6)
+        assert [r.expected for r in scaled.results] \
+            == [10**6 * r.expected for r in base.results]
+        assert [r.actual for r in scaled.results] \
+            == [10**6 * r.actual for r in base.results]
+        assert list(scaled.errors()) == list(base.errors())
+
+    def test_total_rows_and_stream_scale_the_volume(self, toy_schema):
+        with RegenerationService(toy_schema) as service:
+            ticket = service.submit(toy_ccs())
+            ticket.result()
+            fingerprint = ticket.fingerprint
+            for relation in ("R", "S", "T"):
+                rows = service.total_rows(fingerprint, relation)
+                scaled = service.total_rows(fingerprint, relation, scale=3)
+                assert scaled == 3 * rows
+                streamed = service.stream(fingerprint, relation,
+                                          batch_size=50_000, scale=3)
+                assert sum(batch.num_rows for batch in streamed) == scaled
+            # The stored summary is untouched: scale is never stored.
+            assert service.store.get_summary(fingerprint).relation("R") \
+                .total_rows() == service.total_rows(fingerprint, "R")
+
+    def test_gc_drops_scaled_generators_with_their_fingerprint(
+            self, toy_schema, tmp_path):
+        store = SummaryStore(tmp_path / "store")
+        with RegenerationService(toy_schema, store=store) as service:
+            ticket = service.submit(toy_ccs())
+            ticket.result()
+            service.total_rows(ticket.fingerprint, "R", scale=3)
+            service.database(ticket.fingerprint, scale=2)
+            assert {key[2] for key in service._generators} == {2, 3}
+            assert store.compact(max_entries=0)["evicted"] == 1
+            service.gc()
+            assert service._generators == {}
+
+    def test_invalid_scale_is_a_service_error(self, toy_schema):
+        with RegenerationService(toy_schema) as service:
+            ticket = service.submit(toy_ccs())
+            ticket.result()
+            fingerprint = ticket.fingerprint
+            for scale in (0, -1, float("nan"), float("inf")):
+                reads = (
+                    lambda: service.verify(toy_ccs(), scale=scale),
+                    lambda: service.database(fingerprint, scale=scale),
+                    lambda: service.total_rows(fingerprint, "R", scale=scale),
+                    lambda: service.stream(fingerprint, "R", scale=scale),
+                )
+                for read in reads:
+                    with pytest.raises(ServiceError, match="scale"):
+                        read()
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_cli_rejects_invalid_scale_without_traceback(self, scale):
+        result = TestServiceCLI.run_cli(
+            "verify", "--scale", "0.0002", "--queries", "2",
+            f"--scale-factor={scale}")
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert "scale must be a positive finite number" in result.stderr
