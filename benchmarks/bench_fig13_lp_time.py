@@ -127,7 +127,7 @@ def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env):
         if model.num_variables <= serial.milp_variable_limit:
             assert parallel_solution.max_violation == 0.0, model.name
         else:
-            largest_rhs = max(c.rhs for c in model.constraints)
+            largest_rhs = float(model.rhs.max())
             assert parallel_solution.max_violation <= 1e-3 * largest_rhs, model.name
             assert serial_solution.max_violation <= 1e-3 * largest_rhs, model.name
         worst = max(worst, parallel_solution.max_violation)

@@ -49,6 +49,7 @@ from repro.api.session import Session
 from repro.constraints.workload import ConstraintSet
 from repro.errors import ReproError, ServiceError
 from repro.schema.schema import Schema
+from repro.service.service import check_scale
 
 #: ``serve --require-warm`` exit code when the store could not serve the
 #: request without running the pipeline.
@@ -189,6 +190,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_regenerate(args: argparse.Namespace) -> int:
+    check_scale(args.scale_factor)
     if args.fingerprint is not None:
         # Loading a stored fingerprint needs no client database or workload
         # re-derivation — only the schema shape.
@@ -220,6 +222,7 @@ def _cmd_regenerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    check_scale(args.scale_factor)
     schema, constraints, _, _ = _benchmark_environment(args)
     session = _session(args, schema)
     handle = session.summarize(constraints)

@@ -192,15 +192,8 @@ class DataSynth:
         order = task.merge_order()
         for subview_index in order:
             block = view_lp.block_for(subview_index)
-            counts = np.array(
-                [max(solution.value(i), 0) for i in block.variable_indices], dtype=np.float64
-            )
-            corners = {
-                attr: np.array(
-                    [v.boxes[0].interval(attr).lo for v in block.variables], dtype=np.int64
-                )
-                for attr in block.attributes
-            }
+            counts = np.maximum(solution.values[block.start:block.stop], 0).astype(np.float64)
+            corners = {attr: block.partition.corners(attr) for attr in block.attributes}
             shared = tuple(a for a in block.attributes if a in assigned)
             new_attrs = tuple(a for a in block.attributes if a not in assigned)
             if not assigned:

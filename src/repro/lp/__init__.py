@@ -1,4 +1,9 @@
-"""LP formulation (region and grid strategies), decomposition and solvers."""
+"""LP formulation (region and grid strategies), decomposition and solvers.
+
+A view LP is array-backed from partition to solve: sub-view partitions are
+:class:`~repro.partition.signature.SignaturePartition` arrays, an
+:class:`LPModel` holds its rows as CSR arrays, and decomposition slices
+those arrays into component models."""
 
 from repro.lp.decompose import (
     Decomposition,
@@ -14,7 +19,7 @@ from repro.lp.formulate import (
     count_lp_variables,
     formulate_view_lp,
 )
-from repro.lp.model import LPConstraint, LPModel, LPSolution, SubViewBlock, ViewLP
+from repro.lp.model import LPModel, LPSolution, SubViewBlock, ViewLP
 from repro.lp.solver import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_MILP_VARIABLE_LIMIT,
@@ -27,7 +32,6 @@ from repro.lp.solver import (
 
 __all__ = [
     "LPModel",
-    "LPConstraint",
     "LPSolution",
     "SubViewBlock",
     "ViewLP",

@@ -12,7 +12,9 @@ superlinearly with size.
 This module provides:
 
 * :func:`decompose_model` — split an :class:`~repro.lp.model.LPModel` into
-  independent components via union-find over the constraint rows;
+  independent components: connected components of the row–variable graph
+  (:func:`scipy.sparse.csgraph.connected_components`), each component's
+  rows sliced out of the model's CSR arrays;
 * :func:`component_key` — a canonical content hash of a component's
   ``(A, b)`` system, used as the key of the solution cache (the "millions of
   users" serving scenario repeatedly solves identical components);
@@ -27,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.errors import LPError
-from repro.lp.model import LPConstraint, LPModel, LPSolution
+from repro.lp.model import LPModel, LPSolution
 
 
 @dataclass
@@ -43,10 +47,10 @@ class LPComponent:
     model: LPModel
     #: ``variable_indices[local]`` is the global index of local variable
     #: ``local``; sorted ascending so the mapping is canonical.
-    variable_indices: Tuple[int, ...]
-    #: Indices (into the parent model's constraint list) of the rows that
-    #: ended up in this component, in their original order.
-    constraint_indices: Tuple[int, ...]
+    variable_indices: np.ndarray
+    #: Indices (into the parent model's rows) of the rows that ended up in
+    #: this component, in their original order.
+    constraint_indices: np.ndarray
     _key: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
@@ -77,103 +81,111 @@ class Decomposition:
         Global indices of variables that appear in no constraint; they can
         take any non-negative value and are fixed to zero when stitching.
     orphan_constraints:
-        Constraints that reference no variable at all (``0 = rhs``); a
-        non-zero right-hand side makes the whole model infeasible by that
-        amount.
+        Rows that reference no variable at all (``0 = rhs``).
+    orphan_violation:
+        The largest ``|rhs|`` among them: a non-zero value makes the whole
+        model infeasible by that amount.
     """
 
     num_variables: int
     components: List[LPComponent] = field(default_factory=list)
-    free_variables: Tuple[int, ...] = ()
-    orphan_constraints: List[LPConstraint] = field(default_factory=list)
-
-    @property
-    def orphan_violation(self) -> float:
-        """Largest violation contributed by variable-free constraints."""
-        if not self.orphan_constraints:
-            return 0.0
-        return float(max(abs(c.rhs) for c in self.orphan_constraints))
+    free_variables: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    orphan_constraints: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+    orphan_violation: float = 0.0
 
 
 def decompose_model(model: LPModel) -> Decomposition:
     """Split ``model`` into independent connected components.
 
     Two variables belong to the same component iff they are connected through
-    a chain of shared constraint rows (union-find over the rows).  Returns
-    the components largest-first plus the leftover free variables and
-    variable-free constraints.  The result is cached on the model until its
-    next :meth:`~repro.lp.model.LPModel.add_constraint`; callers must not
-    mutate it.
+    a chain of shared constraint rows.  Components come largest first, ties
+    in the order of their first row; a component's variables are ascending
+    and its rows keep their order.  Also returns the leftover free variables
+    and variable-free rows.  The result is cached on the model until rows
+    are next added; callers must not mutate it.
     """
     if model._decomposition_cache is not None:
         return model._decomposition_cache
-    n = model.num_variables
-    parent = list(range(n))
+    # The model's own rows, as appended: each component's local model
+    # canonicalises its slice when it builds its matrix.
+    m, n = model.num_constraints, model.num_variables
+    indptr, indices = model.indptr, model.indices
+    lengths = indptr[1:] - indptr[:-1]
+    column_counts = np.bincount(indices, minlength=n)
+    # The row-variable graph, both ways round (nodes 0..m-1 are the rows,
+    # m..m+n-1 the variables): on a symmetric graph the strong components
+    # are the connected ones, and scipy finds them without a transpose.
+    # Its index arrays are int32, as scipy would make them: a view LP's
+    # variable budget keeps it far below 2**31 nodes and entries.
+    entry_rows = np.repeat(np.arange(m), lengths)
+    graph = sparse.csr_matrix(
+        (np.ones(2 * len(indices)),
+         np.concatenate([indices + m, entry_rows[np.argsort(indices, kind="stable")]],
+                        dtype=np.int32),
+         np.concatenate([indptr, indptr[-1] + np.cumsum(column_counts)], dtype=np.int32)),
+        shape=(m + n, m + n))
+    _, labels = connected_components(graph, directed=True, connection="strong")
 
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+    # A component is the label of a non-empty row; components go largest
+    # first, ties by first row.
+    rows = (lengths > 0).nonzero()[0]
+    variables = (column_counts > 0).nonzero()[0]
+    first_row = np.full(m + n, m)
+    np.minimum.at(first_row, labels[rows], rows)
+    roots = (first_row < m).nonzero()[0]
+    sizes = np.bincount(labels[m + variables], minlength=m + n)[roots]
+    component_of = np.zeros(m + n, dtype=np.intp)
+    component_of[roots[np.lexsort((first_row[roots], -sizes))]] = np.arange(len(roots))
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+    # Group variables and rows by component, stably (so each group stays in
+    # index order); number each component's variables locally and gather
+    # the entries of its rows.
+    def grouped(items: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        owners = component_of[labels[items]]
+        by_component = np.argsort(owners, kind="stable")
+        owners = owners[by_component]
+        return items[by_component], owners.searchsorted(np.arange(len(roots) + 1)), owners
 
-    orphans: List[LPConstraint] = []
-    for constraint in model.constraints:
-        if not constraint.variables:
-            orphans.append(constraint)
-            continue
-        first = constraint.variables[0]
-        for other in constraint.variables[1:]:
-            union(first, other)
-
-    constrained: Dict[int, List[int]] = {}
-    for row, constraint in enumerate(model.constraints):
-        if not constraint.variables:
-            continue
-        constrained.setdefault(find(constraint.variables[0]), []).append(row)
-
-    members: Dict[int, List[int]] = {}
-    free: List[int] = []
-    for variable in range(n):
-        root = find(variable)
-        if root in constrained:
-            members.setdefault(root, []).append(variable)
-        else:
-            free.append(variable)
+    grouped_variables, variable_bounds, variable_components = grouped(variables + m)
+    grouped_variables -= m
+    local = np.zeros(n, dtype=np.int64)
+    local[grouped_variables] = np.arange(len(variables)) - variable_bounds[variable_components]
+    grouped_rows, row_bounds, _ = grouped(rows)
+    grouped_lengths = lengths[grouped_rows]
+    entry_bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(grouped_lengths, out=entry_bounds[1:])
+    entries = (np.repeat(indptr[grouped_rows] - entry_bounds[:-1], grouped_lengths)
+               + np.arange(entry_bounds[-1]))
+    entry_indices = local[indices[entries]]
+    entry_data = model.data[entries]
 
     components: List[LPComponent] = []
-    for root, rows in constrained.items():
-        variables = sorted(members[root])
-        local_of = {g: l for l, g in enumerate(variables)}
-        local = LPModel(name=f"{model.name}#cc{len(components)}",
-                        num_variables=len(variables))
-        for row in rows:
-            constraint = model.constraints[row]
-            local.add_constraint(
-                [local_of[v] for v in constraint.variables],
-                constraint.rhs,
-                coefficients=constraint.coefficients,
-                kind=constraint.kind,
-                tag=constraint.tag,
-            )
+    for k in range(len(roots)):
+        first, stop_row = row_bounds[k], row_bounds[k + 1]
+        start, stop = entry_bounds[first], entry_bounds[stop_row]
+        component_rows = grouped_rows[first:stop_row]
+        component_variables = grouped_variables[variable_bounds[k]:variable_bounds[k + 1]]
         components.append(LPComponent(
-            model=local,
-            variable_indices=tuple(variables),
-            constraint_indices=tuple(rows),
+            model=LPModel(
+                name=f"{model.name}#cc{k}",
+                num_variables=len(component_variables),
+                indptr=entry_bounds[first:stop_row + 1] - start,
+                indices=entry_indices[start:stop],
+                data=entry_data[start:stop],
+                rhs=model.rhs[component_rows],
+            ),
+            variable_indices=component_variables,
+            constraint_indices=component_rows,
         ))
 
-    components.sort(key=lambda c: c.num_variables, reverse=True)
+    orphans = (lengths == 0).nonzero()[0]
     model._decomposition_cache = Decomposition(
         num_variables=n,
         components=components,
-        free_variables=tuple(free),
+        free_variables=(column_counts == 0).nonzero()[0],
         orphan_constraints=orphans,
+        orphan_violation=float(np.abs(model.rhs[orphans]).max()) if len(orphans) else 0.0,
     )
     return model._decomposition_cache
 
@@ -182,7 +194,7 @@ def component_key(model: LPModel) -> str:
     """Canonical content hash of a model's ``(A, b)`` equality system.
 
     Two components with identical sparse matrices and right-hand sides get
-    the same key regardless of their names or constraint tags, so repeated
+    the same key regardless of their names, so repeated
     regeneration requests for the same summary reuse cached solutions.
     """
     a, b = model.matrix()
@@ -213,7 +225,7 @@ def stitch_solutions(decomposition: Decomposition,
         )
     values = np.zeros(decomposition.num_variables, dtype=np.int64)
     for component, solution in zip(decomposition.components, solutions):
-        values[np.asarray(component.variable_indices, dtype=np.intp)] = solution.values
+        values[component.variable_indices] = solution.values
 
     orphan_violation = decomposition.orphan_violation
     feasible = all(s.feasible for s in solutions) and orphan_violation == 0.0

@@ -10,6 +10,11 @@ constraints, sub-view decomposition), the formulator:
 3. emits the equality constraints: one per cardinality constraint per
    sub-view in whose scope it falls, plus the consistency constraints along
    the clique-tree edges.
+
+Both partitions are :class:`~repro.partition.signature.SignaturePartition`
+arrays, and the rows are built from them in bulk: a sub-view's cardinality
+rows are the columns of its label array, an edge's consistency rows group
+both sub-views' variables by their shared cell.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from repro.errors import LPError, LPTooLargeError, PartitionBudgetError
 from repro.obs.trace import span as trace_span
-from repro.partition.box import Box
-from repro.partition.consistency import RefinedVariable
-from repro.partition.grid import grid_cell_count, grid_intervals
+from repro.partition.grid import grid_cell_count, grid_signatures
 from repro.partition.signature import (
     SignaturePartition,
-    materialise_variables,
     partition_signatures,
     shared_segments_from_constraints,
 )
@@ -52,13 +56,12 @@ def formulate_view_lp(task: ViewTask, strategy: str = STRATEGY_REGION,
     with trace_span("lp.formulate", relation=task.relation) as span:
         if strategy == STRATEGY_REGION:
             ladder = _region_ladder(task, max_region_variables)
-            variables_per_subview = {index: materialise_variables(partition)
-                                     for index, partition in ladder.partitions.items()}
+            partitions = ladder.partitions
             aligned = ladder.aligned
             span.set_attribute("rungs", ladder.rungs)
             span.set_attribute("partition_calls", ladder.partition_calls)
         elif strategy == STRATEGY_GRID:
-            variables_per_subview = _grid_variables(task, max_grid_variables)
+            partitions = _grid_partitions(task, max_grid_variables)
             aligned = tuple(sorted(_shared_attributes(task)))
         else:
             raise LPError(f"unknown partitioning strategy {strategy!r}")
@@ -66,20 +69,15 @@ def formulate_view_lp(task: ViewTask, strategy: str = STRATEGY_REGION,
         model = LPModel(name=f"{task.relation}:{strategy}")
         blocks: List[SubViewBlock] = []
         for index, subview in enumerate(task.subviews):
-            refined = variables_per_subview[index]
-            start = model.num_variables
-            model.num_variables += len(refined)
-            blocks.append(
-                SubViewBlock(
-                    subview_index=index,
-                    attributes=subview.attributes,
-                    variable_indices=tuple(range(start, start + len(refined))),
-                    variables=refined,
-                )
-            )
+            blocks.append(SubViewBlock(subview_index=index, attributes=subview.attributes,
+                                       start=model.num_variables,
+                                       partition=partitions[index]))
+            model.num_variables = blocks[-1].stop
 
-        _add_cardinality_constraints(task, model, blocks)
-        _add_consistency_constraints(task, model, blocks, aligned)
+        # (row lengths, variable indices, right-hand sides, coefficients)
+        chunks = _cardinality_rows(task, blocks) + _consistency_rows(task, blocks, aligned)
+        if chunks:
+            model.add_rows(*(np.concatenate(arrays) for arrays in zip(*chunks)))
         span.set_attribute("variables", model.num_variables)
         span.set_attribute("constraints", model.num_constraints)
         span.set_attribute("aligned", list(aligned))
@@ -209,8 +207,8 @@ def _coarsen_segments(segments: List, max_segments: Optional[int]) -> List:
     return merged
 
 
-def _grid_variables(task: ViewTask,
-                    max_grid_variables: int) -> Dict[int, List[RefinedVariable]]:
+def _grid_partitions(task: ViewTask,
+                     max_grid_variables: int) -> Dict[int, SignaturePartition]:
     """Grid-partition every sub-view (DataSynth).
 
     The grid is intervalised from the constants of *all* view constraints, so
@@ -225,35 +223,15 @@ def _grid_variables(task: ViewTask,
             f"grid formulation of view {task.relation!r} needs {total} variables"
             f" (limit {max_grid_variables})"
         )
-
     shared = _shared_attributes(task)
-    out: Dict[int, List[RefinedVariable]] = {}
-    for index, subview in enumerate(task.subviews):
-        intervals = grid_intervals(subview.attributes, task.view.domains, task.constraints)
-        cells: List[Dict[str, "object"]] = [{}]
-        for attribute in subview.attributes:
-            cells = [dict(cell, **{attribute: piece})
-                     for cell in cells for piece in intervals[attribute]]
-        segment_index = {
-            attribute: {iv.lo: i for i, iv in enumerate(intervals[attribute])}
-            for attribute in subview.attributes
-        }
-        variables: List[RefinedVariable] = []
-        for cell in cells:
-            box = Box(cell)  # type: ignore[arg-type]
-            label = frozenset(
-                i for i in subview.constraint_indices
-                if box.satisfies_predicate(task.constraints[i].predicate)
-            )
-            shared_cell = tuple(
-                (attribute, segment_index[attribute][box.interval(attribute).lo])
-                for attribute in subview.attributes if attribute in shared
-            )
-            variables.append(
-                RefinedVariable(label=label, boxes=[box], shared_cell=shared_cell)
-            )
-        out[index] = variables
-    return out
+    return {
+        index: grid_signatures(
+            subview.attributes, task.view.domains, task.constraints,
+            [task.constraints[i] for i in subview.constraint_indices],
+            subview.constraint_indices, shared,
+        )
+        for index, subview in enumerate(task.subviews)
+    }
 
 
 def _shared_attributes(task: ViewTask) -> Set[str]:
@@ -268,55 +246,52 @@ def _shared_attributes(task: ViewTask) -> Set[str]:
 # ---------------------------------------------------------------------- #
 # constraint construction
 # ---------------------------------------------------------------------- #
-def _add_cardinality_constraints(task: ViewTask, model: LPModel,
-                                 blocks: Sequence[SubViewBlock]) -> None:
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cardinality_rows(task: ViewTask, blocks: Sequence[SubViewBlock]) -> List[Rows]:
+    """One row per in-scope constraint per sub-view: the variables whose label
+    holds it, in index order."""
+    chunks: List[Rows] = []
     for block in blocks:
-        subview = task.subviews[block.subview_index]
-        members: Dict[int, List[int]] = {i: [] for i in subview.constraint_indices}
-        for global_index, variable in zip(block.variable_indices, block.variables):
-            for constraint_index in variable.label:
-                members[constraint_index].append(global_index)
-        for constraint_index in subview.constraint_indices:
-            constraint = task.constraints[constraint_index]
-            model.add_constraint(
-                members[constraint_index],
-                constraint.cardinality,
-                kind="cardinality",
-                tag=f"cc{constraint_index}@sv{block.subview_index}",
-            )
+        labels = block.partition.labels
+        _, members = np.nonzero(labels.T)
+        cardinalities = [task.constraints[i].cardinality
+                         for i in block.partition.constraint_indices]
+        chunks.append((labels.sum(axis=0), members + block.start,
+                       np.array(cardinalities, dtype=np.float64),
+                       np.ones(len(members))))
+    return chunks
 
 
-def _add_consistency_constraints(task: ViewTask, model: LPModel,
-                                 blocks: Sequence[SubViewBlock],
-                                 aligned: Tuple[str, ...]) -> None:
+def _consistency_rows(task: ViewTask, blocks: Sequence[SubViewBlock],
+                      aligned: Tuple[str, ...]) -> List[Rows]:
+    """Per consistency edge, one row per shared cell (in cell order): the
+    left sub-view's variables in that cell minus the right one's."""
     aligned_set = set(aligned)
     block_by_index = {block.subview_index: block for block in blocks}
+    chunks: List[Rows] = []
     for left_index, right_index in task.consistency_edges:
         left = block_by_index[left_index]
         right = block_by_index[right_index]
-        shared = tuple(sorted(
-            set(left.attributes) & set(right.attributes) & aligned_set
-        ))
+        shared = sorted(set(left.attributes) & set(right.attributes) & aligned_set)
         if not shared:
             continue
-        left_groups = _group_by_cell(left, shared)
-        right_groups = _group_by_cell(right, shared)
-        for cell in sorted(set(left_groups) | set(right_groups)):
-            left_vars = left_groups.get(cell, [])
-            right_vars = right_groups.get(cell, [])
-            variables = tuple(left_vars) + tuple(right_vars)
-            coefficients = tuple([1.0] * len(left_vars) + [-1.0] * len(right_vars))
-            model.add_constraint(
-                variables,
-                rhs=0,
-                coefficients=coefficients,
-                kind="consistency",
-                tag=f"consistency:sv{left_index}-sv{right_index}:{cell}",
-            )
-
-
-def _group_by_cell(block: SubViewBlock, shared: Sequence[str]) -> Dict[Tuple[int, ...], List[int]]:
-    groups: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
-    for global_index, variable in zip(block.variable_indices, block.variables):
-        groups[variable.cell_of(shared)].append(global_index)
-    return dict(groups)
+        cells = np.concatenate([
+            block.partition.cells[:, [block.partition.shared.index(a) for a in shared]]
+            for block in (left, right)
+        ])
+        variables = np.concatenate([np.arange(left.start, left.stop),
+                                    np.arange(right.start, right.stop)])
+        coefficients = np.repeat([1.0, -1.0], [left.stop - left.start,
+                                              right.stop - right.start])
+        # sort by cell, stably: within a cell the left variables, then the
+        # right ones, each in index order
+        order = np.lexsort(cells.T[::-1])
+        cells = cells[order]
+        new_cell = np.ones(len(order), dtype=bool)
+        (cells[1:] != cells[:-1]).any(axis=1, out=new_cell[1:])
+        lengths = np.bincount(new_cell.cumsum() - 1)
+        chunks.append((lengths, variables[order], np.zeros(len(lengths)),
+                       coefficients[order]))
+    return chunks

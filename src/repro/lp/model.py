@@ -6,52 +6,42 @@ equality.  Cardinality constraints are plain coefficient-one sums; the
 consistency constraints between sub-views are differences of two sums
 (``sum(left) - sum(right) = 0``).  There is no objective — any feasible point
 will do.
+
+An :class:`LPModel` keeps its rows as compressed-sparse-row arrays, so a
+view LP costs a handful of arrays rather than an object per row or per
+variable; the formulator appends rows in bulk (:meth:`LPModel.add_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import LPError
-from repro.partition.consistency import RefinedVariable
+from repro.partition.signature import SignaturePartition
 
 if TYPE_CHECKING:  # decompose imports this module
     from repro.lp.decompose import Decomposition
 
 
 @dataclass
-class LPConstraint:
-    """An equality constraint ``sum(coefficients[i] * x[variables[i]]) = rhs``."""
-
-    variables: Tuple[int, ...]
-    rhs: int
-    coefficients: Optional[Tuple[float, ...]] = None
-    kind: str = "cardinality"
-    tag: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.coefficients is not None and len(self.coefficients) != len(self.variables):
-            raise LPError("coefficients must match variables")
-
-    def coefficient_list(self) -> Tuple[float, ...]:
-        """Coefficients, defaulting to all ones."""
-        if self.coefficients is None:
-            return tuple(1.0 for _ in self.variables)
-        return self.coefficients
-
-
-@dataclass
 class LPModel:
-    """A full LP: non-negative variables and linear equality constraints."""
+    """A full LP: non-negative variables and linear equality rows.
+
+    Row ``i`` reads ``sum(data[k] * x[indices[k]]) = rhs[i]`` over
+    ``k in range(indptr[i], indptr[i + 1])``.
+    """
 
     name: str
     num_variables: int = 0
-    constraints: List[LPConstraint] = field(default_factory=list)
-    #: Cached ``(A, b)`` system, invalidated whenever a constraint is added;
+    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    data: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    rhs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: Cached ``(A, b)`` system, invalidated whenever rows are added;
     #: the solver, the decomposer and the violation check all need it.
     _matrix_cache: Optional[Tuple["sparse.csr_matrix", np.ndarray]] = field(
         default=None, repr=False, compare=False
@@ -62,60 +52,55 @@ class LPModel:
         default=None, repr=False, compare=False
     )
 
-    def add_constraint(self, variables: Sequence[int], rhs: int,
-                       coefficients: Optional[Sequence[float]] = None,
-                       kind: str = "cardinality", tag: Optional[str] = None) -> None:
-        """Append an equality constraint over the given variable indices."""
-        variables = tuple(variables)
-        if variables and (min(variables) < 0 or max(variables) >= self.num_variables):
-            bad = next(i for i in variables if not 0 <= i < self.num_variables)
-            raise LPError(f"variable index {bad} out of range")
-        if rhs < 0:
+    def add_rows(self, lengths: Sequence[int], indices: Sequence[int],
+                 rhs: Sequence[float], data: Optional[Sequence[float]] = None) -> None:
+        """Append ``len(lengths)`` rows: row ``i`` takes the next
+        ``lengths[i]`` entries of ``indices`` (variable indices) and ``data``
+        (coefficients, all ones when omitted) and has right-hand side
+        ``rhs[i]``."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        rhs = np.asarray(rhs, dtype=np.float64)
+        data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=np.float64)
+        if len(data) != len(indices):
+            raise LPError("coefficients must match variables")
+        if len(rhs) != len(lengths) or int(lengths.sum()) != len(indices):
+            raise LPError("row lengths must match variables and right-hand sides")
+        out_of_range = (indices < 0) | (indices >= self.num_variables)
+        if out_of_range.any():
+            raise LPError(f"variable index {indices[out_of_range][0]} out of range")
+        if (rhs < 0).any():
             raise LPError("constraint right-hand side must be non-negative")
         self._matrix_cache = None
         self._decomposition_cache = None
-        self.constraints.append(
-            LPConstraint(
-                variables=variables,
-                rhs=int(rhs),
-                coefficients=tuple(coefficients) if coefficients is not None else None,
-                kind=kind,
-                tag=tag,
-            )
-        )
+        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + np.cumsum(lengths)])
+        self.indices = np.concatenate([self.indices, indices])
+        self.data = np.concatenate([self.data, data])
+        self.rhs = np.concatenate([self.rhs, rhs])
+
+    def add_constraint(self, variables: Sequence[int], rhs: int,
+                       coefficients: Optional[Sequence[float]] = None) -> None:
+        """Append one equality row over the given variable indices."""
+        self.add_rows([len(variables)], variables, [rhs], coefficients)
 
     @property
     def num_constraints(self) -> int:
         """Number of equality constraints."""
-        return len(self.constraints)
-
-    def cardinality_constraints(self) -> List[LPConstraint]:
-        """The constraints that encode CCs (as opposed to consistency)."""
-        return [c for c in self.constraints if c.kind == "cardinality"]
+        return len(self.rhs)
 
     def matrix(self) -> Tuple["sparse.csr_matrix", np.ndarray]:
         """Return the sparse equality matrix ``A`` and right-hand side ``b``.
 
-        The system is cached until the next :meth:`add_constraint` call;
+        ``A`` is canonical: column indices sorted within each row, repeated
+        entries summed.  The system is cached until rows are next added;
         callers must not mutate the returned arrays.
         """
-        if self._matrix_cache is not None:
-            return self._matrix_cache
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for i, constraint in enumerate(self.constraints):
-            coefficients = constraint.coefficient_list()
-            rows.extend([i] * len(constraint.variables))
-            cols.extend(constraint.variables)
-            data.extend(coefficients)
-        a = sparse.csr_matrix(
-            (np.asarray(data, dtype=np.float64), (rows, cols)),
-            shape=(len(self.constraints), self.num_variables),
-        )
-        b = np.array([c.rhs for c in self.constraints], dtype=np.float64)
-        self._matrix_cache = (a, b)
-        return a, b
+        if self._matrix_cache is None:
+            a = sparse.csr_matrix((self.data, self.indices, self.indptr), copy=True,
+                                  shape=(self.num_constraints, self.num_variables))
+            a.sum_duplicates()
+            self._matrix_cache = (a, self.rhs)
+        return self._matrix_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LPModel({self.name!r}, {self.num_variables} vars,"
@@ -124,13 +109,18 @@ class LPModel:
 
 @dataclass
 class SubViewBlock:
-    """Bookkeeping for one sub-view inside a view LP: which global variable
-    indices belong to it and the refined variables they correspond to."""
+    """One sub-view inside a view LP: its partition, whose variables are the
+    model's variables ``start`` to ``stop - 1``."""
 
     subview_index: int
     attributes: Tuple[str, ...]
-    variable_indices: Tuple[int, ...]
-    variables: List[RefinedVariable]
+    start: int
+    partition: SignaturePartition
+
+    @property
+    def stop(self) -> int:
+        """One past the block's last global variable index."""
+        return self.start + len(self.partition)
 
 
 @dataclass
@@ -168,7 +158,3 @@ class LPSolution:
     method: str
     max_violation: float = 0.0
     solve_seconds: float = 0.0
-
-    def value(self, index: int) -> int:
-        """Return the value of one variable."""
-        return int(self.values[index])

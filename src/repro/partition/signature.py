@@ -1,4 +1,4 @@
-"""Signature-based region partitioning.
+"""Signature-based region partitioning, with consistency refinement.
 
 :func:`repro.partition.region.optimal_partition` manipulates explicit box
 geometry, which is ideal for auditing the algorithm against the paper but
@@ -16,54 +16,86 @@ segments*:
    have become indistinguishable, so the running state count never exceeds
    the number of distinct final variables.
 
-The sweep (:func:`partition_signatures`) yields a compact
-:class:`SignaturePartition` of plain tuples; :func:`materialise_variables`
-turns it into :class:`~repro.partition.consistency.RefinedVariable` objects
-carrying a representative elementary cell per variable, which is all the
-summary generator needs (value instantiation uses the cell corner and
-alignment uses the shared-cell position).  The LP formulator tries several
-refinements per view and materialises only the one it keeps.
+Consistency refinement (Section 4.2, "Consistency Constraints"): sub-views
+of one view may share attributes, and their LP solutions must then agree on
+the joint distribution of those attributes.  Every variable is therefore
+refined to project into a single *shared cell* — one elementary segment of
+every shared attribute — and the LP formulator equates the per-cell sums.
+
+The sweep (:func:`partition_signatures`) returns a :class:`SignaturePartition`
+that holds the variables as arrays: a label row, a shared cell and a
+representative elementary box per variable.  Nothing is built per variable;
+the summary generator reads intervals off the arrays only for the variables
+the LP solution makes positive.  The LP formulator tries several refinements
+per view and keeps one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import PartitionBudgetError, PartitionError
-from repro.partition.box import Box
-from repro.partition.consistency import RefinedVariable
 from repro.predicates.interval import Interval, elementary_segments
 from repro.views.preprocess import ViewConstraint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignaturePartition:
-    """The variables of one sub-view before materialisation.
+    """The LP variables of one sub-view, one array row per variable.
 
-    ``entries`` holds one ``(label, cells, representative)`` triple per
-    variable, in the order :func:`partition_variables` returns them:
-    ``cells`` are the segment indices along ``shared`` (the sub-view's
-    shared attributes, in attribute order) and ``representative`` indexes
-    ``segments[i]`` for every ``attributes[i]``.
+    Region partitions order their variables by (sorted label, shared cell),
+    grid partitions by cell, row-major.  ``labels[v, j]``
+    says whether variable ``v`` satisfies view constraint
+    ``constraint_indices[j]``; ``cells[v, k]`` is the segment index of its
+    shared cell along ``shared[k]`` (the sub-view's refined attributes, in
+    attribute order); ``representatives[v, i]`` indexes ``segments[i]``, the
+    elementary segments of ``attributes[i]``, and so names one elementary
+    box inside the variable's region.
     """
 
     attributes: Tuple[str, ...]
     segments: Tuple[Tuple[Interval, ...], ...]
     shared: Tuple[str, ...]
-    entries: Tuple[Tuple[FrozenSet[int], Tuple[int, ...], Tuple[int, ...]], ...]
+    constraint_indices: Tuple[int, ...]
+    labels: np.ndarray
+    cells: np.ndarray
+    representatives: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.representatives)
+
+    def variables(self, indices: Sequence[int]) -> Iterator[
+            Tuple[Dict[str, Interval], FrozenSet[int], Dict[str, int]]]:
+        """Per variable in ``indices``: its representative box (an interval
+        per attribute), its label (the view constraints it satisfies) and
+        its shared cell (a segment index per shared attribute)."""
+        for representative, label, cell in zip(self.representatives[indices].tolist(),
+                                               self.labels[indices].tolist(),
+                                               self.cells[indices].tolist()):
+            yield ({attribute: pieces[index] for attribute, pieces, index
+                    in zip(self.attributes, self.segments, representative)},
+                   frozenset(constraint for constraint, holds
+                             in zip(self.constraint_indices, label) if holds),
+                   dict(zip(self.shared, cell)))
+
+    def corners(self, attribute: str) -> np.ndarray:
+        """Every variable's representative lower bound along ``attribute``."""
+        position = self.attributes.index(attribute)
+        lows = np.array([piece.lo for piece in self.segments[position]], dtype=np.int64)
+        return lows[self.representatives[:, position]]
 
 
-def partition_variables(attributes: Sequence[str], domains: Mapping[str, Interval],
-                        constraints: Sequence[ViewConstraint],
-                        constraint_indices: Sequence[int],
-                        shared_segments: Mapping[str, List[Interval]],
-                        max_states: Optional[int] = None,
-                        ) -> List[RefinedVariable]:
-    """Build the LP variables of one sub-view.
+def partition_signatures(attributes: Sequence[str], domains: Mapping[str, Interval],
+                         constraints: Sequence[ViewConstraint],
+                         constraint_indices: Sequence[int],
+                         shared_segments: Mapping[str, Sequence[Interval]],
+                         max_states: Optional[int] = None,
+                         ) -> SignaturePartition:
+    """Partition one sub-view into its LP variables.
 
     Parameters
     ----------
@@ -84,27 +116,7 @@ def partition_variables(attributes: Sequence[str], domains: Mapping[str, Interva
         exceeds it, :class:`~repro.errors.PartitionBudgetError` is raised so
         the caller can retry with a coarser shared-attribute refinement
         instead of paying for an oversized partition.
-
-    Returns
-    -------
-    list[RefinedVariable]
-        One variable per distinct (label, shared-cell) combination, each with
-        a single representative elementary box.
     """
-    return materialise_variables(partition_signatures(
-        attributes, domains, constraints, constraint_indices, shared_segments,
-        max_states,
-    ))
-
-
-def partition_signatures(attributes: Sequence[str], domains: Mapping[str, Interval],
-                         constraints: Sequence[ViewConstraint],
-                         constraint_indices: Sequence[int],
-                         shared_segments: Mapping[str, Sequence[Interval]],
-                         max_states: Optional[int] = None,
-                         ) -> SignaturePartition:
-    """The sweep of :func:`partition_variables`, without building variables
-    (same parameters and errors)."""
     if not attributes:
         raise PartitionError("sub-view must have at least one attribute")
     if len(constraints) != len(constraint_indices):
@@ -181,45 +193,39 @@ def partition_signatures(attributes: Sequence[str], domains: Mapping[str, Interv
         states = next_states
 
     # ------------------------------------------------------------------ #
-    # convert states to variables, merging states with equal labels
+    # states to variables, merging states with equal (label, cells): the
+    # first state seen keeps its representative.  One row per variable
+    # (label rank, cells, representative), sorted by (label, cells).
     # ------------------------------------------------------------------ #
-    # keyed by (sorted label, cells): the first state seen keeps its
-    # representative, and sorting the keys gives the variables' order
-    labels: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
-    variables: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
-                    Tuple[FrozenSet[int], Tuple[int, ...]]] = {}
+    labels: Dict[int, Tuple[int, ...]] = {}                # mask -> sorted label
+    variables: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...]] = {}
     for (mask, cells), representative in states.items():
-        if mask not in labels:
-            satisfied = set(always_true)
-            for bit, owner in enumerate(conjunct_owner):
-                if mask & (1 << bit):
-                    satisfied.add(owner)
-            label = frozenset(constraint_indices[p] for p in satisfied)
-            labels[mask] = (tuple(sorted(label)), label)
-        sort_key, label = labels[mask]
-        variables.setdefault((sort_key, cells), (label, representative))
-
+        label = labels.get(mask)
+        if label is None:
+            satisfied = always_true | {owner for bit, owner in enumerate(conjunct_owner)
+                                       if mask >> bit & 1}
+            label = labels[mask] = tuple(sorted({constraint_indices[p] for p in satisfied}))
+        variables.setdefault((label, cells), representative)
+    ranked = sorted(set(labels.values()))
+    rank = {label: index for index, label in enumerate(ranked)}
+    shared = tuple(a for a in attributes if a in shared_segments)
+    width = 1 + len(shared) + len(attributes)
+    table = np.fromiter(chain.from_iterable(
+        (rank[label],) + cells + representative
+        for (label, cells), representative in variables.items()),
+        dtype=np.intp, count=len(variables) * width).reshape(len(variables), width)
+    table = table[np.lexsort(table[:, len(shared)::-1].T)]
+    label_rows = np.array([[index in label for index in constraint_indices]
+                           for label in ranked], dtype=bool)
     return SignaturePartition(
         attributes=tuple(attributes),
         segments=tuple(all_segments),
-        shared=tuple(a for a in attributes if a in shared_segments),
-        entries=tuple((label, cells, representative) for (_, cells), (label, representative)
-                      in sorted(variables.items())),
+        shared=shared,
+        constraint_indices=tuple(constraint_indices),
+        labels=label_rows.reshape(len(ranked), len(constraint_indices))[table[:, 0]],
+        cells=table[:, 1:len(shared) + 1],
+        representatives=table[:, len(shared) + 1:],
     )
-
-
-def materialise_variables(partition: SignaturePartition) -> List[RefinedVariable]:
-    """One :class:`RefinedVariable` per entry of ``partition``, in order."""
-    attributes, segments, shared = partition.attributes, partition.segments, partition.shared
-    return [
-        RefinedVariable(
-            label=label,
-            boxes=[Box({attribute: pieces[index] for attribute, pieces, index
-                        in zip(attributes, segments, representative)})],
-            shared_cell=tuple(zip(shared, cells)),
-        )
-        for label, cells, representative in partition.entries
-    ]
 
 
 def shared_segments_from_constraints(attribute: str, domain: Interval,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import SummaryError
 from repro.lp.model import LPSolution, ViewLP
 from repro.predicates.interval import Interval
@@ -86,28 +88,20 @@ def subview_solutions(view_lp: ViewLP, solution: LPSolution) -> List[SubViewSolu
     """Convert a solved view LP into per-sub-view solutions.
 
     Variables assigned zero tuples are dropped; each remaining variable
-    contributes one row whose intervals come from the variable's first box
-    (all boxes of a variable satisfy the same constraints and project into
-    the same elementary segments along shared attributes, so any box is an
-    equally valid representative).
+    contributes one row whose intervals are those of its representative
+    elementary box (every point of a variable's region satisfies the same
+    constraints and lies in the same shared cell, so any box of it is an
+    equally valid representative).  Only these positive variables are read
+    off the partition arrays.
     """
     out: List[SubViewSolution] = []
     for block in view_lp.blocks:
-        rows: List[SolutionRow] = []
-        for global_index, variable in zip(block.variable_indices, block.variables):
-            count = solution.value(global_index)
-            if count <= 0:
-                continue
-            if not variable.boxes:
-                raise SummaryError("LP variable without boxes")
-            box = variable.boxes[0]
-            rows.append(
-                SolutionRow(
-                    intervals={attr: box.interval(attr) for attr in block.attributes},
-                    count=count,
-                    label=variable.label,
-                    cells=dict(variable.shared_cell),
-                )
-            )
+        counts = solution.values[block.start:block.stop]
+        positive = np.flatnonzero(counts > 0)
+        rows = [
+            SolutionRow(intervals=intervals, count=count, label=label, cells=cells)
+            for count, (intervals, label, cells)
+            in zip(counts[positive].tolist(), block.partition.variables(positive))
+        ]
         out.append(SubViewSolution(attributes=block.attributes, rows=rows))
     return out

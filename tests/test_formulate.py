@@ -1,14 +1,15 @@
 """Exactness of the region-partition ladder in :mod:`repro.lp.formulate`.
 
 The ladder memoises sub-view sweeps across rungs, stops a rung at the first
-sub-view that takes it over budget and materialises variables only for the
-rung it keeps.  None of that may change the LP: the oracle below is the plain
-ladder — every sub-view re-partitioned at every rung with a sweep that builds
-a dict of intervals per state — and both must agree variable for variable.
+sub-view that takes it over budget and keeps each partition as arrays.  None
+of that may change the LP: the oracle below is the plain ladder — every
+sub-view re-partitioned at every rung with a sweep that builds a dict of
+intervals per state — and both must agree variable for variable.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from repro import (
 )
 from repro.errors import PartitionBudgetError, PartitionError
 from repro.hydra.pipeline import Hydra
+from repro.lp.decompose import decompose_model
 from repro.lp.formulate import (
     _coarsen_segments,
     _region_ladder,
@@ -36,10 +38,9 @@ from repro.lp.formulate import (
     formulate_view_lp,
 )
 from repro.partition.box import Box
-from repro.partition.consistency import RefinedVariable
 from repro.partition.signature import (
+    SignaturePartition,
     _locate_cell,
-    materialise_variables,
     shared_segments_from_constraints,
 )
 from repro.predicates.interval import Interval, elementary_segments
@@ -49,8 +50,13 @@ from repro.views.preprocess import Preprocessor, ViewTask
 # ---------------------------------------------------------------------- #
 # oracle: the plain ladder and the plain sweep
 # ---------------------------------------------------------------------- #
+#: One LP variable: its label, its shared cell as (attribute, segment index)
+#: pairs and its representative box.
+Variable = Tuple[FrozenSet[int], Tuple[Tuple[str, int], ...], Box]
+
+
 def oracle_partition_variables(attributes, domains, constraints, constraint_indices,
-                               shared_segments, max_states=None) -> List[RefinedVariable]:
+                               shared_segments, max_states=None) -> List[Variable]:
     """The sweep with one interval dict per state, building every variable."""
     if not attributes:
         raise PartitionError("sub-view must have at least one attribute")
@@ -119,16 +125,14 @@ def oracle_partition_variables(attributes, domains, constraints, constraint_indi
         key = (label, cells)
         if key not in variables:
             variables[key] = representative
-    out = [
-        RefinedVariable(label=label, boxes=[Box(representative)], shared_cell=cells)
-        for (label, cells), representative in variables.items()
-    ]
-    out.sort(key=lambda v: (sorted(v.label), v.shared_cell))
+    out = [(label, cells, Box(representative))
+           for (label, cells), representative in variables.items()]
+    out.sort(key=lambda v: (sorted(v[0]), v[1]))
     return out
 
 
 def oracle_region_variables(task: ViewTask, max_region_variables: int,
-                            ) -> Tuple[Dict[int, List[RefinedVariable]], Tuple[str, ...]]:
+                            ) -> Tuple[Dict[int, List[Variable]], Tuple[str, ...]]:
     """The ladder that re-partitions every sub-view at every rung.  Its one
     departure from the plain loop is the tie-break by name when dropping an
     attribute, without which the oracle itself would depend on hash order."""
@@ -158,7 +162,7 @@ def oracle_region_variables(task: ViewTask, max_region_variables: int,
             widest = max(sorted(active), key=lambda a: len(segments_probe[a]))
             active.discard(widest)
         segments = segments_for(active, max_segments)
-        out: Dict[int, List[RefinedVariable]] = {}
+        out: Dict[int, List[Variable]] = {}
         total = 0
         over_budget = False
         for index, subview in enumerate(task.subviews):
@@ -214,8 +218,10 @@ def view_tasks(smoke_client) -> List[ViewTask]:
     return tasks
 
 
-def triples(variables: List[RefinedVariable]):
-    return [(v.label, v.shared_cell, v.boxes) for v in variables]
+def triples(partition: SignaturePartition) -> List[Variable]:
+    """The partition's variables read off its arrays, one by one."""
+    return [(label, tuple(cell.items()), Box(intervals))
+            for intervals, label, cell in partition.variables(range(len(partition)))]
 
 
 BUDGETS = (64, 512, 8000)
@@ -229,7 +235,7 @@ def test_ladder_matches_plain_ladder(view_tasks, budget):
         assert ladder.aligned == aligned, task.relation
         assert sorted(ladder.partitions) == sorted(expected), task.relation
         for index, partition in ladder.partitions.items():
-            assert triples(materialise_variables(partition)) == triples(expected[index]), \
+            assert triples(partition) == expected[index], \
                 (task.relation, index)
 
 
@@ -274,6 +280,23 @@ def test_formulation_is_pinned(smoke_constraints):
         manifest = hydra.component_manifest(ccs)
         digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
         assert (counts, digest) == expected[which], which
+
+
+def test_view_lp_allocates_fewer_objects_than_variables(smoke_client, smoke_constraints):
+    """A view LP and its decomposition are arrays: holding them keeps fewer
+    garbage-collector-tracked objects alive than the LP has variables."""
+    schema, workloads = smoke_constraints
+    task = Preprocessor(schema).build_task(
+        "store_returns", workloads["wlc"].by_relation()["store_returns"])
+    gc.collect()
+    before = len(gc.get_objects())
+    view_lp = formulate_view_lp(task)
+    decomposition = decompose_model(view_lp.model)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert (view_lp.num_variables, view_lp.model.num_constraints) == (329, 96)
+    assert decomposition.components
+    assert grown < view_lp.num_variables
 
 
 FORCED_DROP = """

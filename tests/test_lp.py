@@ -55,16 +55,15 @@ class TestFormulation:
         view_lp = formulate_view_lp(person_task, strategy=STRATEGY_REGION)
         # Figure 4(b): four variables, three constraints with sums 1000/2000/8000.
         assert view_lp.num_variables == 4
-        rhs = sorted(c.rhs for c in view_lp.model.cardinality_constraints())
-        assert rhs == [1000, 2000, 8000]
-        sizes = sorted(len(c.variables) for c in view_lp.model.cardinality_constraints())
-        assert sizes == [2, 2, 4]
+        # one sub-view, so every row is a cardinality row
+        model = view_lp.model
+        assert sorted(model.rhs.tolist()) == [1000, 2000, 8000]
+        assert sorted(np.diff(model.indptr).tolist()) == [2, 2, 4]
 
     def test_grid_formulation_matches_figure_4a(self, person_task):
         view_lp = formulate_view_lp(person_task, strategy=STRATEGY_GRID)
         assert view_lp.num_variables == 16
-        sizes = sorted(len(c.variables) for c in view_lp.model.cardinality_constraints())
-        assert sizes == [4, 4, 16]
+        assert sorted(np.diff(view_lp.model.indptr).tolist()) == [4, 4, 16]
 
     def test_count_without_materialisation(self, person_task):
         assert count_lp_variables(person_task, STRATEGY_REGION) == 4
@@ -90,14 +89,16 @@ class TestFormulation:
         ]
         task = pre.build_task("R", ccs)
         view_lp = formulate_view_lp(task)
-        kinds = {c.kind for c in view_lp.model.constraints}
-        assert "consistency" in kinds
         assert "B" in view_lp.aligned_attributes
-        # consistency rows have +1/-1 coefficients and rhs zero
-        for constraint in view_lp.model.constraints:
-            if constraint.kind == "consistency":
-                assert constraint.rhs == 0
-                assert set(constraint.coefficient_list()) <= {1.0, -1.0}
+        # the cardinality rows (one per in-scope CC per sub-view) come first;
+        # the consistency rows after them have +1/-1 coefficients and rhs zero
+        model = view_lp.model
+        cardinality = sum(len(s.constraint_indices) for s in task.subviews)
+        assert model.num_constraints > cardinality
+        for row in range(cardinality, model.num_constraints):
+            assert model.rhs[row] == 0
+            coefficients = model.data[model.indptr[row]:model.indptr[row + 1]]
+            assert set(coefficients.tolist()) <= {1.0, -1.0}
 
 
 class TestSolver:
@@ -218,7 +219,7 @@ class TestSolverFallbackChain:
         # the "malformed model" branch of the continuous path.
         model = LPModel(name="nan", num_variables=1)
         model.add_constraint([0], 1)
-        model.constraints[0].rhs = float("nan")  # type: ignore[assignment]
+        model.rhs[0] = float("nan")
         model._matrix_cache = None
         with pytest.raises(InfeasibleLPError):
             LPSolver(prefer_integer=False).solve(model)

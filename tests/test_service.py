@@ -669,3 +669,18 @@ class TestScaledServiceReads:
         assert result.returncode != 0
         assert "Traceback" not in result.stderr
         assert "scale must be a positive finite number" in result.stderr
+
+    @pytest.mark.parametrize("command", [["verify"], ["regenerate"],
+                                         ["regenerate", "--fingerprint", "f" * 64]])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_cli_checks_scale_before_building(self, command, scale, monkeypatch, capsys):
+        from repro import cli
+
+        def build(*args):
+            raise AssertionError("built before the scale factor was checked")
+
+        monkeypatch.setattr(cli, "_benchmark_environment", build)
+        monkeypatch.setattr(cli, "_session", build)
+        assert cli.main(command + [f"--scale-factor={scale}"]) == 2
+        assert (f"{command[0]}: scale must be a positive finite number"
+                in capsys.readouterr().err)

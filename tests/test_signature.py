@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import PartitionBudgetError
+from repro.partition.box import Box
+from repro.partition.grid import grid_intervals, grid_partition, grid_signatures
 from repro.partition.region import optimal_partition
 from repro.partition.signature import (
-    partition_variables,
+    partition_signatures,
     shared_segments_from_constraints,
 )
 from repro.predicates.interval import Interval
@@ -18,40 +20,41 @@ from tests.test_partition import random_constraints
 
 class TestSignaturePartitioning:
     def test_person_example_variables(self, person_domains, person_constraints):
-        variables = partition_variables(
+        partition = partition_signatures(
             ("age", "salary"), person_domains, person_constraints,
             constraint_indices=[0, 1, 2], shared_segments={},
         )
-        assert len(variables) == 4
-        labels = {v.label for v in variables}
+        assert len(partition) == 4
+        variables = list(partition.variables(range(len(partition))))
+        labels = {label for _, label, _ in variables}
         assert labels == {
             frozenset({0, 2}), frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}),
         }
         # every representative corner satisfies exactly its label
-        for variable in variables:
-            corner = variable.representative()
+        for intervals, label, _ in variables:
+            corner = {a: iv.lo for a, iv in intervals.items()}
             for index, constraint in enumerate(person_constraints):
-                assert constraint.predicate.evaluate(corner) == (index in variable.label)
+                assert constraint.predicate.evaluate(corner) == (index in label)
 
     def test_shared_segment_refinement_splits_variables(self, person_domains, person_constraints):
         segments = shared_segments_from_constraints(
             "age", person_domains["age"], person_constraints
         )
-        variables = partition_variables(
+        partition = partition_signatures(
             ("age", "salary"), person_domains, person_constraints,
             constraint_indices=[0, 1, 2], shared_segments={"age": segments},
         )
         # refinement along age can only increase the variable count
-        assert len(variables) >= 4
-        for variable in variables:
-            assert dict(variable.shared_cell).keys() == {"age"}
+        assert len(partition) >= 4
+        for _, _, cell in partition.variables(range(len(partition))):
+            assert cell.keys() == {"age"}
 
     def test_budget_abort(self, person_domains, person_constraints):
         segments = shared_segments_from_constraints(
             "age", person_domains["age"], person_constraints
         )
         with pytest.raises(PartitionBudgetError):
-            partition_variables(
+            partition_signatures(
                 ("age", "salary"), person_domains, person_constraints,
                 constraint_indices=[0, 1, 2], shared_segments={"age": segments},
                 max_states=2,
@@ -59,11 +62,11 @@ class TestSignaturePartitioning:
 
     def test_only_size_constraint(self, person_domains, person_constraints):
         size_only = [person_constraints[2]]
-        variables = partition_variables(
+        partition = partition_signatures(
             ("age",), person_domains, size_only, [0], {},
         )
-        assert len(variables) == 1
-        assert variables[0].label == frozenset({0})
+        assert len(partition) == 1
+        assert [label for _, label, _ in partition.variables([0])] == [frozenset({0})]
 
 
 @given(random_constraints())
@@ -71,7 +74,27 @@ class TestSignaturePartitioning:
 def test_signature_labels_match_box_geometry(data):
     attrs, domains, constraints = data
     regions = optimal_partition(attrs, domains, constraints)
-    variables = partition_variables(attrs, domains, constraints,
-                                    list(range(len(constraints))), {})
-    assert {r.label for r in regions} == {v.label for v in variables}
-    assert len(regions) == len(variables)
+    partition = partition_signatures(attrs, domains, constraints,
+                                     list(range(len(constraints))), {})
+    assert {r.label for r in regions} == {
+        label for _, label, _ in partition.variables(range(len(partition)))}
+    assert len(regions) == len(partition)
+
+
+@given(random_constraints())
+@settings(max_examples=60, deadline=None)
+def test_grid_signatures_match_grid_boxes(data):
+    """The grid's arrays read back, cell by cell and in order, as the boxes
+    of the materialised grid, each labelled by box geometry."""
+    attrs, domains, constraints = data
+    boxes = grid_partition(attrs, domains, constraints)
+    partition = grid_signatures(attrs, domains, constraints, constraints,
+                                list(range(len(constraints))), {attrs[0]})
+    variables = list(partition.variables(range(len(partition))))
+    assert len(variables) == len(boxes)
+    first = grid_intervals(attrs, domains, constraints)[attrs[0]]
+    for box, (intervals, label, cell) in zip(boxes, variables):
+        assert Box(intervals) == box
+        assert label == frozenset(i for i, constraint in enumerate(constraints)
+                                  if box.satisfies_predicate(constraint.predicate))
+        assert cell == {attrs[0]: first.index(box.interval(attrs[0]))}
