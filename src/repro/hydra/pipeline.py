@@ -41,6 +41,7 @@ from repro.lp.solver import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_WORKERS,
     ParallelLPSolver,
+    SolverBatch,
 )
 from repro.schema.schema import Schema
 from repro.summary.align import merge_subview_solutions
@@ -156,6 +157,18 @@ class HydraResult:
         }
 
 
+def formulation_order(tasks: Mapping[str, ViewTask]) -> List[str]:
+    """The relations with a view LP, in the order their LPs are formulated
+    and handed to a solver batch.
+
+    Views with few sub-views formulate fastest and go first: a long solve
+    among them then overlaps the slow formulations of the many-sub-view
+    fact tables.
+    """
+    return sorted((relation for relation, task in tasks.items() if task.subviews),
+                  key=lambda relation: len(tasks[relation].subviews))
+
+
 class Hydra:
     """The Hydra data regenerator.
 
@@ -219,32 +232,36 @@ class Hydra:
 
     def component_manifest(self, ccs: ConstraintSet,
                            relations: Optional[Sequence[str]] = None,
+                           batch: Optional[SolverBatch] = None,
                            ) -> Dict[str, List[str]]:
-        """Per-relation canonical component keys of a build request, without
-        solving anything.
+        """Per-relation canonical component keys of a build request.
 
         Preprocessing and LP formulation cost time independent of the data
         size; the returned keys are exactly the solver's decomposition keys
         (:func:`repro.lp.decompose.component_key`), so diffing two manifests
         names the constraint-graph components whose cached solutions an
-        incremental build reuses verbatim.
+        incremental build reuses verbatim.  Nothing is solved unless a
+        ``batch`` of this pipeline's solver is given: each view LP is then
+        submitted to it, so its uncached components start solving at once
+        and a build of the same request waits for those solves instead of
+        repeating them.
         """
         names = list(relations) if relations is not None else list(self.schema.relation_names)
         by_relation = ccs.by_relation()
-        manifest: Dict[str, List[str]] = {}
-        for relation in names:
-            task = self.preprocessor.build_task(relation, by_relation.get(relation, []))
-            if not task.subviews:
-                manifest[relation] = []
-                continue
+        tasks = {relation: self.preprocessor.build_task(
+            relation, by_relation.get(relation, [])) for relation in names}
+        manifest: Dict[str, List[str]] = {relation: [] for relation in names}
+        for relation in formulation_order(tasks):
             view_lp = formulate_view_lp(
-                task,
+                tasks[relation],
                 strategy=self.config.strategy,
                 max_grid_variables=self.config.max_grid_variables,
                 max_region_variables=self.config.max_region_variables,
             )
+            decomposition = (decompose_model(view_lp.model) if batch is None
+                             else batch.submit(view_lp.model))
             manifest[relation] = sorted(
-                component.key for component in decompose_model(view_lp.model).components
+                component.key for component in decomposition.components
             )
         return manifest
 
@@ -302,9 +319,7 @@ class Hydra:
 
         # Phase 2: formulate each view LP and submit it to the solver batch
         # at once, so its components solve on the worker pool while the next
-        # LP is formulated.  Views with few sub-views formulate fastest and
-        # go first: a long solve among them then overlaps the slow
-        # formulations of the many-sub-view fact tables.
+        # LP is formulated.
         lp_order = [relation for relation in names if tasks[relation].subviews]
         view_lps: Dict[str, ViewLP] = {}
         decompositions: Dict[str, Decomposition] = {}
@@ -312,7 +327,7 @@ class Hydra:
                         self.solver.stats.cache_hits,
                         self.solver.stats.cache_misses)
         with self.solver.batch() as batch:
-            submitted = sorted(lp_order, key=lambda r: len(tasks[r].subviews))
+            submitted = formulation_order(tasks)
             for relation in submitted:
                 report = reports[relation]
                 t0 = time.perf_counter()
