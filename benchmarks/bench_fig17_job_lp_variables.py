@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from conftest import QUICK
 
+from repro.api import RegenConfig
 from repro.codd.scaling import scale_constraints
-from repro.hydra.pipeline import Hydra, HydraConfig
+from repro.hydra.pipeline import Hydra
 from repro.metrics.similarity import evaluate_on_summary
 
 #: The paper's stated envelope for this figure: per-view LPs stay below 1e5
@@ -53,7 +54,7 @@ NOMINAL_FACTOR = 1.0 / 0.002
 def test_fig17_job_lp_variables_and_fidelity(job_env):
     schema, ccs = job_env["schema"], job_env["ccs"]
     nominal = scale_constraints(ccs, NOMINAL_FACTOR, name="JOB@nominal")
-    config = HydraConfig(max_region_variables=PAPER_VARIABLE_ENVELOPE)
+    config = RegenConfig(max_region_variables=PAPER_VARIABLE_ENVELOPE)
 
     result = Hydra(schema, config).build_summary(nominal)
 

@@ -38,7 +38,7 @@ from repro.constraints import CardinalityConstraint, ConstraintSet
 from repro.datasynth import DataSynth, DataSynthConfig, DataSynthResult
 from repro.engine import EXECUTOR_MODES, Database, Executor, PipelineStats, Table
 from repro.errors import ReproError
-from repro.hydra import Hydra, HydraConfig, HydraResult, extract_constraints
+from repro.hydra import Hydra, HydraResult, extract_constraints
 from repro.metrics import (
     SimilarityReport,
     compare_extra_tuples,
@@ -108,7 +108,6 @@ __all__ = [
     "generate_database",
     # pipelines
     "Hydra",
-    "HydraConfig",
     "HydraResult",
     "extract_constraints",
     "DataSynth",

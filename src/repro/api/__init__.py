@@ -3,8 +3,8 @@
 ``repro.api`` is the supported surface for driving the whole pipeline:
 
 * :class:`RegenConfig` — every result-affecting and performance knob in one
-  frozen dataclass, from which the pipeline's ``HydraConfig`` is derived and
-  which namespaces store fingerprints;
+  frozen dataclass; ``Hydra`` and the service read it as is, and it
+  namespaces store fingerprints;
 * :class:`Session` — the facade with the paper's four verbs
   (``extract`` → ``summarize`` → ``regenerate`` → ``verify``), a thin
   client of the one :class:`~repro.service.RegenerationService` it owns

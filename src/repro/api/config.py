@@ -1,14 +1,11 @@
 """The one canonical configuration of the regeneration pipeline.
 
-Before :class:`RegenConfig`, result-affecting knobs were scattered across
-``HydraConfig``, ``ParallelLPSolver``, ``Executor`` and
-``RegenerationService``, each with its own defaults and calling convention.
-``RegenConfig`` consolidates every knob in one frozen (hashable, immutable)
-dataclass from which the pipeline's ``HydraConfig`` is *derived*, and it is
-the canonical input to store-fingerprint namespacing: two sessions whose
-configs differ in a result-affecting knob can never share a store entry,
-while performance-only knobs (workers, cache sizes, batch size) never split
-the store.
+:class:`RegenConfig` holds every knob in one frozen (hashable, immutable)
+dataclass.  :class:`~repro.hydra.pipeline.Hydra` reads its pipeline knobs
+from it directly, and its result-affecting knobs namespace store
+fingerprints: two sessions whose configs differ in a result-affecting knob
+can never share a store entry, while performance-only knobs (workers, cache
+sizes, batch size) never split the store.
 
 It is also the only place a serving knob is set: ``RegenerationService``,
 ``Session.serve()`` and ``RegenerationServer`` read their worker pool,
@@ -20,10 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # the pipeline config is derived lazily to avoid cycles
-    from repro.hydra.pipeline import HydraConfig
+from typing import Optional
 
 from repro.engine.executor import EXECUTOR_MODES
 from repro.errors import ConfigError
@@ -164,26 +158,14 @@ class RegenConfig:
                 f" expected one of {LOG_FORMATS}"
             )
 
-    # ------------------------------------------------------------------ #
-    # derivation of the pipeline config
-    # ------------------------------------------------------------------ #
     def replace(self, **changes: object) -> "RegenConfig":
         """A copy with the given knobs changed (the config is frozen)."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
-    def hydra_config(self) -> "HydraConfig":
-        """Derive the :class:`~repro.hydra.pipeline.HydraConfig` slice."""
-        from repro.hydra.pipeline import HydraConfig
+    def hydra_config(self) -> "RegenConfig":
+        """This config: :class:`~repro.hydra.pipeline.Hydra` takes it as is.
 
-        return HydraConfig(
-            strategy=self.strategy,
-            prefer_integer=self.prefer_integer,
-            milp_variable_limit=self.milp_variable_limit,
-            time_limit=self.time_limit,
-            max_grid_variables=self.max_grid_variables,
-            max_region_variables=self.max_region_variables,
-            workers=self.workers,
-            cache_size=self.cache_size,
-            use_processes=self.use_processes,
-            strict=self.strict,
-        )
+        Kept for ``bench_e2e/layers.py``, which still passes
+        ``config.hydra_config()`` to ``Hydra``.
+        """
+        return self

@@ -159,16 +159,23 @@ class Session:
                scale: float = 1.0) -> SimilarityReport:
         """Volumetric-similarity check of the handle's regenerated database.
 
-        ``constraints`` defaults to the ones the handle was summarized from,
-        scaled by ``scale``; explicit ``constraints`` are evaluated as given
-        (see :meth:`~repro.service.RegenerationService.verify`).  A handle
-        loaded from the store carries no constraints, so it needs explicit
-        ones.  :func:`~repro.metrics.similarity.evaluate_on_summary` is the
+        The handle resolves by its fingerprint, so nothing is fingerprinted
+        again.  ``constraints`` defaults to the ones the handle was
+        summarized from, scaled by ``scale``; explicit ``constraints`` are
+        evaluated as given (see
+        :meth:`~repro.service.RegenerationService.verify`).  A handle loaded
+        from the store carries no constraints, so it needs explicit ones.
+        :func:`~repro.metrics.similarity.evaluate_on_summary` is the
         analytic (engine-free) check of a summary.
         """
-        request = handle.fingerprint if handle.constraints is None \
-            else handle.constraints
-        return self.service.verify(request, constraints, scale=scale)
+        from repro.service.service import check_scale
+
+        check_scale(scale)
+        if constraints is None and handle.constraints is not None:
+            constraints = handle.constraints if scale == 1.0 \
+                else handle.constraints.scaled(scale)
+        return self.service.verify(handle.fingerprint, constraints,
+                                   scale=scale)
 
     def serve(self) -> "RegenerationService":
         """The session's concurrent serving front-end: :attr:`service` itself.

@@ -88,18 +88,15 @@ def _session(args: argparse.Namespace, schema: Schema) -> Session:
 
 
 def _print_stats(service: "RegenerationService") -> None:
-    stats = service.stats()
+    stats = service.service_stats()
     keys = ("requests", "hits", "misses", "inflight_dedup",
             "rejected_submissions", "pipeline_runs", "pipeline_failures",
             "queue_depth", "batches_streamed",
             "solver_components_solved", "solver_cache_hits",
             "solver_cache_misses", "summaries", "components", "store_bytes",
             "corrupt_entries", "evictions", "expirations", "gc_runs")
-    print(" ".join(f"{key}={stats.get(key, 0)}" for key in keys))
-
-
-def _print_tenants(service: "RegenerationService") -> None:
-    for row in service.service_stats().tenants:
+    print(" ".join(f"{key}={stats.counters.get(key, 0)}" for key in keys))
+    for row in stats.tenants:
         print(f"  tenant={row.tenant} admitted={row.admitted}"
               f" rejected={row.rejected} completed={row.completed}"
               f" failed={row.failed} queued={row.queued} running={row.running}")
@@ -119,7 +116,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
               f" total_rows={summary.total_rows()} summary_bytes={summary.nbytes()}")
         print(f"content_digest={summary.content_digest()}")
         _print_stats(service)
-        _print_tenants(service)
     return 0
 
 
@@ -161,7 +157,6 @@ def _cmd_resummarize(args: argparse.Namespace) -> int:
               f" components_retired={len(report.retired_components)}")
         print(f"content_digest={report.summary.content_digest()}")
         _print_stats(service)
-        _print_tenants(service)
     return 0
 
 
@@ -226,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     schema, constraints, _, _ = _benchmark_environment(args)
     session = _session(args, schema)
     handle = session.summarize(constraints)
-    report = session.service.verify(constraints, scale=args.scale_factor)
+    report = session.verify(handle, scale=args.scale_factor)
     print(f"fingerprint={handle.fingerprint} warm={handle.from_store}")
     print(f"verified constraints={len(report.results)}"
           f" max_error={report.max_error():.6f}"
@@ -281,7 +276,6 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
             f" require_warm={args.require_warm}",
             server.shutdown, server.serve_forever)
         _print_stats(service)
-        _print_tenants(service)
     return 0
 
 
@@ -325,7 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"served relation={args.relation} batches={batches} rows={rows}"
               f" warm={warm}")
         _print_stats(service)
-        _print_tenants(service)
         if args.require_warm and service.stats()["pipeline_runs"] > 0:
             print("pipeline ran despite --require-warm", file=sys.stderr)
             return EXIT_NOT_WARM

@@ -1,12 +1,6 @@
-"""CODD-style dataless metadata, anonymisation and scale-factor modelling."""
+"""Anonymisation and CODD-style scale-factor modelling."""
 
 from repro.codd.anonymizer import Anonymizer
-from repro.codd.metadata import (
-    AttributeStats,
-    MetadataCatalog,
-    RelationMetadata,
-    capture_metadata,
-)
 from repro.codd.scaling import (
     BYTES_PER_VALUE,
     bytes_per_row,
@@ -18,10 +12,6 @@ from repro.codd.scaling import (
 
 __all__ = [
     "Anonymizer",
-    "MetadataCatalog",
-    "RelationMetadata",
-    "AttributeStats",
-    "capture_metadata",
     "BYTES_PER_VALUE",
     "bytes_per_row",
     "database_bytes",

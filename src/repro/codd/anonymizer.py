@@ -1,8 +1,8 @@
 """Value anonymisation (Section 3.1).
 
 Before schema, metadata, queries and CCs leave the client site, Hydra passes
-them through an anonymiser that masks identifiers and maps every non-numeric
-constant to an integer, so that the vendor-side pipeline only ever sees
+them through an anonymiser.  Its value half lives here: every non-numeric
+constant maps to an integer, so that the vendor-side pipeline only ever sees
 numbers.  The mapping is reversible at the client, but the reverse direction
 is never needed for satisfying cardinality constraints.
 """
@@ -10,41 +10,20 @@ is never needed for satisfying cardinality constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable
 
 
 @dataclass
 class Anonymizer:
-    """Bidirectional mapping of arbitrary values and names to integers.
+    """Bidirectional mapping of arbitrary client values to integers.
 
-    Two independent dictionaries are kept: one for identifiers (relation and
-    attribute names) and one for data values, scoped per attribute so that
-    equal strings in unrelated columns do not leak correlations.
+    Codes are scoped per attribute, so that equal strings in unrelated
+    columns do not leak correlations.
     """
 
-    _names: Dict[str, str] = field(default_factory=dict)
-    _reverse_names: Dict[str, str] = field(default_factory=dict)
     _values: Dict[str, Dict[Hashable, int]] = field(default_factory=dict)
     _reverse_values: Dict[str, Dict[int, Hashable]] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------ #
-    # identifier masking
-    # ------------------------------------------------------------------ #
-    def mask_name(self, name: str, prefix: str = "n") -> str:
-        """Return a stable opaque identifier for ``name``."""
-        if name not in self._names:
-            masked = f"{prefix}{len(self._names):04d}"
-            self._names[name] = masked
-            self._reverse_names[masked] = name
-        return self._names[name]
-
-    def unmask_name(self, masked: str) -> str:
-        """Return the original identifier for a masked name."""
-        return self._reverse_names[masked]
-
-    # ------------------------------------------------------------------ #
-    # value mapping
-    # ------------------------------------------------------------------ #
     def encode(self, attribute: str, value: Hashable) -> int:
         """Map a client value of ``attribute`` to its integer code.
 
@@ -62,16 +41,8 @@ class Anonymizer:
             self._reverse_values.setdefault(attribute, {})[code] = value
         return mapping[value]
 
-    def encode_many(self, attribute: str, values: Iterable[Hashable]) -> List[int]:
-        """Encode several values of the same attribute."""
-        return [self.encode(attribute, v) for v in values]
-
     def decode(self, attribute: str, code: int) -> Hashable:
         """Return the original value for an integer code (integers that were
         passed through unchanged decode to themselves)."""
         mapping = self._reverse_values.get(attribute, {})
         return mapping.get(code, code)
-
-    def codes_for(self, attribute: str) -> Dict[Hashable, int]:
-        """Return the full value-to-code mapping of one attribute."""
-        return dict(self._values.get(attribute, {}))

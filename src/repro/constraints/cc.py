@@ -8,7 +8,7 @@ of rows that satisfy it on the client database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConstraintError
@@ -61,11 +61,6 @@ class CardinalityConstraint:
     def is_size_constraint(self) -> bool:
         """``True`` for plain table-size constraints ``|R| = k``."""
         return self.predicate.is_true
-
-    @property
-    def is_join_constraint(self) -> bool:
-        """``True`` when the constrained expression involves a join."""
-        return len(self.joined_relations) > 1
 
     @property
     def attributes(self) -> Tuple[str, ...]:

@@ -122,10 +122,6 @@ class Database:
         table = self.table(relation)  # raises EngineError when unattached
         return iter((table,))
 
-    def has_table(self, relation: str) -> bool:
-        """Return ``True`` if data (materialised or streamed) is attached."""
-        return relation in self._tables or relation in self._streams
-
     def is_dynamic(self, relation: str) -> bool:
         """Return ``True`` if the relation is served by a batch stream that
         has not been materialised yet."""

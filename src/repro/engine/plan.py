@@ -108,16 +108,3 @@ class AnnotatedQueryPlan:
     def output_cardinality(self) -> int:
         """Cardinality of the plan's final output."""
         return self.root.cardinality
-
-    def pretty(self) -> str:
-        """Return an indented textual rendering of the annotated plan."""
-        lines: List[str] = []
-
-        def _render(node: PlanNode, depth: int) -> None:
-            label = getattr(node, "label", lambda: type(node).__name__)()
-            lines.append("  " * depth + f"{label}  [rows={node.cardinality}]")
-            for child in node.children():
-                _render(child, depth + 1)
-
-        _render(self.root, 0)
-        return "\n".join(lines)

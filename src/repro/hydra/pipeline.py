@@ -22,27 +22,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a service<->hydra cycle
     from repro.service.store import SummaryStore
 
+from repro.api.config import RegenConfig
 from repro.constraints.workload import ConstraintSet
-from repro.errors import LPTooLargeError
 from repro.lp.decompose import Decomposition, decompose_model
-from repro.lp.formulate import (
-    STRATEGY_GRID,
-    STRATEGY_REGION,
-    count_lp_variables,
-    formulate_view_lp,
-)
+from repro.lp.formulate import count_lp_variables, formulate_view_lp
 from repro.lp.model import LPSolution, ViewLP
-from repro.lp.solver import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_WORKERS,
-    ParallelLPSolver,
-    SolverBatch,
-)
+from repro.lp.solver import ParallelLPSolver, SolverBatch
 from repro.schema.schema import Schema
 from repro.summary.align import merge_subview_solutions
 from repro.summary.consistency import enforce_referential_consistency
@@ -50,52 +40,9 @@ from repro.summary.relation_summary import (
     DatabaseSummary,
     build_relation_summary,
 )
-from repro.summary.solution import ViewSolution, subview_solutions
+from repro.summary.solution import subview_solutions
 from repro.summary.view_summary import ViewSummary, instantiate_view_summary
 from repro.views.preprocess import Preprocessor, ViewTask
-
-
-@dataclass
-class HydraConfig:
-    """Tuning knobs of the Hydra pipeline.
-
-    Parameters
-    ----------
-    strategy:
-        Partitioning strategy; ``"region"`` is Hydra proper, ``"grid"`` turns
-        the pipeline into a DataSynth-style formulation (useful for
-        ablations).
-    prefer_integer:
-        Ask the solver for an exactly integral solution first.
-    milp_variable_limit / time_limit:
-        Passed to :class:`~repro.lp.solver.ParallelLPSolver`; the MILP size
-        limit applies per connected component after decomposition.
-    max_grid_variables:
-        Ceiling on grid materialisation when ``strategy="grid"``.
-    workers:
-        Concurrent component solves; each view LP is decomposed into
-        independent connected components, which go to a worker pool as soon
-        as the LP is formulated (``1`` solves them inline afterwards).
-    cache_size:
-        Capacity of the LRU component-solution cache (``0`` disables it);
-        repeated builds over identical constraint sets skip their solves.
-    use_processes:
-        Use a process pool instead of threads for component solves.
-    strict:
-        Raise :class:`~repro.errors.InfeasibleLPError` on residual constraint
-        violation instead of reporting it in the diagnostics.
-    """
-
-    strategy: str = STRATEGY_REGION
-    prefer_integer: bool = True
-    milp_variable_limit: int = 4_000
-    time_limit: Optional[float] = 10.0
-    max_grid_variables: int = 200_000
-    max_region_variables: int = 8_000
-    workers: int = DEFAULT_WORKERS
-    cache_size: int = DEFAULT_CACHE_SIZE
-    use_processes: bool = False
-    strict: bool = False
 
 
 @dataclass
@@ -175,7 +122,10 @@ class Hydra:
     Parameters
     ----------
     schema / config:
-        The client schema and tuning knobs.
+        The client schema and the :class:`~repro.api.RegenConfig` whose
+        pipeline knobs (partitioning strategy and budgets, integrality,
+        MILP limits, solver workers and cache) this pipeline reads; ``None``
+        means the defaults.
     store:
         Optional :class:`~repro.service.store.SummaryStore`.  When given,
         builds whose ``(schema, constraints, relations)`` fingerprint is
@@ -185,10 +135,10 @@ class Hydra:
         processes.
     """
 
-    def __init__(self, schema: Schema, config: Optional[HydraConfig] = None,
+    def __init__(self, schema: Schema, config: Optional[RegenConfig] = None,
                  store: Optional["SummaryStore"] = None) -> None:
         self.schema = schema
-        self.config = config or HydraConfig()
+        self.config = config or RegenConfig()
         self.store = store
         self.preprocessor = Preprocessor(schema)
         self.solver = ParallelLPSolver(

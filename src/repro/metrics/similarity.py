@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.errors import SummaryError
 from repro.schema.schema import Schema
-from repro.summary.relation_summary import DatabaseSummary, RelationSummary
+from repro.summary.relation_summary import DatabaseSummary
 from repro.workload.query import Query
 
 
@@ -77,10 +77,6 @@ class SimilarityReport:
         if not self.results:
             return 1.0
         return float((self.errors() <= threshold + 1e-12).mean())
-
-    def error_curve(self, thresholds: Sequence[float]) -> List[Tuple[float, float]]:
-        """The cumulative curve of Figure 10: % of CCs within each error."""
-        return [(t, 100.0 * self.fraction_within(t)) for t in thresholds]
 
     def max_error(self) -> float:
         """Largest absolute relative error."""

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import PartitionError
 from repro.predicates.conjunct import Conjunct
 from repro.predicates.dnf import DNFPredicate
-from repro.predicates.interval import Interval, IntervalSet
+from repro.predicates.interval import Interval
 
 
 class Box:
@@ -146,17 +146,6 @@ class Box:
         if predicate.is_true:
             return True
         return any(self.satisfies_conjunct(c) for c in predicate.conjuncts)
-
-    def overlaps_conjunct(self, conjunct: Conjunct) -> bool:
-        """``True`` when at least one point of the box satisfies the conjunct."""
-        for attr, values in conjunct.constraints.items():
-            try:
-                interval = self.interval(attr)
-            except PartitionError:
-                continue
-            if not values.overlaps(interval):
-                return False
-        return True
 
     # ------------------------------------------------------------------ #
     # dunder plumbing

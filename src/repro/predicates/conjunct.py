@@ -100,10 +100,6 @@ class Conjunct:
                 merged[attr] = values
         return Conjunct(merged)
 
-    def with_constraint(self, attribute: str, values: IntervalSet) -> "Conjunct":
-        """Return a copy with an added/intersected per-attribute constraint."""
-        return self.conjoin(Conjunct({attribute: values}))
-
     def rename(self, mapping: Mapping[str, str]) -> "Conjunct":
         """Return a copy with attributes renamed via ``mapping``.
 

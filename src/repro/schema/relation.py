@@ -9,7 +9,7 @@ non-key attributes.  The classes here encode exactly that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import SchemaError
 from repro.predicates.interval import Interval
@@ -139,13 +139,6 @@ class Relation:
     def has_attribute(self, name: str) -> bool:
         """Return ``True`` if the relation declares the non-key attribute."""
         return any(attr.name == name for attr in self.attributes)
-
-    def foreign_key_to(self, target: str) -> Optional[ForeignKey]:
-        """Return the FK referencing ``target``, or ``None`` if absent."""
-        for fk in self.foreign_keys:
-            if fk.target == target:
-                return fk
-        return None
 
     def scaled(self, factor: float) -> "Relation":
         """Return a copy of the relation with its row count scaled."""

@@ -296,7 +296,7 @@ class _Handler(Request):
         stats = self.server.app.service.service_stats()
         return self.send_json(200, {
             "counters": stats.counters,
-            "queue_depth": stats.queue_depth,
+            "queue_depth": stats.counters["queue_depth"],
             "tenants": [asdict(row) for row in stats.tenants],
         })
 

@@ -28,10 +28,10 @@ into a request/serve loop:
   :meth:`~repro.service.store.SummaryStore.compact`-s the store
   (``gc_interval``) and reaps idle stream cursors
   (``cursor_idle_timeout``);
-* ``stats()`` / ``service_stats()`` expose the serving counters (hits,
-  misses, inflight dedups, pipeline runs and failures, queue depth,
-  per-tenant admits/rejects, store evictions/expirations) the fleet
-  scenario monitors.
+* ``service_stats()`` builds the serving counters (hits, misses, inflight
+  dedups, pipeline runs and failures, queue depth, store
+  evictions/expirations) and the per-tenant admission rows in one pass;
+  ``stats()`` is its flat counter dict.
 """
 
 from __future__ import annotations
@@ -298,10 +298,9 @@ class ResummarizeReport:
 class TenantStats:
     """Per-tenant admission/progress counters (one row of the fair queue).
 
-    The latency fields are estimated from the tenant's end-to-end
-    (``repro_service_request_seconds``) and time-to-first-batch
-    (``repro_service_ttfb_seconds``) histograms; they are ``0.0`` until the
-    tenant has completed at least one request / streamed one batch.
+    Per-tenant latency lives in the tenant-labelled
+    ``repro_service_request_seconds`` and ``repro_service_ttfb_seconds``
+    histograms of the service's registry (and ``/metrics``).
     """
 
     tenant: str
@@ -311,10 +310,6 @@ class TenantStats:
     failed: int = 0
     queued: int = 0
     running: int = 0
-    e2e_p50: float = 0.0
-    e2e_p99: float = 0.0
-    ttfb_p50: float = 0.0
-    ttfb_p99: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -326,8 +321,6 @@ class ServiceStats:
     counters: Dict[str, int]
     #: One :class:`TenantStats` per tenant ever seen, sorted by name.
     tenants: Tuple[TenantStats, ...]
-    #: Cold builds admitted but not yet holding a worker slot.
-    queue_depth: int
 
     def tenant(self, name: str) -> TenantStats:
         """The row for one tenant (zeros if it was never seen)."""
@@ -393,7 +386,7 @@ class RegenerationService:
                                     registry=self.registry)
         #: The one pipeline every cold build, fingerprint and manifest runs
         #: through.
-        self.pipeline = Hydra(schema, config.hydra_config(), store=self.store)
+        self.pipeline = Hydra(schema, config, store=self.store)
         # Re-home the solver's stats onto the service registry, so one
         # export (`stats --prometheus`) covers service, store and solver.
         self.pipeline.solver.stats = SolverStats(registry=self.registry)
@@ -1134,68 +1127,45 @@ class RegenerationService:
     # observability / lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
-        """Serving counters plus the store's and LP solver's own counters.
+        """The flat counters of :meth:`service_stats` (monitoring-friendly
+        ints: serving, LP solver and store counters)."""
+        return self.service_stats().counters
 
-        Flat ints only (monitoring-friendly), every value read from the
-        metrics registry; :meth:`service_stats` adds the per-tenant
-        breakdown and :attr:`registry` exposes the full labeled series
-        (Prometheus/JSON export).
+    def service_stats(self) -> ServiceStats:
+        """Serving telemetry, built once: flat counters plus per-tenant
+        admission rows.
+
+        Every counter is read from the metrics registry; :attr:`registry`
+        also carries the labelled series, per-tenant latency histograms
+        included (Prometheus/JSON export).
         """
         counters = {key: int(family.value())
                     for key, family in self._counters.items()}
-        with self._lock:
-            counters["queue_depth"] = sum(
-                len(queue) for queue in self._queues.values()
-            )
-        self._g_queue_depth.set(counters["queue_depth"])
-        stats = self.pipeline.solver.stats
-        counters.update({
-            "solver_components_solved": stats.components_solved,
-            "solver_cache_hits": stats.cache_hits,
-            "solver_cache_misses": stats.cache_misses,
-        })
-        counters.update(self.store.counters())
-        return counters
-
-    def _tenant_outcomes(self) -> Dict[str, Dict[str, int]]:
-        """``{tenant: {outcome: count}}`` from the labeled tenant counter."""
-        rows: Dict[str, Dict[str, int]] = {}
+        outcomes: Dict[str, Dict[str, int]] = {}
         for child in self._tenant_builds.children():
             tenant, outcome = child.labelvalues
-            rows.setdefault(tenant, {})[outcome] = int(child.value())
-        return rows
-
-    def service_stats(self) -> ServiceStats:
-        """Structured telemetry: flat counters plus per-tenant admission rows."""
-        counters = self.stats()
-        outcomes = self._tenant_outcomes()
-
-        def quantiles(histogram, name: str) -> Tuple[float, float]:
-            summary = histogram.labels(tenant=name).summary()
-            return summary.get("p50", 0.0), summary.get("p99", 0.0)
-
+            outcomes.setdefault(tenant, {})[outcome] = int(child.value())
         with self._lock:
+            counters["queue_depth"] = sum(
+                len(queue) for queue in self._queues.values())
             names = set(outcomes) | set(self._queues) \
                 | set(self._running_by_tenant)
-            rows = []
-            for name in sorted(names):
-                seen = outcomes.get(name, {})
-                e2e_p50, e2e_p99 = quantiles(self._h_request, name)
-                ttfb_p50, ttfb_p99 = quantiles(self._h_ttfb, name)
-                rows.append(TenantStats(
+            tenants = tuple(
+                TenantStats(
                     tenant=name,
                     queued=len(self._queues.get(name, ())),
                     running=self._running_by_tenant.get(name, 0),
-                    admitted=seen.get("admitted", 0),
-                    rejected=seen.get("rejected", 0),
-                    completed=seen.get("completed", 0),
-                    failed=seen.get("failed", 0),
-                    e2e_p50=e2e_p50, e2e_p99=e2e_p99,
-                    ttfb_p50=ttfb_p50, ttfb_p99=ttfb_p99,
-                ))
-            queue_depth = sum(len(queue) for queue in self._queues.values())
-        return ServiceStats(counters=counters, tenants=tuple(rows),
-                            queue_depth=queue_depth)
+                    **{outcome: outcomes.get(name, {}).get(outcome, 0)
+                       for outcome in _TENANT_OUTCOMES})
+                for name in sorted(names))
+        solver = self.pipeline.solver.stats
+        counters.update({
+            "solver_components_solved": solver.components_solved,
+            "solver_cache_hits": solver.cache_hits,
+            "solver_cache_misses": solver.cache_misses,
+        })
+        counters.update(self.store.counters())
+        return ServiceStats(counters=counters, tenants=tenants)
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Drain the cold-build queue, finish in-flight builds and release

@@ -15,12 +15,11 @@ DataSynth and shared by both pipelines):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro.constraints.cc import CardinalityConstraint
-from repro.constraints.workload import ConstraintSet
 from repro.errors import ViewError
 from repro.predicates.dnf import DNFPredicate
 from repro.schema.schema import Schema
@@ -151,13 +150,6 @@ class Preprocessor:
         task = ViewTask(view=view, constraints=view_constraints, total_rows=total_rows)
         self._decompose(task)
         return task
-
-    def build_tasks(self, ccs: ConstraintSet) -> Dict[str, ViewTask]:
-        """Build one :class:`ViewTask` per relation appearing in the CCs."""
-        tasks: Dict[str, ViewTask] = {}
-        for relation, constraints in ccs.by_relation().items():
-            tasks[relation] = self.build_task(relation, constraints)
-        return tasks
 
     def _decompose(self, task: ViewTask) -> None:
         """Build the view-graph, chordalise it and extract maximal cliques."""

@@ -10,8 +10,8 @@ relation's view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import ViewError
 from repro.predicates.interval import Interval
@@ -61,15 +61,6 @@ class ViewDefinition:
         """Return the integer domain of a view attribute."""
         try:
             return self.domains[attribute]
-        except KeyError:
-            raise ViewError(
-                f"view for {self.relation!r} has no attribute {attribute!r}"
-            ) from None
-
-    def source_of(self, attribute: str) -> str:
-        """Return the relation that originally declares ``attribute``."""
-        try:
-            return self.attribute_sources[attribute]
         except KeyError:
             raise ViewError(
                 f"view for {self.relation!r} has no attribute {attribute!r}"

@@ -15,7 +15,7 @@ PK-FK joins and splits nested queries into independent sub-queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.predicates.dnf import DNFPredicate
@@ -65,18 +65,9 @@ class Query:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def is_single_relation(self) -> bool:
-        """``True`` for queries without joins."""
-        return len(self.relations) == 1
-
     def filter_for(self, relation: str) -> DNFPredicate:
         """Return the filter for ``relation`` (true when unfiltered)."""
         return self.filters.get(relation, DNFPredicate.true())
-
-    def filtered_relations(self) -> Tuple[str, ...]:
-        """Relations that carry a non-trivial filter."""
-        return tuple(r for r in self.relations if not self.filter_for(r).is_true)
 
     def validate(self, schema: Schema) -> None:
         """Check the query against the schema.

@@ -6,9 +6,9 @@ Covers the acceptance bar of the facade redesign:
   verify) produce byte-identical summaries and AQP results to the legacy
   entry points, property-tested across batch sizes;
 * ``RegenConfig`` consolidates the knobs and namespaces store fingerprints
-  (result-affecting knobs split the store, performance knobs never do,
-  ``HydraConfig`` and ``RegenConfig`` spellings of the same config collide
-  on the same fingerprint);
+  (result-affecting knobs split the store, performance knobs never do, and
+  ``Hydra`` and ``Session`` given the same config collide on the same
+  fingerprint);
 * ``Session`` is a client of one ``RegenerationService``: ``serve()`` is
   that service, a storeless session serves repeats warm, and dropped
   sessions release their worker threads;
@@ -28,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    DataSynthConfig,
     Executor,
     Hydra,
-    HydraConfig,
     HydraResult,
     Query,
     Workload,
@@ -200,6 +200,21 @@ class TestSessionEquivalence:
         session.verify(handle, scale=2.0)
         assert session.service.stats()["pipeline_runs"] == runs
 
+    def test_verify_resolves_the_handle_by_its_fingerprint(self, env,
+                                                             monkeypatch):
+        schema, _, _, constraints = env
+        session = Session(schema)
+        handle = session.summarize(constraints)
+        pipeline = session.service.pipeline
+        calls = []
+        fingerprint = pipeline.request_fingerprint
+        monkeypatch.setattr(pipeline, "request_fingerprint",
+                            lambda *args: calls.append(args) or fingerprint(*args))
+        base_error = session.verify(handle).max_error()
+        assert session.verify(handle, scale=2.0).max_error() \
+            == pytest.approx(base_error, abs=1e-9)
+        assert calls == []
+
     def test_verify_without_constraints_requires_provenance(self, env):
         schema, _, _, constraints = env
         session = Session(schema)
@@ -266,7 +281,7 @@ class TestScaledRegeneration:
 class TestFingerprintIntegration:
     def test_old_and_new_spellings_hit_the_same_fingerprint(self, env):
         schema, _, _, constraints = env
-        legacy = Hydra(schema, HydraConfig(milp_variable_limit=2_000))
+        legacy = Hydra(schema, RegenConfig(milp_variable_limit=2_000))
         session = Session(schema, config=RegenConfig(milp_variable_limit=2_000))
         assert legacy.request_fingerprint(constraints) \
             == session.service.fingerprint(constraints)
@@ -330,7 +345,7 @@ class TestBackendRegistry:
     def test_service_refuses_a_legacy_engine_config(self, env):
         schema = env[0]
         with pytest.raises(ConfigError, match="RegenConfig"):
-            RegenerationService(schema, None, HydraConfig())
+            RegenerationService(schema, None, DataSynthConfig())
 
 
 class TestSessionService:

@@ -39,3 +39,12 @@ def test_snapshot_covers_the_session_facade():
     session = surface["repro_api_signatures"]["Session"]
     for verb in ("extract", "summarize", "regenerate", "verify", "serve"):
         assert verb in session["methods"], f"Session.{verb} missing"
+
+
+def test_snapshot_covers_the_classes_the_benchmark_drives():
+    check_api = _load_check_api()
+    driven = check_api.current_surface()["driven_signatures"]
+    assert "RegenConfig" in driven["Hydra"]["__init__"]
+    assert "config" in driven["RegenerationService"]["__init__"]
+    for method in ("request_fingerprint", "component_manifest", "build_summary"):
+        assert method in driven["Hydra"], f"Hydra.{method} missing"

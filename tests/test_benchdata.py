@@ -43,7 +43,7 @@ class TestSchemas:
     def test_job_schema_validates(self):
         schema = job_schema(scale_factor=0.001)
         assert len(schema) == 14
-        assert schema.relation("cast_info").foreign_key_to("title") is not None
+        assert "title" in {fk.target for fk in schema.relation("cast_info").foreign_keys}
         assert schema.join_path("movie_companies", "company_type") is not None
 
 
@@ -85,7 +85,8 @@ class TestWorkloads:
         assert len(workload) == 131
         workload.validate(schema)
         assert all(q.root in FACT_RELATIONS for q in workload)
-        assert all(q.filtered_relations() for q in workload)
+        assert all(any(not q.filter_for(r).is_true for r in q.relations)
+                   for q in workload)
 
     def test_simple_workload_uses_few_constants(self):
         schema = tpcds_schema(scale_factor=0.0002)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RegenConfig
 from repro.errors import InfeasibleLPError, LPError
-from repro.hydra.pipeline import Hydra, HydraConfig
+from repro.hydra.pipeline import Hydra
 from repro.lp.decompose import (
     component_key,
     decompose_model,
@@ -526,7 +527,7 @@ class TestTierOneWorkloads:
 
     def test_manifest_batch_solves_what_the_build_would(
             self, small_tpcds_schema, small_tpcds_constraints):
-        hydra = Hydra(small_tpcds_schema, HydraConfig(workers=2, cache_size=512))
+        hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2, cache_size=512))
         with hydra.solver.batch() as batch:
             manifest = hydra.component_manifest(small_tpcds_constraints, batch=batch)
             batch.results()
@@ -541,7 +542,7 @@ class TestTierOneWorkloads:
         assert result.summary.content_digest() == cold.summary.content_digest()
 
     def test_hydra_rebuild_hits_cache(self, small_tpcds_schema, small_tpcds_constraints):
-        hydra = Hydra(small_tpcds_schema, HydraConfig(workers=2, cache_size=512))
+        hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2, cache_size=512))
         first = hydra.build_summary(small_tpcds_constraints)
         components = hydra.solver.stats.components_solved
         assert components > 0

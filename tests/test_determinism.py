@@ -3,7 +3,8 @@
 The build submits view LPs to the solver as they are formulated, and the
 worker pool finishes components in any order; the summary must not depend
 on it.  The bench-scale pins are the end-to-end benchmark's inputs (data
-seed 1): a change that alters summary content must refresh them on purpose.
+seed 1): a change that alters summary content, or the store fingerprint that
+names it, must refresh them on purpose.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import pytest
 
 from repro import (
     Hydra,
-    HydraConfig,
+    RegenConfig,
+    Session,
     complex_workload,
     extract_constraints,
     generate_database,
@@ -24,6 +26,13 @@ from repro import (
 BENCH_DIGESTS = {
     "wlc": "d4bb67ee419d239dc8b622cd4eee566b6268f326a514b073f3c20ff84c6df95a",
     "wls": "1cf48a6607e990c607c7a7be78510c03242e238c3965a84b220a033f4f8598e2",
+}
+
+#: Store fingerprints of the same requests under the default config: the
+#: names their summaries are stored under.
+BENCH_FINGERPRINTS = {
+    "wlc": "13e7e2f46dc1b36cc13445600db41eff2f79df378075ce12c5d61be4136d0071",
+    "wls": "ef34df0ae7a6b7334d871801b0fbb737c81b93e1533d7ca9dc95750022de9908",
 }
 
 
@@ -45,7 +54,7 @@ def smoke():
 def test_digest_is_independent_of_workers_and_pool_kind(smoke, which):
     schema, constraints = smoke
     digests = {
-        (workers, use_processes): Hydra(schema, HydraConfig(
+        (workers, use_processes): Hydra(schema, RegenConfig(
             workers=workers, use_processes=use_processes,
         )).build_summary(constraints[which]).summary.content_digest()
         for workers in (1, 2)
@@ -54,9 +63,23 @@ def test_digest_is_independent_of_workers_and_pool_kind(smoke, which):
     assert len(set(digests.values())) == 1, digests
 
 
-def test_bench_scale_digests_are_pinned():
+@pytest.fixture(scope="module")
+def bench():
     schema = tpcds_schema(scale_factor=0.0002, dimension_scale=0.01)
-    constraints = workloads(schema, wlc_queries=131, wls_queries=110)
+    return schema, workloads(schema, wlc_queries=131, wls_queries=110)
+
+
+def test_bench_scale_fingerprints_are_pinned(bench):
+    schema, constraints = bench
+    hydra, session = Hydra(schema), Session(schema)
+    for fingerprint in (hydra.request_fingerprint, session.service.fingerprint):
+        assert {which: fingerprint(ccs) for which, ccs in constraints.items()} \
+            == BENCH_FINGERPRINTS
+    session.service.close()
+
+
+def test_bench_scale_digests_are_pinned(bench):
+    schema, constraints = bench
     digests = {which: Hydra(schema).build_summary(ccs).summary.content_digest()
                for which, ccs in constraints.items()}
     assert digests == BENCH_DIGESTS

@@ -154,11 +154,6 @@ class TestExecutorToyScenario:
         assert result.table.count(col("A").between(20, 60)) == result.table.num_rows
         assert result.table.count(col("C").between(2, 3)) == result.table.num_rows
 
-    def test_plan_pretty_rendering(self, toy_database):
-        plan = Executor(toy_database).execute(self._figure1_query()).plan
-        text = plan.pretty()
-        assert "Join" in text and "Filter" in text and "rows=30000" in text
-
     def test_single_relation_query(self, toy_database):
         query = Query(query_id="q", root="S", relations=("S",),
                       filters={"S": col("A").between(20, 60)})

@@ -1,4 +1,4 @@
-"""Tests for the metrics helpers, the CODD metadata module and the
+"""Tests for the metrics helpers, the CODD scaling module and the
 anonymizer."""
 
 from __future__ import annotations
@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.codd.anonymizer import Anonymizer
-from repro.codd.metadata import capture_metadata
 from repro.codd.scaling import (
     database_bytes,
     bytes_per_row,
@@ -46,9 +45,6 @@ class TestSimilarityReport:
         assert report.fraction_within(0.1) == 1.0
         assert report.max_error() == pytest.approx(0.1)
         assert report.fraction_negative() == 0.0
-        curve = report.error_curve([0.0, 0.05, 0.2])
-        assert curve[0][1] == pytest.approx(100 * 2 / 3)
-        assert curve[-1][1] == 100.0
 
     def test_zero_expected_with_rows_counts_as_error(self):
         cc = CardinalityConstraint(relation="r", predicate=col("a") >= 9, cardinality=0)
@@ -109,13 +105,6 @@ class TestCostModel:
 
 
 class TestAnonymizer:
-    def test_name_masking_roundtrip(self):
-        anonymizer = Anonymizer()
-        masked = anonymizer.mask_name("customer_address")
-        assert masked != "customer_address"
-        assert anonymizer.mask_name("customer_address") == masked
-        assert anonymizer.unmask_name(masked) == "customer_address"
-
     def test_value_encoding(self):
         anonymizer = Anonymizer()
         code = anonymizer.encode("i_color", "maroon")
@@ -126,19 +115,10 @@ class TestAnonymizer:
         # per-attribute scoping: same string, independent codes
         other = anonymizer.encode("ca_state", "maroon")
         assert anonymizer.decode("ca_state", other) == "maroon"
-        assert anonymizer.encode_many("i_color", ["maroon", "teal"]) == [code, code + 1]
+        assert anonymizer.encode("i_color", "teal") == code + 1
 
 
 class TestCoddMetadataAndScaling:
-    def test_capture_and_scale_metadata(self, toy_database):
-        catalog = capture_metadata(toy_database)
-        assert catalog.row_counts()["R"] == 80_000
-        stats = catalog.relations["S"].attributes["A"]
-        assert 20 <= stats.minimum <= stats.maximum < 100
-        scaled = catalog.scaled(1000.0)
-        assert scaled.row_counts()["R"] == 80_000_000
-        assert scaled.total_bytes() > catalog.total_bytes()
-
     def test_scale_factor_and_constraint_scaling(self, toy_schema):
         target = 10**12
         factor = scale_factor_for_bytes(toy_schema, target)

@@ -48,7 +48,6 @@ class TestConstraintsFromPlan:
         s_cc = next(cc for cc in ccs if cc.relation == "S")
         assert s_cc.joined_relations == ("S",)
         assert s_cc.predicate.attributes == ("A",)
-        assert not s_cc.is_join_constraint
 
 
 class TestRelationSizeConstraints:

@@ -15,7 +15,7 @@ from repro.partition.region import (
     optimal_partition_paper,
     valid_partition,
 )
-from repro.predicates.conjunct import Conjunct
+from repro.predicates.conjunct import Conjunct, box_overlaps
 from repro.predicates.dnf import DNFPredicate
 from repro.predicates.interval import Interval, IntervalSet
 from repro.views.preprocess import ViewConstraint
@@ -134,7 +134,8 @@ class TestValidPartition:
             for conjunct in sub_constraints:
                 # no sub-constraint may split a block: either every point
                 # satisfies it or none does
-                assert block.satisfies_conjunct(conjunct) or not block.overlaps_conjunct(conjunct)
+                assert block.satisfies_conjunct(conjunct) \
+                    or not box_overlaps(conjunct, block.intervals)
 
     def test_empty_attribute_list_rejected(self):
         with pytest.raises(PartitionError):

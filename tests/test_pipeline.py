@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RegenConfig
 from repro.benchdata.tpcds import simple_workload
 from repro.codd.scaling import scale_constraints
 from repro.datasynth.pipeline import DataSynth, DataSynthConfig
 from repro.errors import LPTooLargeError
 from repro.hydra.client import extract_constraints
-from repro.hydra.pipeline import Hydra, HydraConfig
+from repro.hydra.pipeline import Hydra
 from repro.metrics.similarity import evaluate_on_database, evaluate_on_summary
 from repro.predicates.dnf import col
 from repro.tuplegen.generator import materialize_database
@@ -84,7 +85,7 @@ class TestHydraEndToEnd:
         """Running the Hydra pipeline with grid partitioning still satisfies
         the constraints on this small example (it is just far bigger)."""
         toy_db, package = toy_package
-        hydra = Hydra(toy_db.schema, HydraConfig(strategy="grid"))
+        hydra = Hydra(toy_db.schema, RegenConfig(strategy="grid"))
         result = hydra.build_summary(package.constraints)
         region = Hydra(toy_db.schema).build_summary(package.constraints)
         assert sum(result.lp_variable_counts.values()) >= sum(

@@ -44,11 +44,6 @@ class TestRelation:
         with pytest.raises(SchemaError):
             rel.attribute("zzz")
 
-    def test_foreign_key_to(self):
-        rel = _rel("r", "pk", fks=[("fk1", "s")])
-        assert rel.foreign_key_to("s").column == "fk1"
-        assert rel.foreign_key_to("missing") is None
-
     def test_scaled(self):
         rel = _rel("r", "pk", rows=100)
         assert rel.scaled(0.5).row_count == 50

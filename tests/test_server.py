@@ -420,8 +420,12 @@ class TestWarmServing:
             "tenant": "stats-tenant",
         })
         body = as_json(http_get(server, "/v1/stats"))
-        assert body["counters"]["hits"] >= 1
-        assert body["queue_depth"] == 0
+        # The keys bench_e2e's never-cold check and the CI smoke read.
+        counters = body["counters"]
+        assert counters["hits"] >= 1
+        assert counters["pipeline_runs"] == 0
+        assert counters["solver_components_solved"] == 0
+        assert body["queue_depth"] == counters["queue_depth"] == 0
         tenants = {row["tenant"]: row for row in body["tenants"]}
         assert "stats-tenant" not in tenants or \
             tenants["stats-tenant"]["admitted"] == 0  # warm: no cold build
@@ -704,6 +708,10 @@ class TestMultiTenant:
                 assert quiet == [202]                  # quiet unaffected
                 body = as_json(http_get(server, "/v1/stats"))
                 tenants = {row["tenant"]: row for row in body["tenants"]}
+                assert set(tenants["noisy"]) == {
+                    "tenant", "admitted", "rejected", "completed", "failed",
+                    "queued", "running"}
+                assert tenants["noisy"]["admitted"] == 1
                 assert tenants["noisy"]["rejected"] == 3
                 assert tenants["quiet"]["rejected"] == 0
                 gate.set()

@@ -29,7 +29,7 @@ from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.errors import ServiceError, SummaryStoreError
 from repro.hydra.client import extract_constraints
-from repro.hydra.pipeline import Hydra, HydraConfig
+from repro.hydra.pipeline import Hydra
 from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
 from repro.schema.relation import Attribute, ForeignKey, Relation
@@ -282,11 +282,11 @@ class TestPipelineStoreIntegration:
         """A shared store must never serve a continuous-config pipeline's
         artefacts (summary or component solutions) to an exact-MILP one."""
         ccs = toy_ccs()
-        relaxed = Hydra(toy_schema, HydraConfig(prefer_integer=False),
+        relaxed = Hydra(toy_schema, RegenConfig(prefer_integer=False),
                         store=SummaryStore(tmp_path / "store"))
         relaxed.build_summary(ccs)
 
-        exact = Hydra(toy_schema, HydraConfig(prefer_integer=True),
+        exact = Hydra(toy_schema, RegenConfig(prefer_integer=True),
                       store=SummaryStore(tmp_path / "store"))
         assert exact.request_fingerprint(ccs) != relaxed.request_fingerprint(ccs)
         result = exact.build_summary(ccs)
@@ -296,7 +296,7 @@ class TestPipelineStoreIntegration:
         assert exact.solver.stats.components_solved > 0
 
         # Same configuration in a fresh instance still shares everything.
-        twin = Hydra(toy_schema, HydraConfig(prefer_integer=True),
+        twin = Hydra(toy_schema, RegenConfig(prefer_integer=True),
                      store=SummaryStore(tmp_path / "store"))
         assert twin.build_summary(ccs).solver_stats["summary_store_hits"] == 1
 

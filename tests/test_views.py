@@ -19,8 +19,8 @@ class TestViewSet:
         # exactly as in Section 3.2 (R_view(A, B, C)).
         assert r_view.own_attributes == ()
         assert set(r_view.borrowed_attributes) == {"A", "B", "C"}
-        assert r_view.source_of("A") == "S"
-        assert r_view.source_of("C") == "T"
+        assert r_view.attribute_sources["A"] == "S"
+        assert r_view.attribute_sources["C"] == "T"
         assert views.view("S").attributes == ("A", "B")
         assert views.view("T").attributes == ("C",)
 
@@ -29,7 +29,7 @@ class TestViewSet:
         ss_view = views.view("store_sales")
         # store_sales borrows customer_address attributes through customer.
         assert "ca_state" in ss_view.attributes
-        assert ss_view.source_of("ca_state") == "customer_address"
+        assert ss_view.attribute_sources["ca_state"] == "customer_address"
         assert ss_view.direct_dependencies[0] == "date_dim"
 
     def test_domain_lookup_and_errors(self, toy_schema):
@@ -112,14 +112,3 @@ class TestPreprocessor:
                 for sv in task.subviews
             )
             assert covered, f"constraint {index} not covered by any sub-view"
-
-    def test_build_tasks_groups_by_relation(self, toy_schema):
-        pre = Preprocessor(toy_schema)
-        from repro.constraints.workload import ConstraintSet
-        ccs = ConstraintSet([
-            CardinalityConstraint(relation="S", predicate=col("A") >= 10, cardinality=5),
-            CardinalityConstraint(relation="T", predicate=col("C") >= 1, cardinality=7),
-        ])
-        tasks = pre.build_tasks(ccs)
-        assert set(tasks) == {"S", "T"}
-        assert tasks["S"].relation == "S"

@@ -1,9 +1,11 @@
 """Public-API surface lock (run by the CI ``docs`` job and tier-1 tests).
 
-Snapshots the public surface — ``repro.__all__``, ``repro.api.__all__`` and
+Snapshots the public surface — ``repro.__all__``, ``repro.api.__all__``,
 the call signatures of every ``repro.api`` symbol (for classes: their public
-methods) — into ``tools/api_surface.json`` and fails when the live library
-drifts from the snapshot.  Accidental additions, removals and signature
+methods) and the constructor and public-method signatures of the classes
+``bench_e2e`` drives directly (``repro.Hydra``, ``repro.RegenerationService``)
+— into ``tools/api_surface.json`` and fails when the live library drifts
+from the snapshot.  Accidental additions, removals and signature
 changes all become an explicit review decision: rerun with ``--update`` to
 bless an intentional change.
 
@@ -24,12 +26,21 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = REPO_ROOT / "tools" / "api_surface.json"
 
+#: Top-level classes ``bench_e2e`` constructs and calls directly.
+DRIVEN_CLASSES = ("Hydra", "RegenerationService")
+
 
 def _signature(obj: object) -> str:
     try:
         return str(inspect.signature(obj))  # type: ignore[arg-type]
     except (TypeError, ValueError):
         return "<no signature>"
+
+
+def _methods(cls: type) -> Dict[str, str]:
+    """Signatures of a class's public methods."""
+    return {attr: _signature(member) for attr, member in sorted(vars(cls).items())
+            if not attr.startswith("_") and callable(member)}
 
 
 def current_surface() -> Dict[str, object]:
@@ -42,12 +53,7 @@ def current_surface() -> Dict[str, object]:
     for name in sorted(repro.api.__all__):
         symbol = getattr(repro.api, name)
         if inspect.isclass(symbol):
-            methods = {}
-            for attr, member in sorted(vars(symbol).items()):
-                if attr.startswith("_") or not callable(member):
-                    continue
-                methods[attr] = _signature(member)
-            api_signatures[name] = {"kind": "class", "methods": methods}
+            api_signatures[name] = {"kind": "class", "methods": _methods(symbol)}
         elif callable(symbol):
             api_signatures[name] = {"kind": "function",
                                     "signature": _signature(symbol)}
@@ -57,6 +63,11 @@ def current_surface() -> Dict[str, object]:
         "repro_all": sorted(repro.__all__),
         "repro_api_all": sorted(repro.api.__all__),
         "repro_api_signatures": api_signatures,
+        "driven_signatures": {
+            name: {"__init__": _signature(getattr(repro, name).__init__),
+                   **_methods(getattr(repro, name))}
+            for name in DRIVEN_CLASSES
+        },
     }
 
 
