@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
 from repro.engine.table import Table
-from repro.errors import LPTooLargeError, SummaryError
 from repro.lp.formulate import STRATEGY_GRID, count_lp_variables, formulate_view_lp
-from repro.lp.model import ViewLP
 from repro.lp.solver import DEFAULT_CACHE_SIZE, ParallelLPSolver
 from repro.schema.schema import Schema
 from repro.views.preprocess import Preprocessor, ViewTask

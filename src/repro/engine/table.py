@@ -11,7 +11,7 @@ through the executor without being expanded into tuples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,18 +63,6 @@ class Table:
         return cls({
             c: np.concatenate([t.column(c) for t in tables]) for c in columns
         }, name=name or tables[0].name)
-
-    @classmethod
-    def from_rows(cls, column_names: Sequence[str], rows: Iterable[Sequence[int]],
-                  name: str = "") -> "Table":
-        """Build a table from an iterable of row tuples."""
-        data = list(rows)
-        if not data:
-            return cls.empty(column_names, name=name)
-        matrix = np.asarray(data, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(column_names):
-            raise EngineError("row width does not match the number of columns")
-        return cls({c: matrix[:, i] for i, c in enumerate(column_names)}, name=name)
 
     # ------------------------------------------------------------------ #
     # basic queries

@@ -1,18 +1,16 @@
 """Client-side helpers (the left half of Figure 2).
 
 At the client site, Hydra executes the query workload against the original
-database to obtain annotated query plans, converts them into cardinality
-constraints with the parser, and (optionally) anonymises values before
-anything leaves the premises.  These helpers bundle those steps so that the
+database to obtain annotated query plans and converts them into cardinality
+constraints with the parser.  These helpers bundle those steps so that the
 vendor-side pipeline can be exercised end to end in tests and examples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.codd.anonymizer import Anonymizer
 from repro.constraints.parser import constraints_from_plans
 from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database

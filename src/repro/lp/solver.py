@@ -21,13 +21,7 @@ import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    CancelledError,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -429,11 +423,6 @@ class ParallelLPSolver:
             self._cache = LRUSolutionCache(cache_size)
         else:
             self._cache = None
-        #: Cache key -> solve running on some open batch's pool.  A batch
-        #: that meets the same component waits for that solve instead of
-        #: starting a second one (see :meth:`SolverBatch.submit`).
-        self._inflight: Dict[str, Future] = {}
-        self._inflight_lock = threading.Lock()
         # Cache keys carry a namespace derived from every knob that changes
         # what a solve produces: a persistent backend may be shared between
         # solvers with different configurations (e.g. Hydra's exact-MILP path
@@ -525,11 +514,6 @@ class SolverBatch:
     caller prepares the next model.  :meth:`results` waits for them and
     stitches one solution per submitted model.  With ``workers == 1`` the
     pending components are solved inline inside :meth:`results`.
-
-    A component already solving on another open batch of the same solver is
-    not solved again: this batch waits for that solve.  Each solve is cached
-    and counted once, by the batch that ran it, in :meth:`results` or, when
-    that batch never asks for results, in :meth:`close`.
     """
 
     def __init__(self, solver: ParallelLPSolver) -> None:
@@ -541,11 +525,6 @@ class SolverBatch:
         #: Cache key -> in-flight solve (a future, or the component itself
         #: when it is solved inline), in submission order.
         self._pending: Dict[str, Union[Future, LPComponent]] = {}
-        #: Cache key -> component of the pending solves that belong to
-        #: another batch (solved here only if that batch cancels them).
-        self._shared: Dict[str, LPComponent] = {}
-        #: Pending solves this batch ran whose solution is not cached yet.
-        self._unsettled: Dict[str, Union[Future, LPComponent]] = {}
         self._pool: Optional[Executor] = None
         #: Caller time spent in submit() calls (the solver's own share of a
         #: pipelined build; results() adds the wait and the stitch).
@@ -567,20 +546,13 @@ class SolverBatch:
                 key = solver._cache_key(component)
                 if key in self._resolved or key in self._pending:
                     continue
-                with solver._inflight_lock:
-                    running = solver._inflight.get(key)
-                if running is not None:
-                    self._pending[key] = running
-                    self._shared[key] = component
-                    continue
                 cached = solver._cache_get(key)
                 if cached is not None:
                     # A cache hit costs no solve time; report it as free so
                     # aggregated LP-time metrics reflect actual computation.
                     self._resolved[key] = replace(cached, solve_seconds=0.0)
                 else:
-                    self._pending[key] = self._unsettled[key] = \
-                        self._dispatch(key, component)
+                    self._pending[key] = self._dispatch(component)
                     dispatched += 1
             submit_span.set_attribute("components", len(decomposition.components))
             submit_span.set_attribute("pending", dispatched)
@@ -600,14 +572,16 @@ class SolverBatch:
         solver = self._solver
         with trace_span("lp.solve_many", models=len(self._models)) as solve_span:
             with solver.stats.phase("solve"):
-                solved = 0
                 for key, pending in self._pending.items():
-                    solution = self._resolved[key] = self._wait(key, pending)
-                    if key in self._unsettled:
-                        self._settle(key, solution)
-                        solved += 1
+                    if isinstance(pending, Future):
+                        solution = pending.result()
+                    else:
+                        solution = _solve_component(solver._job(pending))
+                    self._resolved[key] = solution
+                    solver._cache_put(key, solution)
+                    solver.stats._components.inc()
             logger.debug("solved %d pending components (%d resolved from cache)",
-                         solved, len(self._resolved) - len(self._pending))
+                         len(self._pending), len(self._resolved) - len(self._pending))
 
             solutions: List[LPSolution] = []
             with trace_span("lp.stitch"), solver.stats.phase("stitch"):
@@ -629,44 +603,12 @@ class SolverBatch:
         return solutions
 
     def close(self) -> None:
-        """Shut the worker pool down, cancelling solves not yet started, and
-        cache the solves that finished but were never asked for."""
+        """Shut the worker pool down, cancelling solves not yet started."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        for key, pending in list(self._unsettled.items()):
-            finished = (isinstance(pending, Future) and not pending.cancelled()
-                        and pending.exception() is None)
-            self._settle(key, pending.result() if finished else None)
 
-    def _wait(self, key: str, pending: "Union[Future, LPComponent]") -> LPSolution:
-        """The solution of one pending component, solving it here when it
-        is inline or its (shared) future was cancelled."""
-        job = self._solver._job
-        if not isinstance(pending, Future):
-            return _solve_component(job(pending))
-        try:
-            return pending.result()
-        except CancelledError:
-            if key not in self._shared:
-                raise
-            # The batch that owned the solve closed before starting it.
-            self._unsettled[key] = self._shared.pop(key)
-            return _solve_component(job(self._unsettled[key]))
-
-    def _settle(self, key: str, solution: Optional[LPSolution]) -> None:
-        """Cache and count one solve this batch ran (unless it has no
-        ``solution``) and take it out of the solver's in-flight table."""
-        solver = self._solver
-        pending = self._unsettled.pop(key)
-        if solution is not None:
-            solver._cache_put(key, solution)
-            solver.stats._components.inc()
-        with solver._inflight_lock:
-            if solver._inflight.get(key) is pending:
-                del solver._inflight[key]
-
-    def _dispatch(self, key: str, component: LPComponent) -> "Union[Future, LPComponent]":
+    def _dispatch(self, component: LPComponent) -> "Union[Future, LPComponent]":
         solver = self._solver
         if solver.workers == 1:
             return component
@@ -679,7 +621,4 @@ class SolverBatch:
                     mp_context=multiprocessing.get_context("spawn"))
             else:
                 self._pool = ThreadPoolExecutor(max_workers=solver.workers)
-        future = self._pool.submit(_solve_component, solver._job(component))
-        with solver._inflight_lock:
-            solver._inflight.setdefault(key, future)
-        return future
+        return self._pool.submit(_solve_component, solver._job(component))

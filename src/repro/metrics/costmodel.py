@@ -12,9 +12,9 @@ re-scans full view instances)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.codd.scaling import BYTES_PER_VALUE, bytes_per_row
+from repro.codd.scaling import bytes_per_row
 from repro.schema.schema import Schema
 
 

@@ -9,7 +9,7 @@ views than DataSynth's sampled instances)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass

@@ -35,7 +35,7 @@ import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 

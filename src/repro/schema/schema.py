@@ -3,12 +3,12 @@ referential dependency graph used throughout the pipeline."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.errors import SchemaError
-from repro.schema.relation import Attribute, ForeignKey, Relation
+from repro.schema.relation import Attribute, Relation
 
 
 class Schema:

@@ -22,7 +22,7 @@ Two encodings live here, both deliberately boring JSON so any HTTP client
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet

@@ -25,10 +25,8 @@ The CLI door is the unified ``python -m repro`` (see :mod:`repro.cli`).
 
 from repro.service.fingerprint import (
     ManifestDiff,
-    component_manifest,
     constraint_set_fingerprint,
     manifest_diff,
-    manifest_fingerprint,
     schema_fingerprint,
     workload_fingerprint,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "workload_fingerprint",
     "schema_fingerprint",
     "constraint_set_fingerprint",
-    "component_manifest",
-    "manifest_fingerprint",
     "manifest_diff",
     "ManifestDiff",
 ]

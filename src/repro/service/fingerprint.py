@@ -22,8 +22,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
-from repro.lp.decompose import decompose_model
-from repro.lp.model import LPModel
 from repro.predicates.conjunct import Conjunct
 from repro.predicates.dnf import DNFPredicate
 from repro.schema.schema import Schema
@@ -132,28 +130,6 @@ def workload_fingerprint(schema: Schema, ccs: ConstraintSet,
 # ---------------------------------------------------------------------- #
 # component manifests
 # ---------------------------------------------------------------------- #
-def component_manifest(models: Iterable[LPModel]) -> List[str]:
-    """The structural *component manifest* of a set of view LPs.
-
-    Decomposes every model into its independent constraint-graph components
-    (:func:`repro.lp.decompose.decompose_model`) and returns the sorted set
-    of canonical component keys.  The manifest sits alongside the workload
-    fingerprint: the fingerprint identifies the whole request, the manifest
-    identifies the request's units of incremental work.  Two workloads that
-    share a manifest entry share that component's LP byte-for-byte, so its
-    cached solution can be reused verbatim.
-    """
-    keys = set()
-    for model in models:
-        keys.update(component.key for component in decompose_model(model).components)
-    return sorted(keys)
-
-
-def manifest_fingerprint(manifest: Iterable[str]) -> str:
-    """Content hash of a component manifest (order-insensitive)."""
-    return _digest(["manifest", FINGERPRINT_VERSION, sorted(manifest)])
-
-
 @dataclass(frozen=True)
 class ManifestDiff:
     """Component-level delta between two workload epochs.

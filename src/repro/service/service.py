@@ -71,7 +71,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.hydra.pipeline import Hydra
-from repro.lp.solver import SolverBatch, SolverStats
+from repro.lp.solver import SolverStats
 from repro.metrics.similarity import SimilarityReport, evaluate_with_executor
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -612,11 +612,9 @@ class RegenerationService:
     # ------------------------------------------------------------------ #
     def component_manifest(self, workload: ConstraintSet,
                            relations: Optional[Sequence[str]] = None,
-                           batch: Optional[SolverBatch] = None,
                            ) -> List[str]:
-        """The structural component manifest of a request; solves nothing
-        unless ``batch`` (see :meth:`Hydra.component_manifest`) is given."""
-        per_relation = self.pipeline.component_manifest(workload, relations, batch)
+        """The structural component manifest of a request, without solving."""
+        per_relation = self.pipeline.component_manifest(workload, relations)
         return sorted({key for keys in per_relation.values() for key in keys})
 
     def resummarize(self, base_fingerprint: str, new_constraints: ConstraintSet,
@@ -625,28 +623,22 @@ class RegenerationService:
                     timeout: Optional[float] = None) -> ResummarizeReport:
         """Incrementally re-summarize a drifted workload against a warm epoch.
 
-        Diffs the drifted workload's component manifest against the base
-        epoch's recorded provenance: components present in both manifests
-        reuse their cached solutions verbatim (zero solves — the store-backed
-        component cache serves them), so the build only solves the
-        changed/new constraint-graph components before stitching.  The new
-        epoch is linked to its parent in the store (``parent_fingerprint``
-        metadata, walkable via
-        :meth:`~repro.service.store.SummaryStore.list_lineage`).  Because
-        merging and stitching are deterministic given the component
+        Builds the drifted workload once, then diffs the component keys its
+        summary records (``DatabaseSummary.component_keys``) against the
+        base epoch's: components present in both reused their cached
+        solutions verbatim (zero solves — the store-backed component cache
+        serves them), so the build only solved the changed/new
+        constraint-graph components before stitching.  The new epoch is
+        linked to its parent in the store (``parent_fingerprint`` metadata,
+        walkable via :meth:`~repro.service.store.SummaryStore.list_lineage`).
+        Because merging and stitching are deterministic given the component
         solutions, the produced summary is byte-identical to a cold
         ``summarize`` of the drifted workload.
 
         Raises :class:`~repro.errors.ServiceError` when ``base_fingerprint``
         is not in the store — resummarize never cold-builds the base.
-
-        The manifest pass hands each view LP to a solver batch, so the added
-        components start solving while the rest of the manifest and the
-        build are formulated; the build waits for those solves rather than
-        running them again.
         """
-        with trace_span("service.resummarize", tenant=tenant) as span, \
-                self.pipeline.solver.batch() as presolve:
+        with trace_span("service.resummarize", tenant=tenant) as span:
             span.set_attribute("base", base_fingerprint[:12])
             base_summary = self.store.get_summary(base_fingerprint)
             if base_summary is None:
@@ -655,11 +647,11 @@ class RegenerationService:
                     f" {base_fingerprint[:12]}…; summarize the base workload"
                     " first"
                 )
-            manifest = self.component_manifest(new_constraints, relations, presolve)
-            diff = manifest_diff(base_summary.component_manifest(), manifest)
             ticket = self.submit(new_constraints, relations, tenant=tenant)
             summary = ticket.result(timeout)
             fingerprint = ticket.fingerprint
+            manifest = summary.component_manifest()
+            diff = manifest_diff(base_summary.component_manifest(), manifest)
             # A warm drifted epoch ran nothing: every one of its components
             # was reused; otherwise the intersection was served from cache
             # and the added components were (at most) solved.

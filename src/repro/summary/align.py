@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SummaryError
 from repro.summary.solution import SolutionRow, SubViewSolution, ViewSolution
 
 

@@ -13,11 +13,10 @@ property Figure 11 measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 import networkx as nx
 
-from repro.errors import SummaryError
 from repro.schema.schema import Schema
 from repro.summary.view_summary import ViewSummary
 from repro.views.viewdef import ViewSet

@@ -11,10 +11,9 @@ regeneration possible.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import SummaryError
 from repro.schema.schema import Schema

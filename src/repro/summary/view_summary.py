@@ -11,7 +11,7 @@ tuples later needed for referential integrity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SummaryError
 from repro.summary.solution import ViewSolution

@@ -15,7 +15,7 @@ PK-FK joins and splits nested queries into independent sub-queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.predicates.dnf import DNFPredicate

@@ -20,9 +20,9 @@ from repro.lp.decompose import (
     stitch_solutions,
 )
 from repro.lp.formulate import formulate_view_lp
-from repro.lp.model import LPModel, LPSolution
+from repro.lp.model import LPModel
 from repro.lp import solver as solver_module
-from repro.lp.solver import LPSolver, ParallelLPSolver, SolverBatch
+from repro.lp.solver import LPSolver, ParallelLPSolver
 from repro.views.preprocess import Preprocessor
 
 
@@ -331,40 +331,6 @@ def one_block_model() -> LPModel:
     return model
 
 
-def three_block_model() -> LPModel:
-    """The two blocks of :func:`two_block_model` and a third, ``x4 + x5 = 9``."""
-    model = LPModel(name="three-blocks", num_variables=6)
-    model.add_constraint([0, 1], 10)
-    model.add_constraint([1], 4)
-    model.add_constraint([2, 3], 7)
-    model.add_constraint([4, 5], 9)
-    return model
-
-
-def third_block_model() -> LPModel:
-    """A model whose only component is the third block of
-    :func:`three_block_model`."""
-    model = LPModel(name="third-block", num_variables=2)
-    model.add_constraint([0, 1], 9)
-    return model
-
-
-def gate_solves(monkeypatch) -> Tuple[threading.Event, List[int]]:
-    """Make every component solve wait for the returned event; the list
-    records the size of each component solved."""
-    release = threading.Event()
-    solved: List[int] = []
-    real = solver_module._solve_component
-
-    def gated(args):
-        assert release.wait(30)
-        solved.append(args[0].num_variables)
-        return real(args)
-
-    monkeypatch.setattr(solver_module, "_solve_component", gated)
-    return release, solved
-
-
 class TestSolverBatch:
     def test_component_shared_by_two_submits_is_solved_once(self):
         solver = ParallelLPSolver(workers=2, cache_size=16)
@@ -388,58 +354,6 @@ class TestSolverBatch:
         assert solver.stats.cache_hits == len(decomposition.components) == 2
         assert np.array_equal(cold[0].values, warm[0].values)
         assert warm[0].solve_seconds == 0.0
-
-    def test_running_solve_is_shared_with_another_batch(self, monkeypatch):
-        release, solved = gate_solves(monkeypatch)
-        solver = ParallelLPSolver(workers=2, cache_size=16)
-        with solver.batch() as owner:
-            owner.submit(two_block_model())
-            with solver.batch() as waiter:
-                waiter.submit(one_block_model())
-                release.set()
-                (first,) = waiter.results()
-            # The owner never asked for results: its solves are cached and
-            # counted when it closes.
-            assert solver.stats.components_solved == 0
-        assert sorted(solved) == [2, 2]
-        assert first.values.tolist() == [6, 4]
-        assert solver.stats.components_solved == 2
-        assert solver.stats.cache_misses == 2
-        assert not solver._inflight
-        with solver.batch() as warm:
-            warm.submit(two_block_model())
-            warm.results()
-        assert solver.stats.cache_hits == 2
-        assert solver.stats.components_solved == 2
-
-    def test_shared_solve_cancelled_by_its_owner_is_solved_by_the_waiter(
-            self, monkeypatch):
-        release, solved = gate_solves(monkeypatch)
-        solver = ParallelLPSolver(workers=2, cache_size=16)
-        with solver.batch() as waiter:
-            owner = SolverBatch(solver)
-            # Two solves start (and wait for the gate); the third is queued.
-            owner.submit(three_block_model())
-            waiter.submit(third_block_model())
-            (shared,) = waiter._pending.values()
-            closing = threading.Thread(target=owner.close)
-            closing.start()
-            for _ in range(3000):
-                if shared.cancelled():
-                    break
-                closing.join(0.01)
-            assert shared.cancelled()
-            release.set()
-            closing.join()
-            (third,) = waiter.results()
-        assert sorted(solved) == [2, 2, 2]
-        assert int(third.values.sum()) == 9
-        assert solver.stats.components_solved == 3
-        assert not solver._inflight
-        with solver.batch() as warm:
-            warm.submit(three_block_model())
-            warm.results()
-        assert solver.stats.cache_hits == 3
 
     def test_strict_raises_from_results(self):
         model = LPModel(name="conflict", num_variables=1)
@@ -524,22 +438,6 @@ class TestTierOneWorkloads:
     def test_job_views_recompose_feasibly(self, small_job_schema,
                                           small_job_constraints):
         self._check_views(small_job_schema, small_job_constraints)
-
-    def test_manifest_batch_solves_what_the_build_would(
-            self, small_tpcds_schema, small_tpcds_constraints):
-        hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2, cache_size=512))
-        with hydra.solver.batch() as batch:
-            manifest = hydra.component_manifest(small_tpcds_constraints, batch=batch)
-            batch.results()
-        assert manifest == hydra.component_manifest(small_tpcds_constraints)
-        presolved = hydra.solver.stats.components_solved
-        assert presolved > 0
-        result = hydra.build_summary(small_tpcds_constraints)
-        assert result.solver_stats["components_solved"] == 0
-        assert result.solver_stats["cache_hits"] == presolved
-        assert result.summary.component_keys == manifest
-        cold = Hydra(small_tpcds_schema).build_summary(small_tpcds_constraints)
-        assert result.summary.content_digest() == cold.summary.content_digest()
 
     def test_hydra_rebuild_hits_cache(self, small_tpcds_schema, small_tpcds_constraints):
         hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2, cache_size=512))

@@ -32,16 +32,10 @@ class TestTable:
         with pytest.raises(EngineError):
             Table({})
 
-    def test_from_rows_and_empty(self):
-        t = Table.from_rows(["a", "b"], [(1, 2), (3, 4)])
-        assert t.num_rows == 2
-        assert list(t.column("b")) == [2, 4]
-        e = Table.from_rows(["a"], [])
+    def test_empty(self):
+        e = Table.empty(["a", "b"])
         assert e.num_rows == 0
-
-    def test_from_rows_width_mismatch(self):
-        with pytest.raises(EngineError):
-            Table.from_rows(["a", "b"], [(1, 2, 3)])
+        assert e.column_names == ("a", "b")
 
     def test_select_take_project(self):
         t = Table({"a": np.arange(5), "b": np.arange(5) * 10})
