@@ -17,7 +17,7 @@ from repro.datasynth.pipeline import DataSynth, DataSynthConfig
 from repro.errors import LPTooLargeError
 from repro.hydra.pipeline import Hydra
 from repro.lp.formulate import formulate_view_lp
-from repro.lp.solver import LPSolver, ParallelLPSolver
+from repro.lp.solver import MILP_VARIABLE_LIMIT, LPSolver, ParallelLPSolver
 from repro.metrics.timing import Timer
 from repro.views.preprocess import Preprocessor
 
@@ -124,7 +124,7 @@ def test_fig13_parallel_vs_serial_multiview_solve(tpcds_env):
     worst = 0.0
     for model, serial_solution, parallel_solution in zip(
             models, serial_solutions, parallel_solutions):
-        if model.num_variables <= serial.milp_variable_limit:
+        if model.num_variables <= MILP_VARIABLE_LIMIT:
             assert parallel_solution.max_violation == 0.0, model.name
         else:
             largest_rhs = float(model.rhs.max())

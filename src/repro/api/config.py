@@ -22,12 +22,7 @@ from typing import Optional
 from repro.engine.executor import EXECUTOR_MODES
 from repro.errors import ConfigError
 from repro.lp.formulate import STRATEGY_GRID, STRATEGY_REGION
-from repro.lp.solver import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_MILP_TIME_LIMIT,
-    DEFAULT_MILP_VARIABLE_LIMIT,
-    DEFAULT_WORKERS,
-)
+from repro.lp.solver import DEFAULT_WORKERS
 
 #: Default number of tuples per streamed batch (mirrors
 #: :data:`repro.tuplegen.generator.DEFAULT_BATCH_SIZE` without importing the
@@ -44,9 +39,6 @@ class RegenConfig:
 
     * ``strategy`` — ``"region"`` (Hydra proper) or ``"grid"`` (the
       DataSynth-style formulation);
-    * ``prefer_integer`` — ask for an exactly integral LP solution first;
-    * ``milp_variable_limit`` / ``time_limit`` — bounds of the exact MILP
-      pass (per connected component);
     * ``max_grid_variables`` / ``max_region_variables`` — partitioning
       budgets.
 
@@ -56,8 +48,14 @@ class RegenConfig:
     success, so it does not namespace fingerprints).
 
     Performance-only knobs (never fingerprinted): ``workers``,
-    ``cache_size``, ``use_processes``, ``batch_size``, ``executor_mode``,
-    ``max_workers``, ``max_pending``, ``max_pending_per_tenant``.
+    ``batch_size``, ``executor_mode``, ``max_workers``, ``max_pending``,
+    ``max_pending_per_tenant``.
+
+    The LP solver itself has one configuration (exact MILP first, within
+    :data:`~repro.lp.solver.MILP_VARIABLE_LIMIT` variables per component and
+    :data:`~repro.lp.solver.MILP_TIME_LIMIT` seconds; a component-solution
+    cache of :data:`~repro.lp.solver.DEFAULT_CACHE_SIZE` entries), so no
+    field sets it.
 
     Store lifecycle knobs (also never fingerprinted — they bound the store,
     not the artefacts): ``max_store_bytes``, ``max_entries``,
@@ -83,17 +81,12 @@ class RegenConfig:
 
     # -- result-affecting pipeline knobs ------------------------------- #
     strategy: str = STRATEGY_REGION
-    prefer_integer: bool = True
-    milp_variable_limit: int = DEFAULT_MILP_VARIABLE_LIMIT
-    time_limit: Optional[float] = DEFAULT_MILP_TIME_LIMIT
     max_grid_variables: int = 200_000
     max_region_variables: int = 8_000
     # -- error mode ---------------------------------------------------- #
     strict: bool = False
     # -- performance knobs --------------------------------------------- #
     workers: int = DEFAULT_WORKERS
-    cache_size: int = DEFAULT_CACHE_SIZE
-    use_processes: bool = False
     batch_size: int = DEFAULT_BATCH_SIZE
     executor_mode: str = "pipelined"
     # -- serving knobs ------------------------------------------------- #
@@ -129,8 +122,7 @@ class RegenConfig:
         for knob in ("workers", "max_workers", "batch_size"):
             if getattr(self, knob) < 1:
                 raise ConfigError(f"{knob} must be at least 1")
-        for knob in ("cache_size", "milp_variable_limit", "max_grid_variables",
-                     "max_region_variables"):
+        for knob in ("max_grid_variables", "max_region_variables"):
             if getattr(self, knob) < 0:
                 raise ConfigError(f"{knob} must be non-negative")
         for knob in ("max_pending", "max_pending_per_tenant",

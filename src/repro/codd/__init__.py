@@ -1,6 +1,5 @@
-"""Anonymisation and CODD-style scale-factor modelling."""
+"""CODD-style scale-factor modelling."""
 
-from repro.codd.anonymizer import Anonymizer
 from repro.codd.scaling import (
     BYTES_PER_VALUE,
     bytes_per_row,
@@ -11,7 +10,6 @@ from repro.codd.scaling import (
 )
 
 __all__ = [
-    "Anonymizer",
     "BYTES_PER_VALUE",
     "bytes_per_row",
     "database_bytes",

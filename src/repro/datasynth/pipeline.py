@@ -28,7 +28,7 @@ from repro.constraints.workload import ConstraintSet
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.lp.formulate import STRATEGY_GRID, count_lp_variables, formulate_view_lp
-from repro.lp.solver import DEFAULT_CACHE_SIZE, ParallelLPSolver
+from repro.lp.solver import ParallelLPSolver
 from repro.schema.schema import Schema
 from repro.views.preprocess import Preprocessor, ViewTask
 
@@ -39,16 +39,13 @@ import networkx as nx
 class DataSynthConfig:
     """Tuning knobs of the DataSynth baseline.
 
-    ``workers``/``cache_size`` configure the shared decomposing LP solver;
-    the baseline defaults to one worker (the original system is serial) but
-    still benefits from decomposition and solution caching.
+    Its LP solver is fixed: one worker (the original system is serial), with
+    decomposition and the default component-solution cache, on the
+    continuous path.
     """
 
     max_grid_variables: int = 200_000
     seed: int = 7
-    time_limit: Optional[float] = None
-    workers: int = 1
-    cache_size: int = DEFAULT_CACHE_SIZE
     strict: bool = False
 
 
@@ -106,12 +103,7 @@ class DataSynth:
         # DataSynth works with a continuous LP solution (the sampling step
         # does not need integrality).
         self.solver = ParallelLPSolver(
-            workers=self.config.workers,
-            cache_size=self.config.cache_size,
-            prefer_integer=False,
-            time_limit=self.config.time_limit,
-            strict=self.config.strict,
-        )
+            workers=1, prefer_integer=False, strict=self.config.strict)
 
     # ------------------------------------------------------------------ #
     # public API

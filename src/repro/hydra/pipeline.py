@@ -33,7 +33,7 @@ from repro.constraints.workload import ConstraintSet
 from repro.lp.decompose import Decomposition, decompose_model
 from repro.lp.formulate import count_lp_variables, formulate_view_lp
 from repro.lp.model import LPSolution, ViewLP
-from repro.lp.solver import ParallelLPSolver
+from repro.lp.solver import MILP_TIME_LIMIT, MILP_VARIABLE_LIMIT, ParallelLPSolver
 from repro.schema.schema import Schema
 from repro.summary.align import merge_subview_solutions
 from repro.summary.consistency import enforce_referential_consistency
@@ -112,9 +112,8 @@ class Hydra:
     ----------
     schema / config:
         The client schema and the :class:`~repro.api.RegenConfig` whose
-        pipeline knobs (partitioning strategy and budgets, integrality,
-        MILP limits, solver workers and cache) this pipeline reads; ``None``
-        means the defaults.
+        pipeline knobs (partitioning strategy and budgets, solver workers,
+        strict mode) this pipeline reads; ``None`` means the defaults.
     store:
         Optional :class:`~repro.service.store.SummaryStore`.  When given,
         builds whose ``(schema, constraints, relations)`` fingerprint is
@@ -132,16 +131,8 @@ class Hydra:
         self.preprocessor = Preprocessor(schema)
         self.solver = ParallelLPSolver(
             workers=self.config.workers,
-            cache_size=self.config.cache_size,
-            prefer_integer=self.config.prefer_integer,
-            milp_variable_limit=self.config.milp_variable_limit,
-            time_limit=self.config.time_limit,
-            use_processes=self.config.use_processes,
             strict=self.config.strict,
-            cache_backend=(
-                store.solution_cache(self.config.cache_size) if store is not None
-                else None
-            ),
+            cache_backend=store.solution_cache() if store is not None else None,
         )
         #: Each relation's constraints at its last build by this pipeline;
         #: views whose constraints differ formulate first (see build_summary).
@@ -154,20 +145,22 @@ class Hydra:
                             relations: Optional[Sequence[str]] = None) -> str:
         """The store fingerprint of one build request.
 
-        Includes the result-affecting configuration knobs (strategy,
-        integrality, size/time limits) so a store shared between
-        differently-configured pipelines never serves one configuration's
-        summary as another's; performance knobs (``workers``, ``cache_size``,
-        ``use_processes``) do not change the result and are excluded.
+        Includes the result-affecting configuration (strategy, the solver's
+        integrality and MILP size/time limits, partitioning budgets) so a
+        store shared between differently-configured pipelines never serves
+        one configuration's summary as another's; performance knobs
+        (``workers``) do not change the result and are excluded.
         """
         from repro.service.fingerprint import workload_fingerprint
 
         config = self.config
         return workload_fingerprint(
             self.schema, ccs, relations=relations,
+            # The solver's fixed integrality and MILP limits change what a
+            # build produces, so they are part of the profile too.
             profile=[
-                "hydra", config.strategy, config.prefer_integer,
-                config.milp_variable_limit, config.time_limit,
+                "hydra", config.strategy, True,
+                MILP_VARIABLE_LIMIT, MILP_TIME_LIMIT,
                 config.max_grid_variables, config.max_region_variables,
             ],
         )

@@ -22,8 +22,9 @@ from repro.lp.formulate import (
 from repro.lp.model import LPModel, LPSolution, SubViewBlock, ViewLP
 from repro.lp.solver import (
     DEFAULT_CACHE_SIZE,
-    DEFAULT_MILP_VARIABLE_LIMIT,
     DEFAULT_WORKERS,
+    MILP_TIME_LIMIT,
+    MILP_VARIABLE_LIMIT,
     LPSolver,
     ParallelLPSolver,
     SolverBatch,
@@ -44,7 +45,8 @@ __all__ = [
     "component_key",
     "decompose_model",
     "stitch_solutions",
-    "DEFAULT_MILP_VARIABLE_LIMIT",
+    "MILP_VARIABLE_LIMIT",
+    "MILP_TIME_LIMIT",
     "DEFAULT_WORKERS",
     "DEFAULT_CACHE_SIZE",
     "formulate_view_lp",

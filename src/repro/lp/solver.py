@@ -17,14 +17,13 @@ will do.  This module substitutes Z3 with:
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import optimize, sparse
@@ -43,13 +42,14 @@ from repro.obs.trace import span as trace_span
 
 logger = get_logger("lp.solver")
 
-#: Above this many variables the MILP pass is skipped and the continuous
-#: solver is used directly (keeps solve times predictable on huge grids).
-DEFAULT_MILP_VARIABLE_LIMIT = 4_000
+#: Above this many variables (per component) the MILP pass is skipped and
+#: the continuous solver is used directly (keeps solve times predictable on
+#: huge grids).
+MILP_VARIABLE_LIMIT = 4_000
 
-#: Default wall-clock budget for the exact MILP pass; when HiGHS cannot find
+#: Wall-clock budget (seconds) of the exact MILP pass; when HiGHS cannot find
 #: an integral solution within it, the continuous + rounding path takes over.
-DEFAULT_MILP_TIME_LIMIT = 10.0
+MILP_TIME_LIMIT = 10.0
 
 #: Default worker count of :class:`ParallelLPSolver`.
 DEFAULT_WORKERS = 2
@@ -68,22 +68,18 @@ class LPSolver:
     Parameters
     ----------
     prefer_integer:
-        Try the exact MILP feasibility pass first (default).  When disabled
-        the continuous path is used directly, mimicking systems (such as
-        DataSynth) that work with fractional solutions and rely on sampling.
-    milp_variable_limit:
-        Maximum problem size for the MILP pass.
-    time_limit:
-        Wall-clock budget (seconds) for the MILP pass; the continuous path is
-        used when HiGHS cannot produce an integral solution in time.
+        Try the exact MILP feasibility pass first (default) on models of at
+        most :data:`MILP_VARIABLE_LIMIT` variables, within
+        :data:`MILP_TIME_LIMIT` seconds.  When disabled the continuous path
+        is used directly, mimicking systems (such as DataSynth) that work
+        with fractional solutions and rely on sampling.
+
+    The solver holds no mutable state, so one instance may serve concurrent
+    solves.
     """
 
-    def __init__(self, prefer_integer: bool = True,
-                 milp_variable_limit: int = DEFAULT_MILP_VARIABLE_LIMIT,
-                 time_limit: Optional[float] = DEFAULT_MILP_TIME_LIMIT) -> None:
+    def __init__(self, prefer_integer: bool = True) -> None:
         self.prefer_integer = prefer_integer
-        self.milp_variable_limit = milp_variable_limit
-        self.time_limit = time_limit
 
     # ------------------------------------------------------------------ #
     # public API
@@ -102,7 +98,7 @@ class LPSolver:
                 values=np.zeros(0, dtype=np.int64), feasible=True, method="empty"
             )
         started = time.perf_counter()
-        if self.prefer_integer and model.num_variables <= self.milp_variable_limit:
+        if self.prefer_integer and model.num_variables <= MILP_VARIABLE_LIMIT:
             solution = self._solve_milp(model)
             if solution is not None:
                 solution.solve_seconds = time.perf_counter() - started
@@ -118,16 +114,12 @@ class LPSolver:
         a, b = model.matrix()
         n = model.num_variables
         try:
-            constraints = optimize.LinearConstraint(a, b, b)
-            options = {}
-            if self.time_limit is not None:
-                options["time_limit"] = self.time_limit
             result = optimize.milp(
                 c=np.zeros(n),
-                constraints=constraints,
+                constraints=optimize.LinearConstraint(a, b, b),
                 integrality=np.ones(n),
                 bounds=optimize.Bounds(lb=0, ub=np.inf),
-                options=options or None,
+                options={"time_limit": MILP_TIME_LIMIT},
             )
         except (ValueError, AttributeError):
             return None
@@ -208,16 +200,6 @@ class LPSolver:
             return 0.0
         residual = a.dot(values.astype(np.float64)) - b
         return float(np.abs(residual).max())
-
-
-def _solve_component(args: Tuple[LPModel, bool, int, Optional[float]]) -> LPSolution:
-    """Module-level worker so component solves can cross process boundaries."""
-    model, prefer_integer, milp_variable_limit, time_limit = args
-    return LPSolver(
-        prefer_integer=prefer_integer,
-        milp_variable_limit=milp_variable_limit,
-        time_limit=time_limit,
-    ).solve(model)
 
 
 class SolverStats:
@@ -363,11 +345,11 @@ class ParallelLPSolver:
 
     Every model is first split into independent connected components of its
     constraint graph (:mod:`repro.lp.decompose`).  Components are solved with
-    the plain :class:`LPSolver` — concurrently on a worker pool when
-    ``workers > 1`` — and stitched back together.  Solved components
-    are kept in an LRU cache keyed by the canonical hash of their ``(A, b)``
-    system, so repeated regeneration requests (the dynamic-serving scenario
-    of Section 6) skip redundant solves entirely.
+    one shared :class:`LPSolver` — concurrently on a thread pool when
+    ``workers > 1`` (HiGHS releases the GIL) — and stitched back together.
+    Solved components are kept in an LRU cache keyed by the canonical hash
+    of their ``(A, b)`` system, so repeated regeneration requests (the
+    dynamic-serving scenario of Section 6) skip redundant solves entirely.
 
     Parameters
     ----------
@@ -376,19 +358,15 @@ class ParallelLPSolver:
         decomposition and the cache but solves inline.
     cache_size:
         Capacity of the LRU component-solution cache; ``0`` disables caching.
-    prefer_integer / milp_variable_limit / time_limit:
-        Forwarded to the underlying :class:`LPSolver`.  Note that the MILP
-        size limit now applies per component, so decomposition lets larger
-        models keep the exact integral path.
+    prefer_integer:
+        Forwarded to the underlying :class:`LPSolver`.  Its MILP size limit
+        applies per component, so decomposition lets larger models keep the
+        exact integral path.
     strict:
         When ``True``, raise :class:`~repro.errors.InfeasibleLPError` as soon
         as a stitched solution violates its constraints by more than
         ``STRICT_VIOLATION_TOLERANCE`` (mutually inconsistent CC sets),
         instead of reporting the violation in the diagnostics.
-    use_processes:
-        Solve components on a process pool instead of a thread pool.  Worth
-        it only when single components are large enough to amortise the
-        pickling and worker start-up cost.
     cache_backend:
         Custom :class:`SolutionCache` implementation.  When given it takes
         precedence over ``cache_size`` (which then only serves as the
@@ -400,10 +378,7 @@ class ParallelLPSolver:
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  prefer_integer: bool = True,
-                 milp_variable_limit: int = DEFAULT_MILP_VARIABLE_LIMIT,
-                 time_limit: Optional[float] = DEFAULT_MILP_TIME_LIMIT,
                  strict: bool = False,
-                 use_processes: bool = False,
                  cache_backend: Optional[SolutionCache] = None) -> None:
         if workers < 1:
             raise LPError("ParallelLPSolver needs at least one worker")
@@ -411,11 +386,8 @@ class ParallelLPSolver:
             raise LPError("cache_size must be non-negative")
         self.workers = workers
         self.cache_size = cache_size
-        self.prefer_integer = prefer_integer
-        self.milp_variable_limit = milp_variable_limit
-        self.time_limit = time_limit
         self.strict = strict
-        self.use_processes = use_processes
+        self.lp_solver = LPSolver(prefer_integer)
         self.stats = SolverStats()
         if cache_backend is not None:
             self._cache: Optional[SolutionCache] = cache_backend
@@ -423,13 +395,13 @@ class ParallelLPSolver:
             self._cache = LRUSolutionCache(cache_size)
         else:
             self._cache = None
-        # Cache keys carry a namespace derived from every knob that changes
+        # Cache keys carry a namespace derived from everything that changes
         # what a solve produces: a persistent backend may be shared between
         # solvers with different configurations (e.g. Hydra's exact-MILP path
         # and DataSynth's continuous path), and serving one's solution to the
         # other would silently change results.
         self._cache_namespace = hashlib.sha256(repr(
-            (prefer_integer, milp_variable_limit, time_limit)
+            (prefer_integer, MILP_VARIABLE_LIMIT, MILP_TIME_LIMIT)
         ).encode("utf-8")).hexdigest()[:12]
 
     # ------------------------------------------------------------------ #
@@ -485,10 +457,6 @@ class ParallelLPSolver:
         """Content key of a component, namespaced by the solver config."""
         return f"{component.key}-{self._cache_namespace}"
 
-    def _job(self, component: LPComponent) -> Tuple[LPModel, bool, int, Optional[float]]:
-        return (component.model, self.prefer_integer, self.milp_variable_limit,
-                self.time_limit)
-
     # ------------------------------------------------------------------ #
     # cache plumbing (delegates to the pluggable backend)
     # ------------------------------------------------------------------ #
@@ -525,7 +493,7 @@ class SolverBatch:
         #: Cache key -> in-flight solve (a future, or the component itself
         #: when it is solved inline), in submission order.
         self._pending: Dict[str, Union[Future, LPComponent]] = {}
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         #: Caller time spent in submit() calls (the solver's own share of a
         #: pipelined build; results() adds the wait and the stitch).
         self._submit_seconds = 0.0
@@ -576,7 +544,7 @@ class SolverBatch:
                     if isinstance(pending, Future):
                         solution = pending.result()
                     else:
-                        solution = _solve_component(solver._job(pending))
+                        solution = solver.lp_solver.solve(pending.model)
                     self._resolved[key] = solution
                     solver._cache_put(key, solution)
                     solver.stats._components.inc()
@@ -613,12 +581,5 @@ class SolverBatch:
         if solver.workers == 1:
             return component
         if self._pool is None:
-            if solver.use_processes:
-                # Spawned, not forked: the parent runs threads (the service's
-                # workers, other batches), and a fork copies their locks.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=solver.workers,
-                    mp_context=multiprocessing.get_context("spawn"))
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=solver.workers)
-        return self._pool.submit(_solve_component, solver._job(component))
+            self._pool = ThreadPoolExecutor(max_workers=solver.workers)
+        return self._pool.submit(solver.lp_solver.solve, component.model)

@@ -773,9 +773,8 @@ class SummaryStore:
     def solution_cache(self, memory_size: int = DEFAULT_COMPONENT_MEMORY) -> "StoreSolutionCache":
         """A solver cache backend persisting through this store.
 
-        The memory layer is never disabled (a caller tuning its plain LRU to
-        ``cache_size=0`` still gets the persistent backend, with a minimal
-        hot layer in front of it).
+        The memory layer is never disabled (a ``memory_size`` below one
+        still gets a one-entry hot layer in front of the files).
         """
         return StoreSolutionCache(self, memory_size=max(1, memory_size))
 

@@ -111,7 +111,7 @@ class TestRegenConfig:
         {"workers": 0},
         {"max_workers": 0},
         {"batch_size": 0},
-        {"cache_size": -1},
+        {"max_grid_variables": -1},
         {"max_pending": -1},
     ])
     def test_validation(self, knobs):
@@ -281,19 +281,18 @@ class TestScaledRegeneration:
 class TestFingerprintIntegration:
     def test_old_and_new_spellings_hit_the_same_fingerprint(self, env):
         schema, _, _, constraints = env
-        legacy = Hydra(schema, RegenConfig(milp_variable_limit=2_000))
-        session = Session(schema, config=RegenConfig(milp_variable_limit=2_000))
+        legacy = Hydra(schema, RegenConfig(max_region_variables=2_000))
+        session = Session(schema, config=RegenConfig(max_region_variables=2_000))
         assert legacy.request_fingerprint(constraints) \
             == session.service.fingerprint(constraints)
 
     def test_result_affecting_knobs_never_share_store_entries(self, env, tmp_path):
         schema, _, _, constraints = env
         store = SummaryStore(tmp_path / "store")
-        exact = Session(schema, config=RegenConfig(), store=store)
-        rounded = Session(schema, config=RegenConfig(prefer_integer=False),
-                          store=store)
-        first = exact.summarize(constraints)
-        second = rounded.summarize(constraints)
+        region = Session(schema, config=RegenConfig(), store=store)
+        grid = Session(schema, config=RegenConfig(strategy="grid"), store=store)
+        first = region.summarize(constraints)
+        second = grid.summarize(constraints)
         assert first.fingerprint != second.fingerprint
         assert not second.from_store
         assert len(store.summary_fingerprints()) == 2
@@ -301,10 +300,9 @@ class TestFingerprintIntegration:
     def test_performance_knobs_share_store_entries(self, env, tmp_path):
         schema, _, _, constraints = env
         store = SummaryStore(tmp_path / "store")
-        one = Session(schema, config=RegenConfig(workers=1, cache_size=4,
-                                                 batch_size=128), store=store)
-        two = Session(schema, config=RegenConfig(workers=4, cache_size=64),
+        one = Session(schema, config=RegenConfig(workers=1, batch_size=128),
                       store=store)
+        two = Session(schema, config=RegenConfig(workers=4), store=store)
         first = one.summarize(constraints)
         second = two.summarize(constraints)
         assert first.fingerprint == second.fingerprint

@@ -4,7 +4,7 @@ The snapshot in ``tools/api_surface.json`` is the reviewed public surface;
 any accidental addition, removal or signature change of ``repro.__all__`` /
 ``repro.api`` fails here (and in the CI ``docs`` job) until it is blessed
 with ``python tools/check_api.py --update``.  The same file keeps ``src/``
-free of imports nothing uses.
+and ``tests/`` free of imports nothing uses.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ def _names_used(tree: ast.Module) -> set:
 
 
 def test_src_has_no_unused_imports():
-    """No ``src/`` module imports a name it never uses (package
-    ``__init__.py`` files re-export theirs, so they are skipped)."""
+    """No ``src/`` or ``tests/`` module imports a name it never uses
+    (package ``__init__.py`` files re-export theirs, so they are skipped)."""
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *(REPO_ROOT / "tests").rglob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

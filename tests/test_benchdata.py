@@ -4,7 +4,6 @@ random data / workload generators."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.benchdata.datagen import generate_database
 from repro.benchdata.job import job_schema, job_workload

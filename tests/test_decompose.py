@@ -21,7 +21,6 @@ from repro.lp.decompose import (
 )
 from repro.lp.formulate import formulate_view_lp
 from repro.lp.model import LPModel
-from repro.lp import solver as solver_module
 from repro.lp.solver import LPSolver, ParallelLPSolver
 from repro.views.preprocess import Preprocessor
 
@@ -296,20 +295,6 @@ class TestParallelLPSolver:
         assert not solution.feasible
         assert solution.max_violation >= 5.0
 
-    def test_process_pool_backend(self):
-        solver = ParallelLPSolver(workers=2, use_processes=True)
-        solution = solver.solve(two_block_model())
-        assert solution.feasible
-        assert solution.max_violation == 0.0
-
-    def test_process_pool_is_spawned(self):
-        """Worker processes start fresh instead of forking the (threaded)
-        caller."""
-        with ParallelLPSolver(workers=2, use_processes=True).batch() as batch:
-            batch.submit(two_block_model())
-            assert batch._pool._mp_context.get_start_method() == "spawn"
-            assert batch.results()[0].feasible
-
     def test_rejects_bad_configuration(self):
         with pytest.raises(LPError):
             ParallelLPSolver(workers=0)
@@ -367,10 +352,10 @@ class TestSolverBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_propagates_and_leaves_no_thread(
             self, workers, monkeypatch):
-        def broken(args):
+        def broken(self, model):
             raise RuntimeError("solver crashed")
 
-        monkeypatch.setattr(solver_module, "_solve_component", broken)
+        monkeypatch.setattr(LPSolver, "solve", broken)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="solver crashed"):
             with ParallelLPSolver(workers=workers).batch() as batch:
@@ -440,7 +425,7 @@ class TestTierOneWorkloads:
         self._check_views(small_job_schema, small_job_constraints)
 
     def test_hydra_rebuild_hits_cache(self, small_tpcds_schema, small_tpcds_constraints):
-        hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2, cache_size=512))
+        hydra = Hydra(small_tpcds_schema, RegenConfig(workers=2))
         first = hydra.build_summary(small_tpcds_constraints)
         components = hydra.solver.stats.components_solved
         assert components > 0

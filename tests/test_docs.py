@@ -3,7 +3,8 @@
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``):
 every ``src/repro`` module must carry a module docstring, every fenced
 python snippet in README/docs must compile — with ``>>>`` blocks executed
-as doctests — and every relative link must name a file that exists, so the
+as doctests — every relative link must name a file that exists, and
+README's knob table must list exactly the ``RegenConfig`` fields, so the
 documentation layer cannot silently rot.
 """
 
@@ -46,6 +47,23 @@ def test_dead_link_is_reported(tmp_path):
     page.write_text("[ok](here.md#top) [web](https://example.org)"
                     " [anchor](#top) [gone](GONE.md)\n")
     assert checker.check_links([page]) == ["page.md: dead link to GONE.md"]
+
+
+def test_knob_table_matches_the_config_fields():
+    checker = _load_checker()
+    assert checker.check_knob_table() == []
+
+
+def test_knob_table_drift_is_reported():
+    checker = _load_checker()
+    readme = (REPO_ROOT / "README.md").read_text()
+    header = checker.KNOB_TABLE_HEADER + "\n| --- | --- | --- |\n"
+    drifted = readme.replace(header, header + "| `use_processes` | off | gone |\n")
+    drifted = drifted.replace("| `strategy` |", "| `strategy` (`Gone(...)`) |")
+    assert checker.check_knob_table(drifted) == [
+        "README knob table: no row for RegenConfig.strategy",
+        "README knob table: row `use_processes` is not a RegenConfig field",
+    ]
 
 
 def test_docs_reference_each_other():

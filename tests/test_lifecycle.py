@@ -11,10 +11,8 @@ exactly — including under concurrent mixed warm/cold/failing traffic.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +21,6 @@ from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
 from repro.errors import (
     ServiceClosedError,
-    ServiceError,
     ServiceOverloadedError,
     SummaryStoreError,
 )

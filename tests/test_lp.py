@@ -13,7 +13,8 @@ from repro.lp.formulate import (
     count_lp_variables,
     formulate_view_lp,
 )
-from repro.lp.model import LPModel, LPSolution
+from repro.lp import solver as solver_module
+from repro.lp.model import LPModel
 from repro.lp.solver import LPSolver, ParallelLPSolver
 from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
@@ -116,10 +117,11 @@ class TestSolver:
         assert solution.feasible
         assert solution.values.size == 0
 
-    def test_continuous_fallback_used_above_variable_limit(self, person_task):
+    def test_continuous_fallback_used_above_variable_limit(self, person_task,
+                                                           monkeypatch):
         view_lp = formulate_view_lp(person_task)
-        solver = LPSolver(milp_variable_limit=1)
-        solution = solver.solve(view_lp.model)
+        monkeypatch.setattr(solver_module, "MILP_VARIABLE_LIMIT", 1)
+        solution = LPSolver().solve(view_lp.model)
         assert solution.method == "linprog+l1"
         assert solution.max_violation <= 1.0
 
@@ -166,23 +168,26 @@ class TestSolverFallbackChain:
         assert solution.method == "milp"
         assert solution.max_violation == 0.0
 
-    def test_size_limit_triggers_continuous_l1_path(self, person_task):
+    def test_size_limit_triggers_continuous_l1_path(self, person_task, monkeypatch):
         model = self._person_model(person_task)
-        solution = LPSolver(milp_variable_limit=model.num_variables - 1).solve(model)
+        monkeypatch.setattr(solver_module, "MILP_VARIABLE_LIMIT",
+                            model.num_variables - 1)
+        solution = LPSolver().solve(model)
         assert solution.method == "linprog+l1"
         # the relaxation is integral here, so rounding loses nothing
         assert solution.max_violation == 0.0
 
-    def test_decomposition_recovers_milp_below_component_limit(self):
+    def test_decomposition_recovers_milp_below_component_limit(self, monkeypatch):
         # The whole model exceeds the MILP size limit, but each connected
         # component fits, so the parallel solver keeps the exact integral
         # path where the serial solver has to fall back to the continuous one.
         model = LPModel(name="blocks", num_variables=4)
         model.add_constraint([0, 1], 10)
         model.add_constraint([2, 3], 7)
-        serial = LPSolver(milp_variable_limit=3).solve(model)
+        monkeypatch.setattr(solver_module, "MILP_VARIABLE_LIMIT", 3)
+        serial = LPSolver().solve(model)
         assert serial.method == "linprog+l1"
-        parallel = ParallelLPSolver(workers=2, milp_variable_limit=3).solve(model)
+        parallel = ParallelLPSolver(workers=2).solve(model)
         assert "milp" in parallel.method
         assert parallel.max_violation == 0.0
 

@@ -1,11 +1,9 @@
-"""Tests for the metrics helpers, the CODD scaling module and the
-anonymizer."""
+"""Tests for the metrics helpers and the CODD scaling module."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.codd.anonymizer import Anonymizer
 from repro.codd.scaling import (
     database_bytes,
     bytes_per_row,
@@ -102,20 +100,6 @@ class TestCostModel:
         assert format_duration(7200 * 3).endswith("hours")
         assert format_duration(3600 * 24 * 5).endswith("days")
         assert format_duration(3600 * 24 * 30).endswith("weeks")
-
-
-class TestAnonymizer:
-    def test_value_encoding(self):
-        anonymizer = Anonymizer()
-        code = anonymizer.encode("i_color", "maroon")
-        assert anonymizer.encode("i_color", "maroon") == code
-        assert anonymizer.decode("i_color", code) == "maroon"
-        # integers pass through unchanged
-        assert anonymizer.encode("i_size", 5) == 5
-        # per-attribute scoping: same string, independent codes
-        other = anonymizer.encode("ca_state", "maroon")
-        assert anonymizer.decode("ca_state", other) == "maroon"
-        assert anonymizer.encode("i_color", "teal") == code + 1
 
 
 class TestCoddMetadataAndScaling:

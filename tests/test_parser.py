@@ -11,7 +11,7 @@ from repro.constraints.parser import (
 )
 from repro.engine.executor import Executor
 from repro.predicates.dnf import col
-from repro.workload.query import Query, Workload
+from repro.workload.query import Query
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LPTooLargeError, PartitionError
-from repro.partition.box import Box, conjunct_boxes, domain_box
+from repro.partition.box import Box, conjunct_boxes
 from repro.partition.grid import attribute_cut_points, grid_cell_count, grid_partition
 from repro.partition.region import (
     optimal_partition,

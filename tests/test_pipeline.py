@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import RegenConfig
-from repro.benchdata.tpcds import simple_workload
 from repro.codd.scaling import scale_constraints
 from repro.datasynth.pipeline import DataSynth, DataSynthConfig
 from repro.errors import LPTooLargeError

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchdata.datagen import generate_database
-from repro.benchdata.job import job_schema, job_workload
+from repro.benchdata.job import job_workload
 from repro.benchdata.tpcds import simple_workload
 from repro.codd.scaling import scale_summary
 from repro.engine.database import Database

@@ -32,7 +32,7 @@ from repro.hydra.client import extract_constraints
 from repro.hydra.pipeline import Hydra
 from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
-from repro.schema.relation import Attribute, ForeignKey, Relation
+from repro.schema.relation import Attribute, Relation
 from repro.schema.schema import Schema
 from repro.service.fingerprint import (
     constraint_set_fingerprint,
@@ -279,24 +279,29 @@ class TestPipelineStoreIntegration:
         assert warm.summary.to_dict() == cold.summary.to_dict()
 
     def test_store_isolates_differently_configured_pipelines(self, toy_schema, tmp_path):
-        """A shared store must never serve a continuous-config pipeline's
-        artefacts (summary or component solutions) to an exact-MILP one."""
+        """A shared store never serves one configuration's summary to a
+        differently configured pipeline.  The solver has one configuration,
+        so a component solution is keyed by its ``(A, b)`` system alone and
+        crosses over only where both builds formulate the same component."""
         ccs = toy_ccs()
-        relaxed = Hydra(toy_schema, RegenConfig(prefer_integer=False),
-                        store=SummaryStore(tmp_path / "store"))
-        relaxed.build_summary(ccs)
+        grid = Hydra(toy_schema, RegenConfig(strategy="grid"),
+                     store=SummaryStore(tmp_path / "store"))
+        grid_keys = set(grid.build_summary(ccs).summary.component_manifest())
 
-        exact = Hydra(toy_schema, RegenConfig(prefer_integer=True),
-                      store=SummaryStore(tmp_path / "store"))
-        assert exact.request_fingerprint(ccs) != relaxed.request_fingerprint(ccs)
-        result = exact.build_summary(ccs)
-        # Neither the summary fast path nor the component cache crossed over.
+        region = Hydra(toy_schema, RegenConfig(strategy="region"),
+                       store=SummaryStore(tmp_path / "store"))
+        assert region.request_fingerprint(ccs) != grid.request_fingerprint(ccs)
+        result = region.build_summary(ccs)
+        region_keys = set(result.summary.component_manifest())
         assert result.solver_stats["summary_store_hits"] == 0
+        # The two strategies formulate different systems here, so the
+        # component cache did not cross over either.
+        assert region_keys.isdisjoint(grid_keys)
         assert result.solver_stats["cache_hits"] == 0
-        assert exact.solver.stats.components_solved > 0
+        assert region.solver.stats.components_solved == len(region_keys)
 
         # Same configuration in a fresh instance still shares everything.
-        twin = Hydra(toy_schema, RegenConfig(prefer_integer=True),
+        twin = Hydra(toy_schema, RegenConfig(strategy="region"),
                      store=SummaryStore(tmp_path / "store"))
         assert twin.build_summary(ccs).solver_stats["summary_store_hits"] == 1
 

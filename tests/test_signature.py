@@ -14,7 +14,6 @@ from repro.partition.signature import (
     partition_signatures,
     shared_segments_from_constraints,
 )
-from repro.predicates.interval import Interval
 from tests.test_partition import random_constraints
 
 

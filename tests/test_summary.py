@@ -5,11 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints.cc import CardinalityConstraint
 from repro.errors import SummaryError
-from repro.predicates.dnf import DNFPredicate, col
 from repro.predicates.interval import Interval
-from repro.schema.schema import Schema
 from repro.summary.align import merge_subview_solutions
 from repro.summary.consistency import enforce_referential_consistency
 from repro.summary.relation_summary import (

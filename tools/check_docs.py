@@ -1,6 +1,6 @@
 """Documentation drift checks (run by the CI ``docs`` job and tier-1 tests).
 
-Three guarantees, failing the build on drift:
+Four guarantees, failing the build on drift:
 
 1. **Module docstrings** — every Python module under ``src/repro/`` carries
    a module docstring (packages included), so the package contracts
@@ -13,6 +13,9 @@ Three guarantees, failing the build on drift:
 3. **Relative links** — every relative Markdown link in ``README.md`` and
    ``docs/*.md`` names a file that exists, so removing a page cannot leave
    a dead link behind.
+4. **Knob table** — the rows of README's knob table that no class name
+   qualifies are exactly the fields of ``repro.api.RegenConfig``, so a field
+   added or removed without its row (or a row without its field) fails.
 
 Usage::
 
@@ -22,6 +25,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import dataclasses
 import doctest
 import re
 import sys
@@ -32,6 +36,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FENCE = re.compile(r"```python[ \t]*\n(.*?)```", re.DOTALL)
 #: The target of an inline Markdown link: ``[text](target)``.
 LINK = re.compile(r"\]\(([^)\s]+)\)")
+#: The header row of README's knob table.
+KNOB_TABLE_HEADER = "| knob | default | effect |"
 
 
 def doc_files() -> List[Path]:
@@ -88,15 +94,47 @@ def check_links(paths: Optional[Iterable[Path]] = None) -> List[str]:
     return errors
 
 
+def table_knobs(text: str) -> List[str]:
+    """The knobs named by the knob table's rows that no class name
+    qualifies: a row's first cell holds one or more backticked names, and
+    a qualified row adds the class in parentheses, e.g. ``(`Executor(...)`)``."""
+    lines = text.splitlines()
+    knobs: List[str] = []
+    for line in lines[lines.index(KNOB_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cell = line.split("|")[1]
+        if "(" not in cell:
+            knobs += re.findall(r"`([^`]+)`", cell)
+    return knobs
+
+
+def check_knob_table(text: Optional[str] = None) -> List[str]:
+    """Return one error per ``RegenConfig`` field without a README row and
+    per unqualified row that names no field."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.api import RegenConfig
+
+    if text is None:
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    documented = table_knobs(text)
+    fields = [f.name for f in dataclasses.fields(RegenConfig)]
+    errors = [f"README knob table: no row for RegenConfig.{name}"
+              for name in fields if name not in documented]
+    errors += [f"README knob table: row `{name}` is not a RegenConfig field"
+               for name in documented if name not in fields]
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))  # make `repro` doctest-importable
     errors = (check_module_docstrings() + check_fenced_snippets()
-              + check_links())
+              + check_links() + check_knob_table())
     for error in errors:
         print(f"docs check: {error}", file=sys.stderr)
     if not errors:
-        print(f"docs check: {len(doc_files())} doc files, their links and"
-              " all src/repro module docstrings clean")
+        print(f"docs check: {len(doc_files())} doc files, their links, the"
+              " README knob table and all src/repro module docstrings clean")
     return 1 if errors else 0
 
 
