@@ -2,16 +2,25 @@
 
 The paper uses the Z3 SMT solver purely as a feasibility engine: given the
 equality constraints over non-negative tuple counts, any feasible assignment
-will do.  This module substitutes Z3 with:
+will do.  This module substitutes Z3 with three rungs, tried in order (each
+records itself in ``LPSolution.method``):
 
-* an exact integer feasibility pass built on ``scipy.optimize.milp`` (HiGHS),
-  which returns integral counts whenever the system is integrally feasible —
-  matching the paper's claim that Hydra satisfies CCs exactly up to the
-  referential-integrity additions; and
-* a continuous fallback using ``scipy.optimize.linprog`` with L1 slack
-  minimisation, used when the MILP is unavailable, too large or infeasible.
-  The slack solution is then rounded; any residual violation is reported in
-  the solution diagnostics rather than silently dropped.
+* ``"unique"`` — an exact rung for tiny systems (at most
+  :data:`UNIQUE_VARIABLE_LIMIT` variables, at least as many rows as columns)
+  of full column rank.  Such a system has at most one solution, so when
+  ``rint`` of its least-squares point is non-negative and satisfies
+  ``A x = b`` exactly, it is the only feasible point — the one the MILP
+  would return — found with one dense ``lstsq`` instead of a HiGHS call;
+* ``"milp"`` — an exact integer feasibility pass built on
+  ``scipy.optimize.milp`` (HiGHS), which returns integral counts whenever the
+  system is integrally feasible — matching the paper's claim that Hydra
+  satisfies CCs exactly up to the referential-integrity additions; and
+* ``"linprog+l1"`` — a continuous fallback using ``scipy.optimize.linprog``
+  with L1 slack minimisation, used when the MILP is unavailable, too large or
+  infeasible.  The slack solution is then rounded; any residual violation is
+  reported in the solution diagnostics rather than silently dropped.
+
+The first two rungs run only with ``prefer_integer``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
@@ -47,6 +56,12 @@ logger = get_logger("lp.solver")
 #: huge grids).
 MILP_VARIABLE_LIMIT = 4_000
 
+#: Components of at most this many variables (and at least as many rows)
+#: try the exact unique-solution rung before the MILP.  Not part of the cache
+#: namespace or the fingerprint profile: the rung only ever returns the one
+#: feasible point, which is what the MILP returns too.
+UNIQUE_VARIABLE_LIMIT = 64
+
 #: Wall-clock budget (seconds) of the exact MILP pass; when HiGHS cannot find
 #: an integral solution within it, the continuous + rounding path takes over.
 MILP_TIME_LIMIT = 10.0
@@ -68,8 +83,9 @@ class LPSolver:
     Parameters
     ----------
     prefer_integer:
-        Try the exact MILP feasibility pass first (default) on models of at
-        most :data:`MILP_VARIABLE_LIMIT` variables, within
+        Try the exact rungs first (default) on models of at most
+        :data:`MILP_VARIABLE_LIMIT` variables: the unique-solution rung on
+        tiny full-rank systems, then the MILP feasibility pass within
         :data:`MILP_TIME_LIMIT` seconds.  When disabled the continuous path
         is used directly, mimicking systems (such as DataSynth) that work
         with fractional solutions and rely on sampling.
@@ -99,7 +115,9 @@ class LPSolver:
             )
         started = time.perf_counter()
         if self.prefer_integer and model.num_variables <= MILP_VARIABLE_LIMIT:
-            solution = self._solve_milp(model)
+            solution = self._solve_unique(model)
+            if solution is None:
+                solution = self._solve_milp(model)
             if solution is not None:
                 solution.solve_seconds = time.perf_counter() - started
                 return solution
@@ -108,8 +126,34 @@ class LPSolver:
         return solution
 
     # ------------------------------------------------------------------ #
-    # MILP feasibility
+    # exact rungs: unique solution, then MILP feasibility
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _solve_unique(model: LPModel) -> Optional[LPSolution]:
+        """The system's only solution, when it is tiny, of full column rank
+        and its least-squares point rounds to a non-negative exact solution;
+        ``None`` (fall through to the MILP) otherwise."""
+        n = model.num_variables
+        if n > UNIQUE_VARIABLE_LIMIT or model.num_constraints < n:
+            return None
+        a, b = model.matrix()
+        dense = a.toarray()
+        # Singular values under 1e-9 of the largest count as zero: far above
+        # float64 round-off on these small 0/±1 matrices, so a rank-deficient
+        # system (many solutions) never passes, while a full-rank one judged
+        # deficient only costs the MILP call.
+        x, _, rank, _ = np.linalg.lstsq(dense, b, rcond=1e-9)
+        if rank < n:
+            return None
+        values = np.rint(x)
+        # Exact float64 equality against the model's own b: the products of
+        # integral counts and 0/±1 coefficients are exact, and a fractional
+        # b can never be met, so it is rejected rather than truncated.
+        if (values < 0).any() or not np.array_equal(dense @ values, b):
+            return None
+        return LPSolution(values=values.astype(np.int64), feasible=True,
+                          method="unique")
+
     def _solve_milp(self, model: LPModel) -> Optional[LPSolution]:
         a, b = model.matrix()
         n = model.num_variables
@@ -144,7 +188,6 @@ class LPSolver:
         identity = sparse.identity(m, format="csr")
         a_aug = sparse.hstack([a, identity, -identity], format="csr")
         c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-        bounds = [(0, None)] * (n + 2 * m)
 
         # Escalation ladder for numerically extreme instances (right-hand
         # sides around 1e15 in the exabyte experiment make HiGHS bail out
@@ -161,7 +204,7 @@ class LPSolver:
         try:
             for extra, scale in attempts:
                 result = optimize.linprog(
-                    c, A_eq=a_aug, b_eq=b / scale, bounds=bounds,
+                    c, A_eq=a_aug, b_eq=b / scale, bounds=(0, None),
                     method="highs", **extra,
                 )
                 if result.x is not None:
@@ -539,6 +582,7 @@ class SolverBatch:
         started = time.perf_counter()
         solver = self._solver
         with trace_span("lp.solve_many", models=len(self._models)) as solve_span:
+            solved_by: "Counter[str]" = Counter()
             with solver.stats.phase("solve"):
                 for key, pending in self._pending.items():
                     if isinstance(pending, Future):
@@ -548,6 +592,7 @@ class SolverBatch:
                     self._resolved[key] = solution
                     solver._cache_put(key, solution)
                     solver.stats._components.inc()
+                    solved_by[solution.method] += 1
             logger.debug("solved %d pending components (%d resolved from cache)",
                          len(self._pending), len(self._resolved) - len(self._pending))
 
@@ -568,6 +613,7 @@ class SolverBatch:
                 self._submit_seconds + time.perf_counter() - started)
             solve_span.set_attribute(
                 "components", sum(len(d.components) for d in self._decompositions))
+            solve_span.set_attribute("solved_by", dict(sorted(solved_by.items())))
         return solutions
 
     def close(self) -> None:

@@ -289,6 +289,15 @@ class SummaryStore:
             self._disk_bytes += len(blob) - (previous or 0)
             if previous is None:
                 self._disk_entries[kind] += 1
+            # A write is a use: stamp the recency sidecar under the lock the
+            # GC re-checks recency under, creating it on a first write.
+            touch = os.path.join(self._root_str, kind, key[:2], key + TOUCH_SUFFIX)
+            try:
+                os.close(os.open(touch, os.O_WRONLY | os.O_CREAT, 0o644))
+                stamp = time.time()
+                os.utime(touch, (stamp, stamp))
+            except OSError:  # pragma: no cover - recency is best-effort
+                pass
 
     def _read_entry(self, kind: str, key: str) -> Dict[str, object]:
         """Strict read: raise :class:`SummaryStoreError` on anything that is
@@ -348,7 +357,6 @@ class SummaryStore:
             "meta": entry_meta,
             "summary": summary.to_dict(),
         })
-        self._touch("summaries", fingerprint)
         # Opportunistic GC: a store over its size caps compacts right after
         # the write that pushed it over (TTL-only stores are compacted by
         # the service's GC thread or an explicit compact()/CLI gc instead).
@@ -754,7 +762,6 @@ class SummaryStore:
             "method": solution.method,
             "max_violation": float(solution.max_violation),
         })
-        self._touch("components", key)
 
     def get_component(self, key: str) -> Optional[LPSolution]:
         """Read one component solution; ``None`` on miss or corruption."""

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro import (
+    Hydra,
+    extract_constraints,
+    generate_database,
+    simple_workload,
+    tpcds_schema,
+)
 from repro.constraints.cc import CardinalityConstraint
 from repro.errors import InfeasibleLPError, LPError, LPTooLargeError
 from repro.lp.formulate import (
@@ -228,3 +237,103 @@ class TestSolverFallbackChain:
         model._matrix_cache = None
         with pytest.raises(InfeasibleLPError):
             LPSolver(prefer_integer=False).solve(model)
+
+
+def _model_of(rows: np.ndarray, rhs: np.ndarray) -> LPModel:
+    model = LPModel(name="system", num_variables=rows.shape[1])
+    for row, value in zip(rows, rhs):
+        model.add_constraint(np.flatnonzero(row).tolist(), value)
+    return model
+
+
+@st.composite
+def small_systems(draw):
+    """A random 0/1 system of at most 8 columns and a right-hand side that is
+    ``A x0`` for a non-negative integral ``x0`` ("planted"), for an ``x0``
+    with a negative entry ("negative"), or a planted one with one row off
+    by a half ("fractional")."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(any),
+        min_size=m, max_size=m)), dtype=np.float64)
+    kind = draw(st.sampled_from(["planted", "negative", "fractional"]))
+    x0 = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+                  dtype=np.float64)
+    if kind == "negative":
+        x0[draw(st.integers(0, n - 1))] = -draw(st.integers(1, 5))
+    rhs = rows @ x0
+    if kind == "fractional":
+        rhs[draw(st.integers(0, m - 1))] += 0.5
+    assume((rhs >= 0).all())
+    return kind, rows, rhs
+
+
+class TestUniqueRung:
+    """The exact rung in front of the MILP: a tiny system of full column rank
+    has at most one solution, so accepting it changes no output."""
+
+    def test_bench_wls_components_skip_milp(self, monkeypatch):
+        schema = tpcds_schema(scale_factor=0.0002, dimension_scale=0.01)
+        constraints = extract_constraints(
+            generate_database(schema, seed=1),
+            simple_workload(schema, 110)).constraints
+        calls = []
+        milp = solver_module.optimize.milp
+
+        def counting_milp(*args, **kwargs):
+            calls.append(1)
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module.optimize, "milp", counting_milp)
+        hydra = Hydra(schema)
+        result = hydra.build_summary(constraints)
+        solved = hydra.solver.stats.components_solved
+        assert solved - len(calls) >= 35, (solved, len(calls))
+        assert any("unique" in report.solver_method
+                   for report in result.view_reports.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_systems())
+    def test_rung_returns_the_milp_point_or_declines(self, system):
+        kind, rows, rhs = system
+        model = _model_of(rows, rhs)
+        n = model.num_variables
+        full_rank = model.num_constraints >= n \
+            and np.linalg.matrix_rank(rows) == n
+        unique = LPSolver._solve_unique(model)
+        solution = LPSolver().solve(model)
+        milp = LPSolver()._solve_milp(model)
+        if kind == "planted" and full_rank:
+            assert unique is not None
+        if not full_rank or kind != "planted":
+            assert unique is None
+        if unique is not None:
+            assert milp is not None
+            assert solution.method == "unique"
+            assert np.array_equal(solution.values, milp.values)
+            assert solution.max_violation == milp.max_violation == 0.0
+        else:
+            # The rung declined: the result is the unchanged MILP -> L1 chain's.
+            parent = milp if milp is not None \
+                else LPSolver()._solve_continuous(model)
+            assert solution.method == parent.method
+            assert np.array_equal(solution.values, parent.values)
+            assert solution.feasible == parent.feasible
+            assert solution.max_violation == parent.max_violation
+
+    def test_continuous_solver_never_takes_the_rung(self, monkeypatch):
+        # x0 = 3, x1 = 2, x0 + x1 = 5: full column rank, one solution.
+        model = _model_of(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float64),
+                          np.array([3.0, 2.0, 5.0]))
+        assert LPSolver().solve(model).method == "unique"
+
+        def refuse(model):
+            raise AssertionError("the continuous solver reached the unique rung")
+
+        monkeypatch.setattr(LPSolver, "_solve_unique", staticmethod(refuse))
+        solution = LPSolver(prefer_integer=False).solve(model)
+        assert solution.method == "linprog+l1"
+        assert solution.values.tolist() == [3, 2]
+        stitched = ParallelLPSolver(workers=1, prefer_integer=False).solve(model)
+        assert "unique" not in stitched.method

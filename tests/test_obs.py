@@ -26,6 +26,8 @@ from repro.api.config import RegenConfig
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
 from repro.errors import ConfigError
+from repro.lp.model import LPModel
+from repro.lp.solver import ParallelLPSolver
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.metrics import QUANTILE_RELATIVE_ERROR, MetricsRegistry
 from repro.obs.trace import build_tree, get_tracer, parse_jsonl, span
@@ -278,6 +280,20 @@ class TestTracing:
         # ... yet the operators only ever saw summary rows.
         assert 0 < attributes["runs"] < attributes["tuples"] / 1_000
         assert len(report.results) == len(list(toy_ccs()))
+
+    def test_solve_many_span_counts_components_per_rung(self, tracer):
+        tracer.configure(sample=1.0)
+        model = LPModel(name="two-rungs", num_variables=4)
+        # x0 = 3, x1 = 2, x0 + x1 = 5: full column rank, one solution.
+        model.add_constraint([0], 3)
+        model.add_constraint([1], 2)
+        model.add_constraint([0, 1], 5)
+        # x2 + x3 = 7: more columns than rows, so the MILP answers.
+        model.add_constraint([2, 3], 7)
+        solution = ParallelLPSolver(workers=1).solve(model)
+        assert solution.method == "decomposed[milp+unique]"
+        (record,) = [r for r in tracer.spans() if r["name"] == "lp.solve_many"]
+        assert record["attributes"]["solved_by"] == {"milp": 1, "unique": 1}
 
     def test_jsonl_export_file_round_trips(self, toy_schema, tracer,
                                            tmp_path):
